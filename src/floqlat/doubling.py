@@ -165,14 +165,29 @@ def double_poles(spectrum: EnergySpectrum) -> PoleSpectrum:
 
 
 def compare_spectra(a, b) -> float:
-    """Largest wrap-aware difference between two equally long sorted spectra."""
+    """Largest wrap-aware difference between two equally long spectra, matched in order.
+
+    Both lists are read around the circle starting from the widest empty arc
+    of their union and matched index by index from there.  Plain ascending
+    order cuts the circle at -pi instead, which shifts the matching by one
+    when a pair at +-(pi - delta) on one side faces two values folded to -pi
+    on the other; the smaller of the two matchings is returned.
+    """
     av = np.sort(np.asarray(getattr(a, "values", a), dtype=float))
     bv = np.sort(np.asarray(getattr(b, "values", b), dtype=float))
     if av.shape != bv.shape:
         raise LengthMismatchError(f"spectra have different lengths: {av.shape} vs {bv.shape}")
     if av.size == 0:
         return 0.0
-    return float(wrap_distance(av, bv).max())
+    sorted_match = float(wrap_distance(av, bv).max())
+    union = np.sort(np.mod(np.concatenate([av, bv]), 2.0 * np.pi))
+    gaps = np.diff(union, append=union[0] + 2.0 * np.pi)
+    cut = union[(int(np.argmax(gaps)) + 1) % union.size]
+
+    def from_cut(values):
+        return values[np.argsort(np.mod(values - cut, 2.0 * np.pi), kind="stable")]
+
+    return min(sorted_match, float(wrap_distance(from_cut(av), from_cut(bv)).max()))
 
 
 def doubled_static_poles(eta: float, floquet_cells: int, target: str) -> PoleSpectrum:

@@ -4,6 +4,10 @@ Quasienergies are dimensionless (epsilon * T) and live in the half-open window
 [-pi, pi).  The branch convention is epsilon = -arg(lambda) for an eigenvalue
 lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 [-pi, pi); values within 1e-12 of +pi fold to -pi.
+
+Operators built from the drive keep it and are solved in the chiral timeframe
+from two N x N singular-value problems; dense eigvals of the 2N x 2N matrix is
+kept for raw matrices and as the test oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import (
     DispersionDomainError,
     GaplessPointError,
     NotUnitaryError,
+    ProfileLengthError,
     ValidationError,
 )
 from .models import BoundaryCondition, DriveParams, HermitianOperator, h1_bond_sites
@@ -50,25 +55,67 @@ def wrap_distance(a, b):
     return np.minimum(d, 2.0 * np.pi - d)
 
 
-@dataclass(frozen=True)
-class UnitaryOperator:
-    """Dense unitary matrix with the unitarity invariant checked on construction."""
+@dataclass(frozen=True, eq=False)
+class Drive:
+    """The two-step drive as bond data: its parameters and one coefficient per
+    second-step bond (in h1_bond_sites order; None means the native 2 on every bond).
+    """
 
-    matrix: np.ndarray
+    params: DriveParams
+    h1_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        n_bonds = len(h1_bond_sites(self.params.n_cells, self.params.bc))
+        if self.h1_coeffs is None:
+            coeffs = np.full(n_bonds, 2.0)
+        else:
+            coeffs = np.array(self.h1_coeffs, dtype=float)
+        if coeffs.shape != (n_bonds,):
+            raise ProfileLengthError(
+                f"expected {n_bonds} bond coefficients for bc={self.params.bc.value}, "
+                f"got {coeffs.shape}"
+            )
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "h1_coeffs", coeffs)
+
+
+@dataclass(frozen=True, eq=False)
+class UnitaryOperator:
+    """Unitary matrix with the unitarity invariant checked when the dense matrix is formed.
+
+    Built from a matrix, the check runs on construction.  Built from a Drive
+    (UnitaryOperator(drive=...)), the operator keeps the drive and forms and
+    checks the dense matrix only when `matrix` is first read; `quasienergies`
+    works from the drive alone and never reads it.
+    """
+
+    dense: np.ndarray | None = None
+    drive: Drive | None = None
+
+    def __post_init__(self):
+        if (self.dense is None) == (self.drive is None):
+            raise ValidationError("a unitary operator takes either a matrix or a drive")
+        if self.dense is None:
+            return
+        m = np.array(self.dense, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
         deviation = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
         if deviation >= UNITARITY_ATOL:
             raise NotUnitaryError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dense", m)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self.dense is None:
+            formed = UnitaryOperator(composed_drive_evolution(self.drive))
+            object.__setattr__(self, "dense", formed.dense)
+        return self.dense
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.drive.params.n_sites if self.drive is not None else self.dense.shape[0]
 
 
 @dataclass(frozen=True)
@@ -134,25 +181,73 @@ def floquet_operator(
     return UnitaryOperator(hermitian_exponential(h1, theta1) @ hermitian_exponential(h0, theta0))
 
 
-def composed_drive_evolution(params: DriveParams, h1_coeffs=None) -> np.ndarray:
+def composed_drive_evolution(drive: Drive) -> np.ndarray:
     """exp(-i H1 theta1) exp(-i H0 theta0) assembled from exact 2x2 bond blocks.
 
     Both drive steps are disjoint-dimer Hamiltonians, so each factor is the
     spectral decomposition of its bond blocks (identical to a dense eigensolve
     of the factor); the product is applied row-wise in O(N^2).
     """
+    params = drive.params
     n = params.n_sites
     h0_bonds = [(2 * j, 2 * j + 1) for j in range(params.n_cells)]
     e0 = dimer_evolution(n, h0_bonds, [2.0] * len(h0_bonds), params.theta0)
     h1_bonds = h1_bond_sites(params.n_cells, params.bc)
-    if h1_coeffs is None:
-        h1_coeffs = [2.0] * len(h1_bonds)
-    return _dimer_evolution_apply(n, h1_bonds, h1_coeffs, params.theta1, e0)
+    return _dimer_evolution_apply(n, h1_bonds, drive.h1_coeffs, params.theta1, e0)
 
 
 def build_floquet(params: DriveParams) -> UnitaryOperator:
-    """One-period evolution operator exp(-i H1 theta1) exp(-i H0 theta0)."""
-    return UnitaryOperator(composed_drive_evolution(params))
+    """One-period evolution operator exp(-i H1 theta1) exp(-i H0 theta0), kept as its drive."""
+    return UnitaryOperator(drive=Drive(params))
+
+
+def chiral_blocks(drive: Drive) -> tuple[np.ndarray, np.ndarray]:
+    """Real N x N blocks a = G_AA and c = i G_BA of the half-period factor G.
+
+    G = exp(-i theta1 H1 / 2) exp(-i theta0 H0 / 2).  With phi(x) the
+    half-step phase theta1 * coeff / 2 of the second-step bond at site x (0
+    where there is none), G sends the A site of cell j to
+    cos(theta0) [cos phi(A_j) A_j - i sin phi(A_j) B'] - i sin(theta0)
+    [cos phi(B_j) B_j - i sin phi(B_j) A'], where B' and A' are the bond
+    partners of A_j and B_j.  So both blocks are bidiagonal (cyclic for
+    periodic chains), read straight off the bond list.
+    """
+    params = drive.params
+    n = params.n_cells
+    bonds = np.array(h1_bond_sites(n, params.bc), dtype=int).reshape(-1, 2)
+    b_cell, a_cell = bonds[:, 0] // 2, bonds[:, 1] // 2
+    phi = 0.5 * params.theta1 * drive.h1_coeffs
+    cos0, sin0 = math.cos(params.theta0), math.sin(params.theta0)
+    cos_a, cos_b = np.ones(n), np.ones(n)
+    cos_a[a_cell] = cos_b[b_cell] = np.cos(phi)
+    a = np.diag(cos0 * cos_a)
+    c = np.diag(sin0 * cos_b)
+    a[a_cell, b_cell] = -sin0 * np.sin(phi)
+    c[b_cell, a_cell] = cos0 * np.sin(phi)
+    return a, c
+
+
+def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Unsorted, unfolded quasienergies +-2 atan2(sigma_c, sigma_a) of the chiral blocks.
+
+    Both drive steps flip sign under the sublattice operator Gamma, so U is
+    similar to Gamma G^dag Gamma G, a product of two reflections (the
+    timeframe construction of Asboth and Obuse, PRB 88, 121406(R) (2013)).
+    Its eigenphases are +-2 theta_k, where theta_k are the principal angles
+    between the A sublattice and its image under G^dag: cos theta_k are the
+    singular values of a (descending) and sin theta_k those of c (ascending).
+    The pairing rests on the CS identity sigma_a^2 + sigma_c^2 = 1, which is
+    checked in place of the dense U^dag U test.
+    """
+    sigma_a = np.linalg.svd(a, compute_uv=False)
+    sigma_c = np.linalg.svd(c, compute_uv=False)[::-1]
+    deviation = float(np.abs(sigma_a**2 + sigma_c**2 - 1.0).max())
+    if not deviation < UNITARITY_ATOL:
+        raise NotUnitaryError(
+            f"chiral blocks are not a CS pair: max |sigma_a^2 + sigma_c^2 - 1| = {deviation:.3e}"
+        )
+    eps = 2.0 * np.arctan2(sigma_c, sigma_a)
+    return np.concatenate([-eps, eps])
 
 
 def _unit_circle_eigenvalues(u: UnitaryOperator | np.ndarray) -> np.ndarray:
@@ -165,9 +260,16 @@ def _unit_circle_eigenvalues(u: UnitaryOperator | np.ndarray) -> np.ndarray:
 
 
 def quasienergies(u: UnitaryOperator | np.ndarray) -> QuasienergySpectrum:
-    """Sorted quasienergies -arg(lambda) of the one-period operator's eigenvalues."""
-    lam = _unit_circle_eigenvalues(u)
-    return QuasienergySpectrum(np.sort(fold_quasienergy(-np.angle(lam))))
+    """Sorted quasienergies -arg(lambda) of the one-period operator's eigenvalues.
+
+    A drive-built operator is solved in the chiral timeframe from two N x N
+    singular-value problems; a raw or dense matrix goes through dense eigvals.
+    """
+    if isinstance(u, UnitaryOperator) and u.drive is not None:
+        eps = timeframe_quasienergies(*chiral_blocks(u.drive))
+    else:
+        eps = -np.angle(_unit_circle_eigenvalues(u))
+    return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 
 def quasienergy_states(u: UnitaryOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:

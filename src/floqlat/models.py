@@ -26,6 +26,15 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _check_count(owner, name: str, value) -> None:
+    """Require an integer cell or site count >= 2 (numpy integers too) and store it as int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 2:
+        raise DimensionError(f"{name} must be >= 2, got {value}")
+    object.__setattr__(owner, name, int(value))
+
+
 class BoundaryCondition(enum.Enum):
     PERIODIC = "pbc"
     OPEN = "obc"
@@ -49,8 +58,7 @@ class DriveParams:
             value = getattr(self, name)
             if not (-_RANGE_SLACK <= value <= math.pi / 2 + _RANGE_SLACK):
                 raise ValidationError(f"{name}={value} outside [0, pi/2]")
-        if self.n_cells < 2:
-            raise DimensionError(f"n_cells must be >= 2, got {self.n_cells}")
+        _check_count(self, "n_cells", self.n_cells)
 
     @property
     def n_sites(self) -> int:
@@ -69,8 +77,7 @@ class SSHParams:
     def __post_init__(self):
         if self.u < 0 or self.v < 0:
             raise ValidationError(f"couplings must be non-negative, got u={self.u}, v={self.v}")
-        if self.n_cells < 2:
-            raise DimensionError(f"n_cells must be >= 2, got {self.n_cells}")
+        _check_count(self, "n_cells", self.n_cells)
 
 
 @dataclass(frozen=True)
@@ -85,8 +92,7 @@ class WDParams:
     def __post_init__(self):
         if self.r < 0:
             raise ValidationError(f"Wilson parameter must be non-negative, got r={self.r}")
-        if self.n_sites < 2:
-            raise DimensionError(f"n_sites must be >= 2, got {self.n_sites}")
+        _check_count(self, "n_sites", self.n_sites)
 
 
 @dataclass(frozen=True)

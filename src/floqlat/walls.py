@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaRangeError, FitWindowError, ValidationError
-from .floquet import UnitaryOperator, composed_drive_evolution
+from .floquet import Drive, UnitaryOperator
 from .models import (
     BoundaryCondition,
     DriveParams,
@@ -117,7 +117,7 @@ def build_floquet_wall(profile: DomainWallProfile, n_cells: int) -> UnitaryOpera
     )
     wall = profile.wall_site(params.n_sites)
     coeffs = h1_step_profile(n_cells, profile.eta_left, profile.eta_right, wall)
-    return UnitaryOperator(composed_drive_evolution(params, h1_coeffs=coeffs))
+    return UnitaryOperator(drive=Drive(params, coeffs))
 
 
 def build_ssh_wall(profile: DomainWallProfile, n_cells: int) -> HermitianOperator:

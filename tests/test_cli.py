@@ -262,6 +262,17 @@ def test_scaling_wall_config(tmp_path):
     assert all(m > 0 for m in metrics)
 
 
+def test_scaling_fit_across_the_pi_fold(tmp_path):
+    # the smallest size has its pi pair just outside the fold tolerance; the
+    # fit must still land in the criterion-6 band
+    out = tmp_path / "scaling.csv"
+    assert main(["scaling", "--config", "obc", "--eta", "0.32", "--target", "ssh",
+                 "--sizes", "40,80,120,160,200", "--out", str(out)]) == 0
+    fit = parse_meta(read_lines(out)[-1])
+    assert 0.85 <= float(fit["exponent"]) <= 1.15
+    assert float(fit["r_squared"]) > 0.98
+
+
 def test_scaling_json_carries_fit(tmp_path):
     out = tmp_path / "scaling.json"
     assert main(["scaling", "--config", "obc", "--eta", "pi/8", "--target", "ssh",

@@ -29,6 +29,7 @@ from floqlat import (
     solve_wd_params,
     static_spectrum_ssh,
     static_spectrum_wd,
+    wrap_distance,
 )
 
 PBC = BoundaryCondition.PERIODIC
@@ -247,6 +248,33 @@ def test_compare_is_wrap_aware():
     a = np.array([-PI + 1e-4])
     b = np.array([PI - 1e-4])
     np.testing.assert_allclose(compare_spectra(a, b), 2e-4, atol=1e-12)
+
+
+def test_compare_matches_across_the_pi_fold():
+    # a pair at +-(pi - delta) on one side, both partners folded to -pi on the
+    # other: ascending order would pair -0.5 with -pi
+    delta = 1e-3
+    a = np.array([-PI + delta, -0.5, 0.5, PI - delta])
+    b = np.array([-PI, -PI, -0.5, 0.5])
+    np.testing.assert_allclose(compare_spectra(a, b), delta, atol=1e-15)
+    np.testing.assert_allclose(compare_spectra(b, a), delta, atol=1e-15)
+
+
+angle_lists = st.lists(st.floats(-PI, PI, exclude_max=True), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=angle_lists, data=st.data())
+def test_compare_is_bounded_by_both_matchings(a, data):
+    a = np.array(a)
+    b = np.array(data.draw(st.lists(st.floats(-PI, PI, exclude_max=True),
+                                    min_size=len(a), max_size=len(a))))
+    metric = compare_spectra(a, b)
+    # never above the ascending index matching ...
+    assert metric <= float(wrap_distance(np.sort(a), np.sort(b)).max())
+    # ... and never below what any one-to-one matching must reach
+    cross = wrap_distance(a[:, None], b[None, :])
+    assert metric >= max(cross.min(axis=1).max(), cross.min(axis=0).max()) - 1e-15
 
 
 # ---------------------------------------------------------------- round trip

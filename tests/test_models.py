@@ -251,3 +251,25 @@ def test_drive_params_validation():
         DriveParams(theta0=0.1, theta1=2.0, n_cells=4)
     with pytest.raises(DimensionError):
         DriveParams(theta0=0.1, theta1=0.1, n_cells=1)
+
+
+# ---------------------------------------------------------------- cell and site counts
+
+
+@pytest.mark.parametrize("count", [4.5, 4.0, "4", None, True, np.float64(4.0)])
+def test_counts_must_be_integers(count):
+    with pytest.raises(ValidationError):
+        DriveParams(0.3, 0.7, count)
+    with pytest.raises(ValidationError):
+        SSHParams(u=0.7, v=0.3, n_cells=count)
+    with pytest.raises(ValidationError):
+        WDParams(m=0.1, r=0.5, n_sites=count)
+
+
+@pytest.mark.parametrize("count", [np.int64(6), np.int32(6), np.uint8(6)])
+def test_counts_accept_numpy_integers(count):
+    params = DriveParams(0.3, 0.7, count)
+    assert params.n_cells == 6 and type(params.n_cells) is int
+    assert build_h0(params).dim == 12
+    assert SSHParams(u=0.7, v=0.3, n_cells=count).n_cells == 6
+    assert WDParams(m=0.1, r=0.5, n_sites=count).n_sites == 6

@@ -14,6 +14,7 @@ from floqlat import (
     fit_power_law,
     pbc_control,
     run_scaling,
+    scaling_metric,
 )
 
 PI = np.pi
@@ -109,3 +110,12 @@ def test_doubling_halves_the_metric():
     run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, [64, 128])
     ratio = run.metric_values[0] / run.metric_values[1]
     assert 1.6 < ratio < 2.4
+
+
+def test_open_chain_pi_pair_straddling_the_fold():
+    # At eta = 0.32 and N = 40 the driven pi pair sits at +-(pi - delta), just
+    # outside the fold tolerance, while both doubled poles fold to -pi.
+    # Matched from the widest empty arc the metric is the true 1/N mismatch
+    # (matching in ascending order would give 0.644).
+    metric = scaling_metric(ScalingConfig.OBC, 0.32, MapTarget.SSH, 40)
+    np.testing.assert_allclose(metric, 0.030374382813, atol=1e-9)
