@@ -21,15 +21,13 @@ import numpy as np
 from . import __version__
 from .errors import GaplessPointError, NumericalError, ValidationError
 from .doubling import (
-    EnergySpectrum,
     compare_spectra,
     double_poles,
     partition_quasienergies,
     sine_transform,
     solve_ssh_params,
     solve_wd_params,
-    static_spectrum_ssh,
-    static_spectrum_wd,
+    static_spectrum,
 )
 from .floquet import (
     analytic_pbc_spectrum,
@@ -38,8 +36,14 @@ from .floquet import (
     quasienergies,
     quasienergy_states,
 )
-from .models import BoundaryCondition, DriveParams, SSHParams, WDParams, build_ssh, build_wd
-from .scaling import MapTarget, ScalingConfig, fit_power_law, run_scaling
+from .models import BoundaryCondition, DriveParams
+from .scaling import (
+    MapTarget,
+    ScalingConfig,
+    fit_power_law,
+    mapped_static_spectrum,
+    run_scaling,
+)
 from .walls import (
     DomainWallProfile,
     WallModel,
@@ -160,16 +164,9 @@ def cmd_spectrum(args) -> None:
             raise ValidationError(f"--map {args.map} requires theta0 = pi/4")
         eta = params.theta1 - QUARTER_PI
         if params.bc is BoundaryCondition.PERIODIC:
-            static = static_spectrum_ssh(eta, args.cells) if args.map == "ssh" \
-                else static_spectrum_wd(eta, args.cells)
-        elif args.map == "ssh":
-            u, v = solve_ssh_params(eta)
-            op = build_ssh(SSHParams(u=u, v=v, n_cells=args.cells // 2, bc=params.bc))
-            static = EnergySpectrum(op.eigenvalues())
+            static = static_spectrum(eta, args.cells)
         else:
-            m, r = solve_wd_params(eta)
-            op = build_wd(WDParams(m=m, r=r, n_sites=args.cells // 2, bc=params.bc))
-            static = EnergySpectrum(op.eigenvalues())
+            static = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget(args.map), args.cells)
         poles = double_poles(static)
         header.append("mapped_pole")
         columns.append(poles.values)

@@ -77,10 +77,13 @@ def partition_quasienergies(params: DriveParams) -> QuasienergySpectrum:
     n = params.n_cells
     if n % 4 != 0:
         raise CellCountError(f"n_cells must be a multiple of 4, got {n}")
-    eta = params.theta1 - math.pi / 4.0
-    k = np.pi * np.arange(n // 4, 3 * n // 4) / n
-    branches = analytic_dispersion_line(eta, k)
-    return QuasienergySpectrum(np.sort(branches.ravel()))
+    return QuasienergySpectrum(np.sort(_central_branches(params.theta1 - math.pi / 4.0, n)))
+
+
+def _central_branches(eta: float, n_cells: int) -> np.ndarray:
+    """Both line-dispersion branches on k = pi j / N for N/4 <= j < 3N/4 (unsorted)."""
+    k = np.pi * np.arange(n_cells // 4, 3 * n_cells // 4) / n_cells
+    return analytic_dispersion_line(eta, k).ravel()
 
 
 def sine_transform(spectrum: QuasienergySpectrum) -> EnergySpectrum:
@@ -111,42 +114,20 @@ def solve_wd_params(eta: float, branch: BranchChoice = BranchChoice.MINUS) -> WD
     return WDCouplings(m=m, r=0.5 * (1.0 - m))
 
 
-def _check_mappable_cells(floquet_cells: int) -> None:
+def static_spectrum(eta: float, floquet_cells: int) -> EnergySpectrum:
+    """Periodic spectrum of both mapped static chains for N drive cells.
+
+    The dimerized chain on N sites (couplings solve_ssh_params(eta)) and the
+    Wilson-Dirac chain on N/2 sites (solve_wd_params(eta)) share it: it is the
+    sine of the kept quasienergies, evaluated on the drive's own grid momenta
+    so that the floats match partition_quasienergies exactly and asin(E)
+    inverts cleanly even at the band edge |E| = 1, where diagonalization
+    roundoff would be amplified by the asin slope.  Equals dense
+    diagonalization of either built chain to better than 1e-10.
+    """
     if floquet_cells % 4 != 0 or floquet_cells < 4:
         raise CellCountError(f"n_cells must be a positive multiple of 4, got {floquet_cells}")
-
-
-def _mapped_energies(eta: float, floquet_cells: int) -> np.ndarray:
-    # E(k') = sin(eps(k'/2 + pi/4)) evaluated with k'/2 + pi/4 rebuilt as the
-    # original grid momenta pi j / N, so the floats match the kept spectrum
-    # exactly and asin(E) inverts cleanly even at the band edge |E| = 1,
-    # where diagonalization roundoff would be amplified by the asin slope.
-    n = floquet_cells
-    k = np.pi * np.arange(n // 4, 3 * n // 4) / n
-    band = np.sin(analytic_dispersion_line(eta, k)[1])
-    return np.sort(np.concatenate([-band, band]))
-
-
-def static_spectrum_ssh(eta: float, floquet_cells: int) -> EnergySpectrum:
-    """Periodic spectrum of the mapped dimerized chain (N sites for N drive cells).
-
-    Evaluated on the chain's own momentum grid through the sine of the drive
-    dispersion at the remapped momenta; equals dense diagonalization of the
-    built chain with couplings solve_ssh_params(eta) to better than 1e-10.
-    """
-    _check_mappable_cells(floquet_cells)
-    return EnergySpectrum(_mapped_energies(eta, floquet_cells))
-
-
-def static_spectrum_wd(eta: float, floquet_cells: int) -> EnergySpectrum:
-    """Periodic spectrum of the mapped Wilson-Dirac chain (N/2 sites, 2-spinors).
-
-    Same grid values as the dimerized target under its own momentum
-    reparametrization; equals dense diagonalization of the built chain with
-    couplings solve_wd_params(eta) to better than 1e-10.
-    """
-    _check_mappable_cells(floquet_cells)
-    return EnergySpectrum(_mapped_energies(eta, floquet_cells))
+    return EnergySpectrum(np.sort(np.sin(_central_branches(eta, floquet_cells))))
 
 
 def double_poles(spectrum: EnergySpectrum) -> PoleSpectrum:
@@ -192,8 +173,23 @@ def compare_spectra(a, b) -> float:
 
 def doubled_static_poles(eta: float, floquet_cells: int, target: str) -> PoleSpectrum:
     """Doubled poles of the mapped periodic static model ("ssh" or "wd")."""
-    if target == "ssh":
-        return double_poles(static_spectrum_ssh(eta, floquet_cells))
-    if target == "wd":
-        return double_poles(static_spectrum_wd(eta, floquet_cells))
-    raise ValidationError(f"unknown mapping target {target!r}")
+    if target not in ("ssh", "wd"):
+        raise ValidationError(f"unknown mapping target {target!r}")
+    return double_poles(static_spectrum(eta, floquet_cells))
+
+
+class PiPairingCheck(NamedTuple):
+    paired: bool
+    max_mismatch: float
+
+
+def check_pi_pairing(spectrum, tol: float) -> PiPairingCheck:
+    """Check whether the folded multiset {pi - eps} equals the multiset {eps}.
+
+    The two lists are matched by compare_spectra, so a pair straddling the
+    fold at -pi still meets its partner; the check passes when the largest
+    matched discrepancy is at most tol.
+    """
+    values = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
+    mismatch = compare_spectra(values, fold_quasienergy(np.pi - values))
+    return PiPairingCheck(mismatch <= tol, mismatch)

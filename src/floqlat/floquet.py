@@ -16,7 +16,6 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,10 +24,17 @@ from .errors import (
     DispersionDomainError,
     GaplessPointError,
     NotUnitaryError,
-    ProfileLengthError,
     ValidationError,
 )
-from .models import BoundaryCondition, DriveParams, HermitianOperator, h1_bond_sites
+from .models import (
+    BoundaryCondition,
+    DriveParams,
+    HermitianOperator,
+    bond_coefficients,
+    h0_bond_sites,
+    h1_bond_sites,
+    ssh_momentum_grid,
+)
 
 FOLD_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
@@ -66,15 +72,8 @@ class Drive:
 
     def __post_init__(self):
         n_bonds = len(h1_bond_sites(self.params.n_cells, self.params.bc))
-        if self.h1_coeffs is None:
-            coeffs = np.full(n_bonds, 2.0)
-        else:
-            coeffs = np.array(self.h1_coeffs, dtype=float)
-        if coeffs.shape != (n_bonds,):
-            raise ProfileLengthError(
-                f"expected {n_bonds} bond coefficients for bc={self.params.bc.value}, "
-                f"got {coeffs.shape}"
-            )
+        values = np.full(n_bonds, 2.0) if self.h1_coeffs is None else self.h1_coeffs
+        coeffs = bond_coefficients(values, n_bonds, self.params.bc)
         coeffs.flags.writeable = False
         object.__setattr__(self, "h1_coeffs", coeffs)
 
@@ -101,7 +100,7 @@ class UnitaryOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
         deviation = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
-        if deviation >= UNITARITY_ATOL:
+        if not deviation < UNITARITY_ATOL:
             raise NotUnitaryError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "dense", m)
@@ -146,22 +145,14 @@ def hermitian_exponential(h: HermitianOperator | np.ndarray, angle: float) -> np
     return (v * np.exp(-1.0j * angle * w)) @ v.conj().T
 
 
-def dimer_evolution(n_sites: int, bonds, coeffs, angle: float) -> np.ndarray:
-    """exp(-i * angle * H) for a hopping H made of disjoint bonds.
+def _dimer_evolution_apply(n_sites, bonds, coeffs, angle, matrix) -> np.ndarray:
+    """exp(-i * angle * H) @ matrix for a hopping H made of disjoint bonds.
 
     On each 2x2 bond block (eigenvalues +-c) the spectral decomposition closes:
     cos(c * angle) on the diagonal and -i sin(c * angle) off it; uncoupled
-    sites stay at 1.  Exact, and O(N^2) instead of a dense eigensolve.
+    sites stay at 1.  So the factor has at most two entries per row and is
+    applied row-wise in O(N^2), with no eigensolve.
     """
-    u = np.eye(n_sites, dtype=complex)
-    for (a, b), c in zip(bonds, coeffs):
-        u[a, a] = u[b, b] = np.cos(angle * c)
-        u[a, b] = u[b, a] = -1.0j * np.sin(angle * c)
-    return u
-
-
-def _dimer_evolution_apply(n_sites, bonds, coeffs, angle, matrix) -> np.ndarray:
-    """exp(-i * angle * H) @ matrix with at most two entries per row of the factor."""
     rows_a = np.array([a for a, _ in bonds], dtype=int)
     rows_b = np.array([b for _, b in bonds], dtype=int)
     phases = angle * np.asarray(coeffs, dtype=float)
@@ -184,14 +175,17 @@ def floquet_operator(
 def composed_drive_evolution(drive: Drive) -> np.ndarray:
     """exp(-i H1 theta1) exp(-i H0 theta0) assembled from exact 2x2 bond blocks.
 
-    Both drive steps are disjoint-dimer Hamiltonians, so each factor is the
-    spectral decomposition of its bond blocks (identical to a dense eigensolve
-    of the factor); the product is applied row-wise in O(N^2).
+    Both drive steps are disjoint-dimer Hamiltonians on the bonds of
+    h0_bond_sites and h1_bond_sites, so each factor is the spectral
+    decomposition of its bond blocks (identical to a dense eigensolve of the
+    factor), applied row-wise to the identity in O(N^2).
     """
     params = drive.params
     n = params.n_sites
-    h0_bonds = [(2 * j, 2 * j + 1) for j in range(params.n_cells)]
-    e0 = dimer_evolution(n, h0_bonds, [2.0] * len(h0_bonds), params.theta0)
+    h0_bonds = h0_bond_sites(params.n_cells)
+    e0 = _dimer_evolution_apply(
+        n, h0_bonds, [2.0] * len(h0_bonds), params.theta0, np.eye(n, dtype=complex)
+    )
     h1_bonds = h1_bond_sites(params.n_cells, params.bc)
     return _dimer_evolution_apply(n, h1_bonds, drive.h1_coeffs, params.theta1, e0)
 
@@ -250,11 +244,13 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.concatenate([-eps, eps])
 
 
-def _unit_circle_eigenvalues(u: UnitaryOperator | np.ndarray) -> np.ndarray:
-    matrix = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-    lam = np.linalg.eigvals(matrix)
+def _dense(u: UnitaryOperator | np.ndarray) -> np.ndarray:
+    return u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
+
+
+def _on_unit_circle(lam: np.ndarray) -> np.ndarray:
     deviation = float(np.abs(np.abs(lam) - 1.0).max())
-    if deviation > EIGENVALUE_UNIT_TOL:
+    if not deviation <= EIGENVALUE_UNIT_TOL:
         raise NotUnitaryError(f"eigenvalues leave the unit circle by {deviation:.3e}")
     return lam
 
@@ -268,18 +264,14 @@ def quasienergies(u: UnitaryOperator | np.ndarray) -> QuasienergySpectrum:
     if isinstance(u, UnitaryOperator) and u.drive is not None:
         eps = timeframe_quasienergies(*chiral_blocks(u.drive))
     else:
-        eps = -np.angle(_unit_circle_eigenvalues(u))
+        eps = -np.angle(_on_unit_circle(np.linalg.eigvals(_dense(u))))
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 
 def quasienergy_states(u: UnitaryOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quasienergies sorted ascending with matching normalized eigenvector columns."""
-    matrix = u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-    lam, vec = np.linalg.eig(matrix)
-    deviation = float(np.abs(np.abs(lam) - 1.0).max())
-    if deviation > EIGENVALUE_UNIT_TOL:
-        raise NotUnitaryError(f"eigenvalues leave the unit circle by {deviation:.3e}")
-    eps = fold_quasienergy(-np.angle(lam))
+    lam, vec = np.linalg.eig(_dense(u))
+    eps = fold_quasienergy(-np.angle(_on_unit_circle(lam)))
     order = np.argsort(eps)
     vec = vec[:, order]
     vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
@@ -342,14 +334,9 @@ def analytic_dispersion_line(eta: float, k) -> np.ndarray:
     return np.stack([-eps, eps])
 
 
-def floquet_momentum_grid(n_cells: int) -> np.ndarray:
-    """Crystal momenta k = pi j / N, j = 0 .. N - 1, of the 2N-site periodic chain."""
-    return np.pi * np.arange(n_cells) / n_cells
-
-
 def analytic_pbc_spectrum(theta0: float, theta1: float, n_cells: int) -> np.ndarray:
     """Sorted 2N-value quasienergy multiset from the dispersion on the momentum grid."""
-    branches = analytic_dispersion_general(theta0, theta1, floquet_momentum_grid(n_cells))
+    branches = analytic_dispersion_general(theta0, theta1, ssh_momentum_grid(n_cells))
     return np.sort(fold_quasienergy(branches.ravel()))
 
 
@@ -364,26 +351,6 @@ def bulk_gaps(theta0: float, theta1: float) -> tuple[float, float]:
     gap_zero = math.acos(min(1.0, a + b))
     gap_pi = math.pi - math.acos(max(-1.0, a - b))
     return gap_zero, gap_pi
-
-
-class PiPairingCheck(NamedTuple):
-    paired: bool
-    max_mismatch: float
-
-
-def check_pi_pairing(spectrum, tol: float) -> PiPairingCheck:
-    """Check whether the folded multiset {pi - eps} equals the multiset {eps}.
-
-    Both lists are sorted and matched index-wise with the wrap-aware angle
-    distance; the check passes when the largest matched discrepancy is at most
-    tol.
-    """
-    values = np.sort(np.asarray(getattr(spectrum, "values", spectrum), dtype=float))
-    partner = np.sort(fold_quasienergy(np.pi - values))
-    if values.size == 0:
-        return PiPairingCheck(True, 0.0)
-    mismatch = float(wrap_distance(values, partner).max())
-    return PiPairingCheck(mismatch <= tol, mismatch)
 
 
 class Phase(enum.Enum):

@@ -75,8 +75,10 @@ class SSHParams:
     bc: BoundaryCondition = BoundaryCondition.PERIODIC
 
     def __post_init__(self):
-        if self.u < 0 or self.v < 0:
-            raise ValidationError(f"couplings must be non-negative, got u={self.u}, v={self.v}")
+        if not (0.0 <= self.u < math.inf and 0.0 <= self.v < math.inf):
+            raise ValidationError(
+                f"couplings must be finite and non-negative, got u={self.u}, v={self.v}"
+            )
         _check_count(self, "n_cells", self.n_cells)
 
 
@@ -90,8 +92,10 @@ class WDParams:
     bc: BoundaryCondition = BoundaryCondition.PERIODIC
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValidationError(f"Wilson parameter must be non-negative, got r={self.r}")
+        if not abs(self.m) < math.inf:
+            raise ValidationError(f"mass must be finite, got m={self.m}")
+        if not 0.0 <= self.r < math.inf:
+            raise ValidationError(f"Wilson parameter must be finite and non-negative, got r={self.r}")
         _check_count(self, "n_sites", self.n_sites)
 
 
@@ -106,7 +110,7 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
         deviation = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        if deviation >= HERMITICITY_ATOL:
+        if not deviation < HERMITICITY_ATOL:
             raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -127,18 +131,13 @@ def sublattice_parity(dim: int) -> np.ndarray:
     return np.diag(np.where(np.arange(dim) % 2 == 0, 1.0, -1.0))
 
 
-def build_h0(params: DriveParams) -> HermitianOperator:
-    """Hopping Hamiltonian of the first drive step: amplitude 2 on bonds (2j, 2j+1).
+def h0_bond_sites(n_cells: int) -> list[tuple[int, int]]:
+    """Site pairs coupled by the first drive step: the intra-cell bonds (2j, 2j+1).
 
-    The bonds never cross the boundary, so the matrix is identical for both
-    boundary conditions.
+    They never cross the boundary, so the list is the same for both boundary
+    conditions.
     """
-    n = params.n_sites
-    m = np.zeros((n, n), dtype=complex)
-    for j in range(params.n_cells):
-        m[2 * j, 2 * j + 1] = 2.0
-        m[2 * j + 1, 2 * j] = 2.0
-    return HermitianOperator(m)
+    return [(2 * j, 2 * j + 1) for j in range(n_cells)]
 
 
 def h1_bond_sites(n_cells: int, bc: BoundaryCondition) -> list[tuple[int, int]]:
@@ -151,6 +150,32 @@ def h1_bond_sites(n_cells: int, bc: BoundaryCondition) -> list[tuple[int, int]]:
     if bc is BoundaryCondition.PERIODIC:
         bonds.append((2 * n_cells - 1, 0))
     return bonds
+
+
+def bond_coefficients(values: Sequence[float], n_bonds: int, bc: BoundaryCondition) -> np.ndarray:
+    """One finite float coefficient per bond, as a fresh array."""
+    coeffs = np.array(values, dtype=float)
+    if coeffs.shape != (n_bonds,):
+        raise ProfileLengthError(
+            f"expected {n_bonds} bond coefficients for bc={bc.value}, got {coeffs.shape}"
+        )
+    if not np.isfinite(coeffs).all():
+        raise ValidationError("bond coefficients must be finite")
+    return coeffs
+
+
+def _hopping(n_sites: int, bonds, coeffs) -> HermitianOperator:
+    """Real symmetric hopping matrix with coeffs[i] on both entries of bonds[i]."""
+    m = np.zeros((n_sites, n_sites), dtype=complex)
+    for coeff, (a, b) in zip(coeffs, bonds):
+        m[a, b] += coeff
+        m[b, a] += coeff
+    return HermitianOperator(m)
+
+
+def build_h0(params: DriveParams) -> HermitianOperator:
+    """Hopping Hamiltonian of the first drive step: amplitude 2 on bonds (2j, 2j+1)."""
+    return _hopping(params.n_sites, h0_bond_sites(params.n_cells), [2.0] * params.n_cells)
 
 
 def build_h1(params: DriveParams) -> HermitianOperator:
@@ -166,17 +191,7 @@ def build_h1_scaled(params: DriveParams, coeff_profile: Sequence[float]) -> Herm
     condition (N for periodic, N-1 for open chains).
     """
     bonds = h1_bond_sites(params.n_cells, params.bc)
-    profile = np.asarray(coeff_profile, dtype=float)
-    if profile.shape != (len(bonds),):
-        raise ProfileLengthError(
-            f"expected {len(bonds)} bond coefficients for bc={params.bc.value}, got {profile.shape}"
-        )
-    n = params.n_sites
-    m = np.zeros((n, n), dtype=complex)
-    for coeff, (a, b) in zip(profile, bonds):
-        m[a, b] += coeff
-        m[b, a] += coeff
-    return HermitianOperator(m)
+    return _hopping(params.n_sites, bonds, bond_coefficients(coeff_profile, len(bonds), params.bc))
 
 
 def build_ssh_profile(
@@ -185,34 +200,21 @@ def build_ssh_profile(
     """Dimerized chain with bond-resolved couplings.
 
     v_bonds[j] sits on the intra-cell bond (2j, 2j+1) and u_bonds[j] on the
-    inter-cell bond (2j+1, 2j+2); periodic chains include the wrap-around
-    inter-cell bond as the last entry of u_bonds.
+    inter-cell bond (2j+1, 2j+2): the bonds of the two drive steps.  Periodic
+    chains include the wrap-around inter-cell bond as the last entry of u_bonds.
     """
     v = np.asarray(v_bonds, dtype=float)
-    u = np.asarray(u_bonds, dtype=float)
     n_cells = len(v)
     if n_cells < 2:
         raise DimensionError(f"need at least 2 cells, got {n_cells}")
-    expected_u = n_cells if bc is BoundaryCondition.PERIODIC else n_cells - 1
-    if u.shape != (expected_u,):
-        raise ProfileLengthError(
-            f"expected {expected_u} inter-cell couplings for bc={bc.value}, got {u.shape}"
-        )
-    n = 2 * n_cells
-    m = np.zeros((n, n), dtype=complex)
-    for j in range(n_cells):
-        m[2 * j, 2 * j + 1] += v[j]
-        m[2 * j + 1, 2 * j] += v[j]
-    for j in range(expected_u):
-        a, b = 2 * j + 1, (2 * j + 2) % n
-        m[a, b] += u[j]
-        m[b, a] += u[j]
-    return HermitianOperator(m)
+    u_sites = h1_bond_sites(n_cells, bc)
+    u = bond_coefficients(u_bonds, len(u_sites), bc)
+    return _hopping(2 * n_cells, h0_bond_sites(n_cells) + u_sites, np.concatenate([v, u]))
 
 
 def build_ssh(params: SSHParams) -> HermitianOperator:
     """Uniform dimerized chain; equals (u/2) H1 + (v/2) H0 on the same site count."""
-    n_u = params.n_cells if params.bc is BoundaryCondition.PERIODIC else params.n_cells - 1
+    n_u = len(h1_bond_sites(params.n_cells, params.bc))
     return build_ssh_profile([params.v] * params.n_cells, [params.u] * n_u, params.bc)
 
 

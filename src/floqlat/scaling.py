@@ -23,8 +23,7 @@ from .doubling import (
     double_poles,
     solve_ssh_params,
     solve_wd_params,
-    static_spectrum_ssh,
-    static_spectrum_wd,
+    static_spectrum,
 )
 from .floquet import analytic_pbc_spectrum, build_floquet, quasienergies
 from .models import BoundaryCondition, DriveParams, SSHParams, WDParams, build_ssh, build_wd
@@ -76,9 +75,24 @@ def _validate_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _static_spectrum(
+def _check_wall_target(config: ScalingConfig, target: MapTarget) -> None:
+    if config is ScalingConfig.DOMAIN_WALL and target is not MapTarget.SSH:
+        # The Wilson-Dirac wall hosts states slightly outside |E| = 1, so its
+        # doubled poles are not real; the wall comparison pairs the driven wall
+        # with the dimerized-chain mass wall.
+        raise ValidationError("the domain-wall comparison is defined for the ssh target")
+
+
+def mapped_static_spectrum(
     config: ScalingConfig, eta: float, target: MapTarget, n_cells: int
-) -> np.ndarray:
+) -> EnergySpectrum:
+    """Sorted energies of the open static model mapped from an N-cell driven chain.
+
+    OBC builds the open dimerized chain on N sites or the open Wilson-Dirac
+    chain on N/2 sites; DOMAIN_WALL builds the dimerized-chain mass wall on N
+    sites (ssh target only).
+    """
+    _check_wall_target(config, target)
     if config is ScalingConfig.OBC:
         if target is MapTarget.SSH:
             u, v = solve_ssh_params(eta)
@@ -93,16 +107,12 @@ def _static_spectrum(
         # inside [-1, 1] where the pole doubling is real.
         profile = DomainWallProfile(model=WallModel.SSH, eta_left=-eta, eta_right=eta)
         op = build_ssh_wall(profile, n_cells // 2)
-    return op.eigenvalues()
+    return EnergySpectrum(op.eigenvalues())
 
 
 def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells: int) -> float:
     """Sorted-list spectral difference at one size N (open chains)."""
-    if config is ScalingConfig.DOMAIN_WALL and target is not MapTarget.SSH:
-        # The Wilson-Dirac wall hosts states slightly outside |E| = 1, so its
-        # doubled poles are not real; the wall comparison pairs the driven wall
-        # with the dimerized-chain mass wall.
-        raise ValidationError("the domain-wall comparison is defined for the ssh target")
+    _check_wall_target(config, target)
     if config is ScalingConfig.OBC:
         params = DriveParams(
             theta0=QUARTER_PI, theta1=QUARTER_PI + eta, n_cells=n_cells, bc=BoundaryCondition.OPEN
@@ -111,8 +121,7 @@ def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells
     else:
         profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
         floquet_spec = quasienergies(build_floquet_wall(profile, n_cells))
-    static = _static_spectrum(config, eta, target, n_cells)
-    poles = double_poles(EnergySpectrum(static))
+    poles = double_poles(mapped_static_spectrum(config, eta, target, n_cells))
     return compare_spectra(floquet_spec.values, poles.values)
 
 
@@ -130,10 +139,10 @@ def pbc_control(eta: float, target: MapTarget, sizes: Sequence[int]) -> np.ndarr
 
     The periodic quasienergies come from the dispersion (numerically validated
     against diagonalization elsewhere), so the control isolates the partition,
-    sine transform, pole doubling, and comparison stages.
+    sine transform, pole doubling, and comparison stages.  Both targets share
+    the periodic static spectrum, so target only names the mapped chain.
     """
     sizes = _validate_sizes(sizes)
-    static_spectrum = static_spectrum_ssh if target is MapTarget.SSH else static_spectrum_wd
     metrics = []
     for n in sizes:
         full = analytic_pbc_spectrum(QUARTER_PI, QUARTER_PI + eta, n)

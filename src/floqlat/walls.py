@@ -24,6 +24,7 @@ from .models import (
     HermitianOperator,
     build_ssh_profile,
     build_wd_profile,
+    h0_bond_sites,
     h1_bond_sites,
 )
 from .doubling import solve_ssh_params, solve_wd_params
@@ -54,7 +55,7 @@ class DomainWallProfile:
     def __post_init__(self):
         for name in ("eta_left", "eta_right"):
             value = getattr(self, name)
-            if abs(value) > QUARTER_PI + 1e-12:
+            if not abs(value) <= QUARTER_PI + 1e-12:
                 raise EtaRangeError(f"{name}={value} outside [-pi/4, pi/4]")
 
     def wall_site(self, n_sites: int) -> int:
@@ -132,8 +133,10 @@ def build_ssh_wall(profile: DomainWallProfile, n_cells: int) -> HermitianOperato
     wall = profile.wall_site(n_sites)
     left = solve_ssh_params(profile.eta_left)
     right = solve_ssh_params(profile.eta_right)
-    v_bonds = [left.v if 2 * j < wall else right.v for j in range(n_cells)]
-    u_bonds = [left.u if 2 * j + 1 < wall else right.u for j in range(n_cells - 1)]
+    v_bonds = [left.v if a < wall else right.v for a, _ in h0_bond_sites(n_cells)]
+    u_bonds = [
+        left.u if a < wall else right.u for a, _ in h1_bond_sites(n_cells, BoundaryCondition.OPEN)
+    ]
     return build_ssh_profile(v_bonds, u_bonds, BoundaryCondition.OPEN)
 
 

@@ -224,6 +224,13 @@ def test_domainwall_wd_table(tmp_path):
     np.testing.assert_allclose(float(row[3]), analytic_xi, rtol=0.05)
 
 
+def test_domainwall_nan_detuning_exits_2(tmp_path, capsys):
+    code = main(["domainwall", "--eta", "nan", "--cells", "20", "--model", "ssh",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "outside [-pi/4, pi/4]" in capsys.readouterr().err
+
+
 def test_domainwall_floquet_reports_both_mode_kinds(tmp_path):
     out = tmp_path / "wall.csv"
     assert main(["domainwall", "--eta", "pi/8", "--cells", "100", "--model", "floquet",

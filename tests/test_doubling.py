@@ -27,8 +27,7 @@ from floqlat import (
     sine_transform,
     solve_ssh_params,
     solve_wd_params,
-    static_spectrum_ssh,
-    static_spectrum_wd,
+    static_spectrum,
     wrap_distance,
 )
 
@@ -145,8 +144,7 @@ def test_coupling_sum_rules(eta):
 @pytest.mark.parametrize("n_cells", [8, 16])
 def test_static_spectra_equal_transformed_partition(eta, n_cells):
     expected = sine_transform(partition_quasienergies(line_params(eta, n_cells))).values
-    np.testing.assert_allclose(static_spectrum_ssh(eta, n_cells).values, expected, atol=1e-10)
-    np.testing.assert_allclose(static_spectrum_wd(eta, n_cells).values, expected, atol=1e-10)
+    np.testing.assert_allclose(static_spectrum(eta, n_cells).values, expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("eta", [PI / 8, -0.2])
@@ -156,25 +154,24 @@ def test_static_spectra_match_dense_diagonalization(eta, n_cells):
     u, v = solve_ssh_params(eta)
     ssh = build_ssh(SSHParams(u=u, v=v, n_cells=n_cells // 2, bc=PBC))
     np.testing.assert_allclose(
-        static_spectrum_ssh(eta, n_cells).values, ssh.eigenvalues(), atol=1e-10
+        static_spectrum(eta, n_cells).values, ssh.eigenvalues(), atol=1e-10
     )
     m, r = solve_wd_params(eta)
     wd = build_wd(WDParams(m=m, r=r, n_sites=n_cells // 2, bc=PBC))
     np.testing.assert_allclose(
-        static_spectrum_wd(eta, n_cells).values, wd.eigenvalues(), atol=1e-10
+        static_spectrum(eta, n_cells).values, wd.eigenvalues(), atol=1e-10
     )
 
 
 def test_static_spectra_contain_zero_at_zero_detuning():
-    assert np.abs(static_spectrum_ssh(0.0, 8).values).min() < 1e-12
-    assert np.abs(static_spectrum_wd(0.0, 8).values).min() < 1e-12
+    assert np.abs(static_spectrum(0.0, 8).values).min() < 1e-12
 
 
 def test_static_spectrum_requires_multiple_of_four():
     with pytest.raises(CellCountError):
-        static_spectrum_ssh(0.1, 6)
+        static_spectrum(0.1, 6)
     with pytest.raises(CellCountError):
-        static_spectrum_wd(0.1, 10)
+        static_spectrum(0.1, 10)
 
 
 def test_reduced_lattice_sizes():

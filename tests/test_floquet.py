@@ -9,6 +9,7 @@ from floqlat import (
     GaplessPointError,
     NotUnitaryError,
     Phase,
+    UnitaryOperator,
     ValidationError,
     analytic_dispersion_general,
     analytic_dispersion_line,
@@ -70,15 +71,23 @@ def test_first_step_only_gives_dimer_phases(bc):
 
 
 def test_block_composition_matches_generic_spectral_path():
-    from floqlat import build_h0, build_h1
+    from floqlat import Drive, build_h0, build_h1, build_h1_scaled
     from floqlat.floquet import floquet_operator
+    from floqlat.walls import h1_step_profile
 
+    step = h1_step_profile(10, 0.3, -0.3, wall_site=10)  # 2 left of the wall, ~0.89 right
     for bc in (PBC, OBC):
         params = DriveParams(0.37, 1.12, 10, bc)
         generic = floquet_operator(
             build_h0(params), build_h1(params), params.theta0, params.theta1
         )
         assert np.abs(build_floquet(params).matrix - generic.matrix).max() < 1e-13
+        coeffs = step if bc is OBC else np.append(step, step[-1])  # PBC adds the wrap bond
+        generic = floquet_operator(
+            build_h0(params), build_h1_scaled(params, coeffs), params.theta0, params.theta1
+        )
+        from_drive = UnitaryOperator(drive=Drive(params, coeffs))
+        assert np.abs(from_drive.matrix - generic.matrix).max() < 1e-13
 
 
 def test_unitarity_over_phase_grid():
@@ -104,6 +113,18 @@ def test_quasienergy_of_identity():
 def test_quasienergies_reject_non_unitary():
     with pytest.raises(NotUnitaryError):
         quasienergies(np.diag([2.0, 1.0]))
+
+
+def test_unitary_operator_rejects_nan_matrix():
+    with pytest.raises(NotUnitaryError):
+        UnitaryOperator(np.full((2, 2), np.nan))
+
+
+def test_drive_rejects_nan_coefficients():
+    from floqlat import Drive
+
+    with pytest.raises(ValidationError):
+        Drive(DriveParams(PI / 4, 0.9, 4, OBC), [np.nan, 2.0, 2.0])
 
 
 def test_pbc_quasienergies_match_line_dispersion():
@@ -199,6 +220,13 @@ def test_pi_pairing_on_symmetric_line():
     eps = quasienergies(build_floquet(DriveParams(PI / 4, 3 * PI / 8, 8, PBC)))
     result = check_pi_pairing(eps, tol=1e-10)
     assert result.paired and result.max_mismatch < 1e-10
+
+
+def test_pi_pairing_across_the_fold():
+    # the partner of 0.95e-12 lies within the fold tolerance of +pi and folds to -pi,
+    # so index-wise matching of the sorted lists would be off by one
+    result = check_pi_pairing(np.array([0.95e-12, PI - 1.05e-12]), tol=1e-10)
+    assert result.paired and result.max_mismatch < 2e-12
 
 
 def test_no_pairing_at_generic_point():

@@ -7,6 +7,7 @@ from floqlat import (
     BoundaryCondition,
     DimensionError,
     DriveParams,
+    HermitianOperator,
     ProfileLengthError,
     SSHParams,
     ValidationError,
@@ -144,6 +145,11 @@ def test_ssh_rejects_negative_couplings():
         SSHParams(u=-0.1, v=0.5, n_cells=4)
 
 
+def test_ssh_rejects_nan_couplings():
+    with pytest.raises(ValidationError):
+        SSHParams(u=float("nan"), v=0.5, n_cells=4)
+
+
 def test_ssh_profile_builder():
     from floqlat import build_ssh_profile
 
@@ -197,6 +203,18 @@ def test_wd_requires_two_sites():
 def test_wd_profile_rejects_mismatched_lengths():
     with pytest.raises(ProfileLengthError):
         build_wd_profile([0.1, 0.1], [0.5], OBC)
+
+
+def test_wd_rejects_nan_couplings():
+    with pytest.raises(ValidationError):
+        WDParams(m=float("nan"), r=float("nan"), n_sites=4)
+    with pytest.raises(ValidationError):
+        WDParams(m=float("nan"), r=0.5, n_sites=4)
+
+
+def test_hermitian_operator_rejects_nan_entries():
+    with pytest.raises(ValidationError):
+        HermitianOperator(np.full((2, 2), np.nan))
 
 
 # ---------------------------------------------------------------- shared invariants

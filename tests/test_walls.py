@@ -71,6 +71,11 @@ def test_floquet_wall_model_check():
         build_floquet_wall(wall(WallModel.SSH, ETA, -ETA), 8)
 
 
+def test_wall_profile_rejects_nan_detuning():
+    with pytest.raises(EtaRangeError):
+        wall(WallModel.SSH, np.nan, 0.1)
+
+
 # ---------------------------------------------------------------- static walls
 
 
