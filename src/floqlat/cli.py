@@ -278,6 +278,8 @@ def _floquet_wall_bound_rows(eta: float, n_cells: int) -> list[list]:
 
 def cmd_domainwall(args) -> None:
     eta = args.eta
+    if eta == 0.0:
+        raise ValidationError("eta = 0 has no domain wall: both sides are the same chain")
     meta = {"command": "domainwall", "eta": eta, "cells": args.cells, "model": args.model}
     header = ["state", "energy", "xi_left", "xi_right", "analytic_xi"]
     if args.model == "floquet":

@@ -5,9 +5,10 @@ Quasienergies are dimensionless (epsilon * T) and live in the half-open window
 lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 [-pi, pi); values within 1e-12 of +pi fold to -pi.
 
-Operators built from the drive keep it and are solved in the chiral timeframe
-from two N x N singular-value problems; dense eigvals of the 2N x 2N matrix is
-kept for raw matrices and as the test oracle.
+Operators built from the drive keep it and are solved in the chiral timeframe:
+the spectrum from two N x N singular-value problems, the eigenvectors from the
+CS decomposition of the same real blocks.  Dense eigvals and eig of the 2N x 2N
+matrix are kept for raw matrices and as the test oracle.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class UnitaryOperator:
     Built from a matrix, the check runs on construction.  Built from a Drive
     (UnitaryOperator(drive=...)), the operator keeps the drive and forms and
     checks the dense matrix only when `matrix` is first read; `quasienergies`
-    works from the drive alone and never reads it.
+    and `quasienergy_states` work from the drive alone and never read it.
     """
 
     dense: np.ndarray | None = None
@@ -195,30 +196,62 @@ def build_floquet(params: DriveParams) -> UnitaryOperator:
     return UnitaryOperator(drive=Drive(params))
 
 
-def chiral_blocks(drive: Drive) -> tuple[np.ndarray, np.ndarray]:
-    """Real N x N blocks a = G_AA and c = i G_BA of the half-period factor G.
+def chiral_blocks(drive: Drive) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Real N x N blocks a, b, c, d of the half-period factor G in the real form
+    S G S^-1 = [[a, -b], [c, d]], S = diag(1_A, i 1_B).
 
-    G = exp(-i theta1 H1 / 2) exp(-i theta0 H0 / 2).  With phi(x) the
-    half-step phase theta1 * coeff / 2 of the second-step bond at site x (0
-    where there is none), G sends the A site of cell j to
-    cos(theta0) [cos phi(A_j) A_j - i sin phi(A_j) B'] - i sin(theta0)
-    [cos phi(B_j) B_j - i sin phi(B_j) A'], where B' and A' are the bond
-    partners of A_j and B_j.  So both blocks are bidiagonal (cyclic for
-    periodic chains), read straight off the bond list.
+    Here G = exp(-i theta1 H1 / 2) exp(-i theta0 H0 / 2), a = G_AA,
+    b = i G_AB, c = i G_BA and d = G_BB.  Both factors of G are real
+    orthogonal in this form, and so is G.  With phi(x) the half-step phase theta1 * coeff / 2 of
+    the second-step bond at site x (0 where there is none), G sends the A site
+    of cell j to cos(theta0) [cos phi(A_j) A_j - i sin phi(A_j) B'] - i
+    sin(theta0) [cos phi(B_j) B_j - i sin phi(B_j) A'], where B' and A' are
+    the bond partners of A_j and B_j, and the B site alike.  So all four
+    blocks are bidiagonal (cyclic for periodic chains), read straight off the
+    bond list: a and b carry their bond entry at [a_cell, b_cell], c and d at
+    [b_cell, a_cell].
     """
+    return tuple(_dense_block(*entries) for entries in _chiral_entries(drive))
+
+
+def _chiral_entries(drive: Drive) -> tuple[tuple, tuple, tuple, tuple]:
+    """(diagonal, bond positions, bond entries) of each of a, b, c, d; see chiral_blocks."""
     params = drive.params
     n = params.n_cells
     bonds = np.array(h1_bond_sites(n, params.bc), dtype=int).reshape(-1, 2)
     b_cell, a_cell = bonds[:, 0] // 2, bonds[:, 1] // 2
     phi = 0.5 * params.theta1 * drive.h1_coeffs
+    sin_phi = np.sin(phi)
     cos0, sin0 = math.cos(params.theta0), math.sin(params.theta0)
     cos_a, cos_b = np.ones(n), np.ones(n)
     cos_a[a_cell] = cos_b[b_cell] = np.cos(phi)
-    a = np.diag(cos0 * cos_a)
-    c = np.diag(sin0 * cos_b)
-    a[a_cell, b_cell] = -sin0 * np.sin(phi)
-    c[b_cell, a_cell] = cos0 * np.sin(phi)
-    return a, c
+    upper, lower = (a_cell, b_cell), (b_cell, a_cell)
+    return (
+        (cos0 * cos_a, upper, -sin0 * sin_phi),
+        (sin0 * cos_a, upper, cos0 * sin_phi),
+        (sin0 * cos_b, lower, cos0 * sin_phi),
+        (cos0 * cos_b, lower, -sin0 * sin_phi),
+    )
+
+
+def _dense_block(diagonal: np.ndarray, at: tuple, bond: np.ndarray) -> np.ndarray:
+    block = np.diag(diagonal)
+    block[at] = bond
+    return block
+
+
+def _cs_angles(sigma_a: np.ndarray, sigma_c: np.ndarray) -> np.ndarray:
+    """Principal angles atan2(sigma_c, sigma_a) of the paired singular values.
+
+    The pairing rests on the CS identity sigma_a^2 + sigma_c^2 = 1, which is
+    checked in place of the dense U^dag U test.
+    """
+    deviation = float(np.abs(sigma_a**2 + sigma_c**2 - 1.0).max())
+    if not deviation < UNITARITY_ATOL:
+        raise NotUnitaryError(
+            f"chiral blocks are not a CS pair: max |sigma_a^2 + sigma_c^2 - 1| = {deviation:.3e}"
+        )
+    return np.arctan2(sigma_c, sigma_a)
 
 
 def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -230,18 +263,87 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     Its eigenphases are +-2 theta_k, where theta_k are the principal angles
     between the A sublattice and its image under G^dag: cos theta_k are the
     singular values of a (descending) and sin theta_k those of c (ascending).
-    The pairing rests on the CS identity sigma_a^2 + sigma_c^2 = 1, which is
-    checked in place of the dense U^dag U test.
     """
     sigma_a = np.linalg.svd(a, compute_uv=False)
     sigma_c = np.linalg.svd(c, compute_uv=False)[::-1]
-    deviation = float(np.abs(sigma_a**2 + sigma_c**2 - 1.0).max())
-    if not deviation < UNITARITY_ATOL:
-        raise NotUnitaryError(
-            f"chiral blocks are not a CS pair: max |sigma_a^2 + sigma_c^2 - 1| = {deviation:.3e}"
-        )
-    eps = 2.0 * np.arctan2(sigma_c, sigma_a)
+    eps = 2.0 * _cs_angles(sigma_a, sigma_c)
     return np.concatenate([-eps, eps])
+
+
+def _cs_decomposition(drive: Drive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Principal angles theta and the right factors V1, V2 of the CS
+    decomposition of the chiral blocks.
+
+    The real form [[a, -b], [c, d]] of G is orthogonal, so a = U1 C V1^T,
+    b = U1 S V2^T, c = U2 S V1^T and d = U2 C V2^T with C = cos theta and
+    S = sin theta (Van Loan, Numer. Math. 46, 479 (1985)).  numpy has no CS
+    decomposition, so it is assembled from two SVDs: pairs with small sigma_c
+    come from svd(c), with v2 = d^T u2 / sigma_a, and pairs with small sigma_a
+    from svd(a), with v2 = b^T u1 / sigma_c.  The two groups are split at the
+    widest gap of sigma_a inside [1/2, sqrt(3)/2], so every division is by at
+    least about 1/2 and no degenerate pair is cut in two.
+    """
+    a, b, c, d = chiral_blocks(drive)
+    u1, sigma_a, v1_from_a = np.linalg.svd(a)
+    u2, sigma_c, v1_from_c = np.linalg.svd(c)
+    u2, sigma_c, v1_from_c = u2[:, ::-1], sigma_c[::-1], v1_from_c[::-1]
+    theta = _cs_angles(sigma_a, sigma_c)
+    lo, hi = 0.5, 0.5 * math.sqrt(3.0)
+    edges = np.concatenate([[hi], sigma_a[(sigma_a > lo) & (sigma_a < hi)], [lo]])
+    widest = int(np.argmax(edges[:-1] - edges[1:]))
+    m = int(np.count_nonzero(sigma_a > 0.5 * (edges[widest] + edges[widest + 1])))
+    v1 = np.concatenate([v1_from_c[:m], v1_from_a[m:]]).T
+    v2 = np.concatenate([d.T @ u2[:, :m] / sigma_a[:m], b.T @ u1[:, m:] / sigma_c[m:]], axis=1)
+    return theta, v1, v2
+
+
+def timeframe_states(drive: Drive) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted quasienergies and orthonormal eigenvector columns of a drive-built U.
+
+    In the CS basis the timeframe operator Gamma G^dag Gamma G rotates each
+    pair (v1, v2) by 2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector
+    with quasienergy -+2 theta, and psi = exp(+i theta0 H0 / 2) phi that of U.
+    Columns closer than FOLD_ATOL in quasienergy are then localized.
+    """
+    params = drive.params
+    n = params.n_cells
+    theta, v1, v2 = _cs_decomposition(drive)
+    eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
+    order = np.argsort(eps)
+    column = np.empty(2 * n, dtype=int)
+    column[order] = np.arange(2 * n)
+    states = np.empty((2 * n, 2 * n), dtype=complex)
+    # per cell psi_A = cos(theta0) phi_A + i sin(theta0) phi_B and
+    # psi_B = i sin(theta0) phi_A + cos(theta0) phi_B; the 1 / sqrt(2) of phi
+    # is folded into the two coefficients
+    cos0 = math.cos(params.theta0) / math.sqrt(2.0)
+    sin0 = math.sin(params.theta0) / math.sqrt(2.0)
+    for sign, cols in ((-1.0, column[:n]), (1.0, column[n:])):
+        states.real[0::2, cols] = cos0 * v1
+        states.imag[0::2, cols] = sign * sin0 * v2
+        states.real[1::2, cols] = sign * cos0 * v2
+        states.imag[1::2, cols] = sin0 * v1
+    eps = eps[order]
+    _localize_degenerate(eps, states)
+    return eps, states
+
+
+def _localize_degenerate(eps: np.ndarray, states: np.ndarray) -> None:
+    """Rotate, in place, each cluster of sorted quasienergies closer than
+    FOLD_ATOL (wrapping across -pi/pi) to diagonalize the site position.
+
+    Exactly degenerate modes, such as a wall mode and an end mode, otherwise
+    come out in an arbitrary mix; the rotation makes each one localized.
+    """
+    cluster = np.concatenate([[0], np.cumsum(np.diff(eps) >= FOLD_ATOL)])
+    if cluster[-1] > 0 and eps[0] + 2.0 * np.pi - eps[-1] < FOLD_ATOL:
+        cluster[cluster == cluster[-1]] = 0
+    position = np.arange(states.shape[0])
+    for label in np.flatnonzero(np.bincount(cluster) > 1):
+        idx = np.flatnonzero(cluster == label)
+        block = states[:, idx]
+        _, rotation = np.linalg.eigh(block.conj().T @ (position[:, None] * block))
+        states[:, idx] = block @ rotation
 
 
 def _dense(u: UnitaryOperator | np.ndarray) -> np.ndarray:
@@ -262,14 +364,22 @@ def quasienergies(u: UnitaryOperator | np.ndarray) -> QuasienergySpectrum:
     singular-value problems; a raw or dense matrix goes through dense eigvals.
     """
     if isinstance(u, UnitaryOperator) and u.drive is not None:
-        eps = timeframe_quasienergies(*chiral_blocks(u.drive))
+        a, _, c, _ = _chiral_entries(u.drive)
+        eps = timeframe_quasienergies(_dense_block(*a), _dense_block(*c))
     else:
         eps = -np.angle(_on_unit_circle(np.linalg.eigvals(_dense(u))))
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 
 def quasienergy_states(u: UnitaryOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quasienergies sorted ascending with matching normalized eigenvector columns."""
+    """Quasienergies sorted ascending with matching normalized eigenvector columns.
+
+    A drive-built operator is solved in the chiral timeframe (timeframe_states:
+    orthonormal columns, degenerate modes localized); a raw or dense matrix
+    goes through dense eig.
+    """
+    if isinstance(u, UnitaryOperator) and u.drive is not None:
+        return timeframe_states(u.drive)
     lam, vec = np.linalg.eig(_dense(u))
     eps = fold_quasienergy(-np.angle(_on_unit_circle(lam)))
     order = np.argsort(eps)

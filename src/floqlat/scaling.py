@@ -142,6 +142,8 @@ def pbc_control(eta: float, target: MapTarget, sizes: Sequence[int]) -> np.ndarr
     sine transform, pole doubling, and comparison stages.  Both targets share
     the periodic static spectrum, so target only names the mapped chain.
     """
+    if not isinstance(target, MapTarget):
+        raise ValidationError(f"target must be a MapTarget, got {target!r}")
     sizes = _validate_sizes(sizes)
     metrics = []
     for n in sizes:

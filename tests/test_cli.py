@@ -239,6 +239,29 @@ def test_domainwall_floquet_reports_both_mode_kinds(tmp_path):
     assert [r[0] for r in rows] == ["zero", "pi"]
 
 
+def test_domainwall_floquet_fits_the_wall_mode_alone(tmp_path):
+    # the wall mode is degenerate with the left-end mode; a mix of the two let
+    # the end mode's tail into the left fit window (xi_left 3.5-3.9 against 2.27)
+    out = tmp_path / "wall.csv"
+    assert main(["domainwall", "--eta", "pi/8", "--cells", "100", "--model", "floquet",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in read_lines(out)[2:]]
+    assert len(rows) == 2
+    for row in rows:
+        xi_left, xi_right = float(row[2]), float(row[3])
+        assert abs(xi_left - xi_right) <= 1e-3 * xi_right
+
+
+@pytest.mark.parametrize("model", ["floquet", "ssh", "wd"])
+def test_domainwall_zero_detuning_exits_2(tmp_path, capsys, model):
+    out = tmp_path / "x.csv"
+    code = main(["domainwall", "--eta", "0", "--cells", "40", "--model", model,
+                 "--out", str(out)])
+    assert code == 2
+    assert "no domain wall" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- scaling
 
 

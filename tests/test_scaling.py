@@ -106,6 +106,12 @@ def test_periodic_control_is_exact(target):
     assert metrics.max() < 1e-10
 
 
+@pytest.mark.parametrize("target", ["bogus", "ssh", None])
+def test_periodic_control_rejects_a_non_target(target):
+    with pytest.raises(ValidationError):
+        pbc_control(0.1, target, [8, 12, 16, 20])
+
+
 def test_doubling_halves_the_metric():
     run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, [64, 128])
     ratio = run.metric_values[0] / run.metric_values[1]
