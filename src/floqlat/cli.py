@@ -29,13 +29,7 @@ from .doubling import (
     solve_wd_params,
     static_spectrum,
 )
-from .floquet import (
-    analytic_pbc_spectrum,
-    build_floquet,
-    classify_phase,
-    quasienergies,
-    quasienergy_states,
-)
+from .floquet import analytic_pbc_spectrum, build_floquet, classify_phase, quasienergies
 from .models import BoundaryCondition, DriveParams
 from .scaling import (
     MapTarget,
@@ -51,7 +45,7 @@ from .walls import (
     build_floquet_wall,
     build_ssh_wall,
     build_wd_wall,
-    fit_localization_length,
+    floquet_bound_states,
     numeric_bound_state,
 )
 
@@ -255,51 +249,35 @@ def cmd_map(args) -> None:
     write_output(args.out, args.format, meta, header, rows)
 
 
-def _floquet_wall_bound_rows(eta: float, n_cells: int) -> list[list]:
-    profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
-    unitary = build_floquet_wall(profile, n_cells)
-    wall = profile.wall_site(2 * n_cells)
-    eps, states = quasienergy_states(unitary)
-    gap_scale = abs(math.sin(2.0 * eta))
-    rows = []
-    for group, selector in (("zero", np.abs(eps)), ("pi", np.pi - np.abs(eps))):
-        candidates = np.nonzero(selector < 0.5 * gap_scale)[0]
-        if candidates.size == 0:
-            continue
-        best = max(
-            candidates,
-            key=lambda i: float((np.abs(states[:, i]) ** 2)[wall - 8 : wall + 8].sum()),
-        )
-        weights = np.abs(states[:, best]) ** 2
-        xi_left, xi_right = fit_localization_length(np.sqrt(weights), wall)
-        rows.append([group, float(eps[best]), xi_left, xi_right, None])
-    return rows
-
-
 def cmd_domainwall(args) -> None:
     eta = args.eta
     if eta == 0.0:
         raise ValidationError("eta = 0 has no domain wall: both sides are the same chain")
     meta = {"command": "domainwall", "eta": eta, "cells": args.cells, "model": args.model}
     header = ["state", "energy", "xi_left", "xi_right", "analytic_xi"]
+    window = 0.5 * abs(math.sin(2.0 * eta))  # half of every model's gap: |u - v| = |m|
     if args.model == "floquet":
-        rows = _floquet_wall_bound_rows(eta, args.cells)
+        profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
+        states = floquet_bound_states(
+            build_floquet_wall(profile, args.cells), profile.wall_site(2 * args.cells), window
+        )
+        rows = [
+            [kind, state.energy, state.xi_left, state.xi_right, None]
+            for kind, state in zip(("zero", "pi"), states)
+        ]
     elif args.model == "ssh":
         profile = DomainWallProfile(model=WallModel.SSH, eta_left=-eta, eta_right=eta)
         op = build_ssh_wall(profile, args.cells)
-        wall = profile.wall_site(2 * args.cells)
-        u, v = solve_ssh_params(eta)
-        state = numeric_bound_state(op, wall, energy_window=0.5 * abs(u - v))
+        state = numeric_bound_state(op, profile.wall_site(2 * args.cells), window)
         rows = [["wall", state.energy, state.xi_left, state.xi_right, None]]
     else:
         profile = DomainWallProfile(model=WallModel.WD, eta_left=-eta, eta_right=eta)
         op = build_wd_wall(profile, args.cells)
-        wall = profile.wall_site(args.cells)
-        m, _ = solve_wd_params(eta)
         state = numeric_bound_state(
-            op, wall, energy_window=0.5 * abs(m), components_per_site=2
+            op, profile.wall_site(args.cells), window, components_per_site=2
         )
-        analytic = analytic_wd_zero_mode(eta, (-10, 10))
+        # the wall at -eta mirrors the one at eta, so its closed form is taken at |eta|
+        analytic = analytic_wd_zero_mode(abs(eta), (-10, 10))
         rows = [["wall", state.energy, state.xi_left, state.xi_right, analytic.xi_right]]
     write_output(args.out, args.format, meta, header, rows)
 

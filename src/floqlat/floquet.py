@@ -303,7 +303,6 @@ def timeframe_states(drive: Drive) -> tuple[np.ndarray, np.ndarray]:
     In the CS basis the timeframe operator Gamma G^dag Gamma G rotates each
     pair (v1, v2) by 2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector
     with quasienergy -+2 theta, and psi = exp(+i theta0 H0 / 2) phi that of U.
-    Columns closer than FOLD_ATOL in quasienergy are then localized.
     """
     params = drive.params
     n = params.n_cells
@@ -323,27 +322,20 @@ def timeframe_states(drive: Drive) -> tuple[np.ndarray, np.ndarray]:
         states.imag[0::2, cols] = sign * sin0 * v2
         states.real[1::2, cols] = sign * cos0 * v2
         states.imag[1::2, cols] = sin0 * v1
-    eps = eps[order]
-    _localize_degenerate(eps, states)
-    return eps, states
+    return eps[order], states
 
 
-def _localize_degenerate(eps: np.ndarray, states: np.ndarray) -> None:
-    """Rotate, in place, each cluster of sorted quasienergies closer than
-    FOLD_ATOL (wrapping across -pi/pi) to diagonalize the site position.
+def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.ndarray:
+    """Unitary R such that states @ R diagonalizes the site position (row x is
+    site x // components_per_site) within the span of the orthonormal columns.
 
-    Exactly degenerate modes, such as a wall mode and an end mode, otherwise
-    come out in an arbitrary mix; the rotation makes each one localized.
+    Modes that are degenerate, or that tunnelling splits into a +-eps pair (a
+    wall and a chain end, or the two ends), come out of an eigensolver mixed;
+    the position eigenbasis of their span puts each at one place.
     """
-    cluster = np.concatenate([[0], np.cumsum(np.diff(eps) >= FOLD_ATOL)])
-    if cluster[-1] > 0 and eps[0] + 2.0 * np.pi - eps[-1] < FOLD_ATOL:
-        cluster[cluster == cluster[-1]] = 0
-    position = np.arange(states.shape[0])
-    for label in np.flatnonzero(np.bincount(cluster) > 1):
-        idx = np.flatnonzero(cluster == label)
-        block = states[:, idx]
-        _, rotation = np.linalg.eigh(block.conj().T @ (position[:, None] * block))
-        states[:, idx] = block @ rotation
+    position = np.arange(states.shape[0]) // components_per_site
+    _, rotation = np.linalg.eigh(states.conj().T @ (position[:, None] * states))
+    return rotation
 
 
 def _dense(u: UnitaryOperator | np.ndarray) -> np.ndarray:
@@ -375,8 +367,7 @@ def quasienergy_states(u: UnitaryOperator | np.ndarray) -> tuple[np.ndarray, np.
     """Quasienergies sorted ascending with matching normalized eigenvector columns.
 
     A drive-built operator is solved in the chiral timeframe (timeframe_states:
-    orthonormal columns, degenerate modes localized); a raw or dense matrix
-    goes through dense eig.
+    orthonormal columns); a raw or dense matrix goes through dense eig.
     """
     if isinstance(u, UnitaryOperator) and u.drive is not None:
         return timeframe_states(u.drive)
@@ -492,36 +483,41 @@ def find_edge_modes(
     tol_mode: float = DEFAULT_TOL_MODE,
     min_edge_weight: float = DEFAULT_MIN_EDGE_WEIGHT,
 ) -> list[EdgeModeReport]:
-    """Boundary modes of the open chain: eigenstates near quasienergy 0 or +-pi.
+    """Boundary modes of the open chain: localized states near quasienergy 0 or +-pi.
 
-    A state qualifies when |eps| < tol_mode (zero mode) or pi - |eps| < tol_mode
-    (pi mode) and at least min_edge_weight of its probability sits on the outer
-    10% of sites (5% per end).  Results are sorted by quasienergy.
+    The eigenstates with |eps| < tol_mode (zero modes), and apart from them
+    those with pi - |eps| < tol_mode (pi modes), are rotated by
+    localizing_rotation so that the modes at the two ends count apart; their
+    quasienergies go to the rotated states one to one, in the order of the
+    eigenvector each draws the most weight from.  A rotated state qualifies
+    when at least min_edge_weight of its probability sits on the outer 10% of
+    sites (5% per end).  Results are sorted by quasienergy.
     """
     if params.bc is not BoundaryCondition.OPEN:
         raise ValidationError("edge-mode search requires open boundary conditions")
     eps, states = quasienergy_states(build_floquet(params))
-    dim = len(eps)
-    n_edge = max(1, math.ceil(0.05 * dim))
+    n_edge = max(1, math.ceil(0.05 * len(eps)))
     reports = []
-    for value, state in zip(eps, states.T):
-        near_zero = abs(value) < tol_mode
-        near_pi = np.pi - abs(value) < tol_mode
-        if not (near_zero or near_pi):
+    for kind, distance in (("zero", np.abs(eps)), ("pi", np.pi - np.abs(eps))):
+        idx = np.flatnonzero(distance < tol_mode)
+        if idx.size == 0:
             continue
-        weight = np.abs(state) ** 2
-        edge_weight = float(weight[:n_edge].sum() + weight[-n_edge:].sum())
-        if edge_weight < min_edge_weight:
-            continue
-        reports.append(
-            EdgeModeReport(
-                quasienergy=float(value),
-                ipr=float((weight**2).sum()),
-                edge_weight=edge_weight,
-                kind="zero" if near_zero else "pi",
+        rotation = localizing_rotation(states[:, idx])
+        order = np.argsort(np.argmax(np.abs(rotation), axis=0), kind="stable")
+        for value, state in zip(eps[idx], (states[:, idx] @ rotation[:, order]).T):
+            weight = np.abs(state) ** 2
+            edge_weight = float(weight[:n_edge].sum() + weight[-n_edge:].sum())
+            if edge_weight < min_edge_weight:
+                continue
+            reports.append(
+                EdgeModeReport(
+                    quasienergy=float(value),
+                    ipr=float((weight**2).sum()),
+                    edge_weight=edge_weight,
+                    kind=kind,
+                )
             )
-        )
-    return reports
+    return sorted(reports, key=lambda report: report.quasienergy)
 
 
 def classify_phase(

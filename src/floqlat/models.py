@@ -21,7 +21,6 @@ from .errors import DimensionError, ProfileLengthError, ValidationError
 HERMITICITY_ATOL = 1e-12
 _RANGE_SLACK = 1e-12
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaRangeError, FitWindowError, ValidationError
-from .floquet import Drive, UnitaryOperator
+from .floquet import Drive, UnitaryOperator, localizing_rotation, quasienergy_states
 from .models import (
     BoundaryCondition,
     DriveParams,
@@ -234,40 +234,60 @@ def fit_localization_length(
     return xi_left, xi_right
 
 
+def _select_bound_state(
+    values: np.ndarray,
+    distance: np.ndarray,
+    states: np.ndarray,
+    wall_position: int,
+    energy_window: float,
+    components_per_site: int = 1,
+) -> BoundState:
+    """Fit the wall-localized state among the eigenstates with distance < energy_window.
+
+    The candidates are rotated by localizing_rotation, since a chain end can
+    host a partner degenerate with the wall mode or mixed with it into a +-E
+    pair.  The rotated state with the most weight within a few sites of the
+    wall is fitted; its energy is the eigenvalue it draws the most weight from.
+    """
+    candidates = np.flatnonzero(distance < energy_window)
+    if candidates.size == 0:
+        raise ValidationError(f"no eigenstate within {energy_window} of the mode energy")
+    n_sites = states.shape[0] // components_per_site
+    rotation = localizing_rotation(states[:, candidates], components_per_site)
+    weights = np.abs(states[:, candidates] @ rotation) ** 2
+    weights = weights.reshape(n_sites, components_per_site, -1).sum(axis=1)
+    radius = max(4, min(10, n_sites // 10))
+    best = np.argmax(weights[max(0, wall_position - radius) : wall_position + radius].sum(axis=0))
+    xi_left, xi_right = fit_localization_length(np.sqrt(weights[:, best]), wall_position)
+    return BoundState(
+        energy=float(values[candidates[np.argmax(np.abs(rotation[:, best]))]]),
+        amplitudes=weights[:, best] / weights[:, best].sum(),
+        xi_left=xi_left,
+        xi_right=xi_right,
+        positions=np.arange(n_sites),
+    )
+
+
 def numeric_bound_state(
     op: HermitianOperator,
     wall_position: int,
     energy_window: float,
     components_per_site: int = 1,
 ) -> BoundState:
-    """Extract the wall-localized eigenstate of a wall Hamiltonian.
-
-    Among eigenstates with |E| < energy_window, picks the one carrying the most
-    probability within a few sites of the wall (a chain end can host a
-    degenerate partner), and fits its side decay lengths.
-    """
+    """Fit the wall-localized eigenstate with |E| < energy_window of a wall Hamiltonian."""
     energies, states = op.diagonalize()
-    n_sites = op.dim // components_per_site
-    candidates = np.nonzero(np.abs(energies) < energy_window)[0]
-    if candidates.size == 0:
-        raise ValidationError(f"no eigenstate within |E| < {energy_window}")
-    radius = max(4, min(10, n_sites // 10))
-    lo = max(0, wall_position - radius)
-    hi = min(n_sites, wall_position + radius)
-    best_idx, best_score = -1, -1.0
-    best_weights = None
-    for idx in candidates:
-        weights = np.abs(states[:, idx]) ** 2
-        if components_per_site > 1:
-            weights = weights.reshape(n_sites, components_per_site).sum(axis=1)
-        score = float(weights[lo:hi].sum())
-        if score > best_score:
-            best_idx, best_score, best_weights = idx, score, weights
-    xi_left, xi_right = fit_localization_length(np.sqrt(best_weights), wall_position)
-    return BoundState(
-        energy=float(energies[best_idx]),
-        amplitudes=best_weights / best_weights.sum(),
-        xi_left=xi_left,
-        xi_right=xi_right,
-        positions=np.arange(n_sites),
+    return _select_bound_state(
+        energies, np.abs(energies), states, wall_position, energy_window, components_per_site
+    )
+
+
+def floquet_bound_states(
+    unitary: UnitaryOperator, wall_position: int, energy_window: float
+) -> tuple[BoundState, BoundState]:
+    """The wall-localized zero mode (|eps| < energy_window) and pi mode
+    (pi - |eps| < energy_window) of a driven-chain wall, from one eigensolve."""
+    eps, states = quasienergy_states(unitary)
+    return tuple(
+        _select_bound_state(eps, distance, states, wall_position, energy_window)
+        for distance in (np.abs(eps), np.pi - np.abs(eps))
     )

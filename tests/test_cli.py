@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from floqlat import ValidationError
+from floqlat import ValidationError, analytic_wd_zero_mode
 from floqlat.cli import main, parse_angle, parse_sizes
 
 PI = np.pi
@@ -250,6 +250,57 @@ def test_domainwall_floquet_fits_the_wall_mode_alone(tmp_path):
     for row in rows:
         xi_left, xi_right = float(row[2]), float(row[3])
         assert abs(xi_left - xi_right) <= 1e-3 * xi_right
+
+
+def wall_rows(tmp_path, eta, cells, model):
+    out = tmp_path / "wall.csv"
+    assert main(["domainwall", "--eta", eta, "--cells", cells, "--model", model,
+                 "--out", str(out)]) == 0
+    return [line.split(",") for line in read_lines(out)[2:]]
+
+
+@pytest.mark.parametrize(
+    "model, eta",
+    # the wall mode and a chain-end mode split into a +-E pair by tunnelling,
+    # each eigenvector half at the wall and half at the end: fitted as it came,
+    # xi_left / xi_right read 17.0 / 4.87, 13.1 / 3.83, 8.96 / 686 and
+    # 2.48 / 8.70 (closed form 2.483)
+    [("floquet", "0.2"), ("floquet", "0.25"), ("ssh", "0.1"), ("wd", "0.1")],
+)
+def test_domainwall_separates_wall_from_split_end_mode(tmp_path, model, eta):
+    rows = wall_rows(tmp_path, eta, "100", model)
+    assert len(rows) == (2 if model == "floquet" else 1)
+    for row in rows:
+        xi_left, xi_right = float(row[2]), float(row[3])
+        reference = float(row[4]) if model == "wd" else xi_right
+        assert abs(xi_left - reference) <= 1e-3 * reference
+        assert abs(xi_right - reference) <= 1e-3 * reference
+
+
+def test_domainwall_ssh_weak_wall_decays_on_both_sides(tmp_path):
+    # the mixed state's end-mode bump once gave xi_right = -2402
+    ((_, _, xi_left, xi_right, _),) = wall_rows(tmp_path, "0.02", "200", "ssh")
+    assert float(xi_right) > 0
+    np.testing.assert_allclose(float(xi_left), float(xi_right), rtol=0.01)
+
+
+@pytest.mark.parametrize("eta", ["-0.1", "-0.3", "-0.5"])
+def test_domainwall_wd_negative_detuning_mirrors_the_wall(tmp_path, eta):
+    ((_, _, xi_left, xi_right, analytic_xi),) = wall_rows(tmp_path, eta, "100", "wd")
+    expected = analytic_wd_zero_mode(abs(float(eta)), (-10, 10)).xi_right
+    assert float(analytic_xi) == pytest.approx(expected, rel=1e-11)
+    for xi in (xi_left, xi_right):
+        assert abs(float(xi) - expected) <= 1e-5 * expected
+
+
+@pytest.mark.parametrize("cells", ["2", "3"])
+def test_domainwall_floquet_without_midgap_state_exits_2(tmp_path, capsys, cells):
+    out = tmp_path / "x.csv"
+    code = main(["domainwall", "--eta", "0.3", "--cells", cells, "--model", "floquet",
+                 "--out", str(out)])
+    assert code == 2
+    assert "no eigenstate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["floquet", "ssh", "wd"])

@@ -261,6 +261,18 @@ def test_edge_modes_in_both_mode_phase():
     assert all(m.ipr > 0.2 for m in modes)
 
 
+def test_edge_modes_at_the_two_ends_count_apart():
+    # on 16 cells the two ends split each mode pair into +-eps; an eigenvector
+    # is then half at each end (IPR 0.192 zero, 0.228 pi), a localized mode
+    # sits at one (0.384, 0.456)
+    modes = find_edge_modes(DriveParams(0.8869211363018753, 1.2648148484579396, 16, OBC))
+    assert [m.kind for m in modes] == ["pi", "zero", "zero", "pi"]
+    assert all(m.ipr > 0.38 for m in modes if m.kind == "zero")
+    assert all(m.ipr > 0.45 for m in modes if m.kind == "pi")
+    values = [m.quasienergy for m in modes]
+    assert values[1] == -values[2] and values[0] == -values[3]  # each split value reported once
+
+
 def test_no_edge_modes_on_trivial_side():
     assert find_edge_modes(DriveParams(PI / 4, PI / 8, 64, OBC)) == []
 

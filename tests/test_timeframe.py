@@ -30,6 +30,7 @@ from floqlat.floquet import (
     chiral_blocks,
     composed_drive_evolution,
     floquet_operator,
+    localizing_rotation,
     timeframe_quasienergies,
 )
 from floqlat.models import h1_bond_sites
@@ -246,16 +247,18 @@ def test_timeframe_states_on_random_wall_profiles(seed):
 
 def test_degenerate_wall_and_end_modes_come_out_localized():
     # the wall mode and the left-end mode are degenerate far below FOLD_ATOL;
-    # each returned state sits at one of the two places, not on both
+    # rotated to the position eigenbasis, each sits at one of the two places,
+    # not on both
     eta, n_cells = PI / 8, 100
     profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
     eps, states = quasienergy_states(build_floquet_wall(profile, n_cells))
-    weights = np.abs(states) ** 2
     for group in (np.abs(eps) < 0.05, PI - np.abs(eps) < 0.05):
         idx = np.flatnonzero(group)
         assert len(idx) == 2
-        at_end = weights[:20, idx].sum(axis=0)
-        at_wall = weights[n_cells - 20 : n_cells + 20, idx].sum(axis=0)
+        block = states[:, idx]
+        weights = np.abs(block @ localizing_rotation(block)) ** 2
+        at_end = weights[:20].sum(axis=0)
+        at_wall = weights[n_cells - 20 : n_cells + 20].sum(axis=0)
         assert sorted(np.round(at_end)) == [0.0, 1.0]
         assert sorted(np.round(at_wall)) == [0.0, 1.0]
         assert (np.maximum(at_end, at_wall) > 1.0 - 1e-6).all()

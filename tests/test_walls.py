@@ -24,6 +24,7 @@ from floqlat import (
     solve_wd_params,
     wall_decay_factors,
 )
+from floqlat.floquet import localizing_rotation
 from floqlat.walls import h1_step_profile
 
 PI = np.pi
@@ -59,9 +60,9 @@ def test_floquet_wall_binds_midgap_states():
     near_zero = np.nonzero(np.abs(eps) < 0.05)[0]
     near_pi = np.nonzero(PI - np.abs(eps) < 0.05)[0]
     assert len(near_zero) == 2 and len(near_pi) == 2  # wall plus left chain end
-    weights = np.abs(states) ** 2
     for group in (near_zero, near_pi):
-        positions = [int(np.argmax(weights[:, i])) for i in group]
+        weights = np.abs(states[:, group] @ localizing_rotation(states[:, group])) ** 2
+        positions = [int(np.argmax(column)) for column in weights.T]
         assert min(positions) < 10  # one state pinned at the left (topological) end
         assert any(abs(p - 100) < 10 for p in positions)  # one pinned at the wall
 
