@@ -2,9 +2,11 @@
 
 The CSV files under tests/data/golden/ were written by the commit before the
 static chains were solved from their hopping blocks, so they pin the outputs
-of the dense-eigh solver.  The metadata line, the header and every text or
-integer cell must match exactly; spectra, energies, metrics and fit values to
-1e-12 absolute; localization lengths (xi columns) to 1e-6 relative.
+of the dense-eigh solver; phase-diagram.csv and map-wd.json were written by
+the commit before the operators lost their dense form.  The metadata, the
+header and every text or integer cell must match exactly; spectra, energies,
+metrics and fit values to 1e-12 absolute; localization lengths (xi columns)
+to 1e-6 relative.  A JSON golden is held to the same rules, column by column.
 
 Regenerate only for a deliberate, documented output change:
 
@@ -13,6 +15,7 @@ Regenerate only for a deliberate, documented output change:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -37,14 +40,25 @@ CASES = {
                     "--sizes", "16,24,32,48,64"],
     "scaling-wall": ["scaling", "--config", "wall", "--eta", ETA, "--target", "ssh",
                      "--sizes", "16,24,32,48,64"],
+    "phase-diagram": ["phase-diagram", "--grid", "6", "--cells", "32"],
 }
+# cases whose golden is the JSON output; the rest are CSV
+JSON_CASES = {"map-wd-json": CASES["map-wd"]}
 
-EXACT_COLUMNS = {"index", "cells", "state"}
+EXACT_COLUMNS = {"index", "cells", "state", "label", "n_zero", "n_pi"}
 FLOAT_META = {"metric"}  # computed values in the metadata line; the rest echo the input
 
 
+def _golden(name: str) -> Path:
+    return GOLDEN / (f"{name}.json" if name in JSON_CASES else f"{name}.csv")
+
+
 def _run(name: str, path: Path) -> str:
-    assert main(CASES[name] + ["--format", "csv", "--out", str(path)]) == 0
+    if name in JSON_CASES:
+        argv = JSON_CASES[name] + ["--format", "json"]
+    else:
+        argv = CASES[name] + ["--format", "csv"]
+    assert main(argv + ["--out", str(path)]) == 0
     return path.read_text()
 
 
@@ -94,10 +108,41 @@ def _compare(got_text: str, want_text: str) -> list[str]:
     return problems
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def _json_text(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _compare_json(got_text: str, want_text: str) -> list[str]:
+    got, want = json.loads(got_text), json.loads(want_text)
+    problems = []
+    if got.keys() != want.keys():
+        return [f"sections {list(got)} != {list(want)}"]
+    for section in ("meta", "fit"):
+        g_sec, w_sec = got.get(section, {}), want.get(section, {})
+        if g_sec.keys() != w_sec.keys():
+            problems.append(f"{section} keys {list(g_sec)} != {list(w_sec)}")
+        for key in w_sec.keys() & g_sec.keys():
+            column = "index" if section == "meta" and key not in FLOAT_META else "metric"
+            if not _close(column, _json_text(g_sec[key]), _json_text(w_sec[key])):
+                problems.append(f"{section} {key}: {g_sec[key]} != {w_sec[key]}")
+    if list(got["columns"]) != list(want["columns"]):
+        return problems + [f"columns {list(got['columns'])} != {list(want['columns'])}"]
+    for column, w_values in want["columns"].items():
+        g_values = got["columns"][column]
+        if len(g_values) != len(w_values):
+            problems.append(f"{column}: {len(g_values)} values, golden has {len(w_values)}")
+            continue
+        for i, (g, w) in enumerate(zip(g_values, w_values)):
+            if not _close(column, _json_text(g), _json_text(w)):
+                problems.append(f"{column}[{i}]: {g} != {w}")
+    return problems
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(JSON_CASES))
 def test_cli_output_matches_golden(tmp_path, name):
-    want = (GOLDEN / f"{name}.csv").read_text()
-    assert _compare(_run(name, tmp_path / f"{name}.csv"), want) == []
+    golden = _golden(name)
+    compare = _compare_json if name in JSON_CASES else _compare
+    assert compare(_run(name, tmp_path / golden.name), golden.read_text()) == []
 
 
 def test_comparison_catches_a_changed_value():
@@ -108,7 +153,18 @@ def test_comparison_catches_a_changed_value():
     assert _compare("\n".join(lines), want) != []
 
 
+def test_json_comparison_catches_a_changed_value():
+    want = json.loads(_golden("map-wd-json").read_text())
+    got = json.loads(json.dumps(want))
+    got["columns"]["pole"][3] += 1e-11
+    assert _compare_json(json.dumps(got), json.dumps(want)) != []
+    got["columns"]["pole"][3] = want["columns"]["pole"][3]
+    got["meta"]["metric"] += 1e-11
+    assert _compare_json(json.dumps(got), json.dumps(want)) != []
+    assert _compare_json(json.dumps(want), json.dumps(want)) == []
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for case in CASES:
-        _run(case, GOLDEN / f"{case}.csv")
+    for case in [*CASES, *JSON_CASES]:
+        _run(case, _golden(case))
