@@ -13,6 +13,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 
@@ -96,12 +97,27 @@ def _meta_line(meta: dict) -> str:
     return "# " + " ".join(parts)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out in a missing directory, or one that exists and is not a
+    regular file: the rename would replace a FIFO or a device by a file."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise ValidationError(f"--out {path}: the directory does not exist")
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ValidationError(f"--out {path}: exists and is not a regular file")
+
+
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".floqlat-")
+    """Write text to a temp file beside path and rename it over path.  A replaced
+    file keeps its mode; a new one gets 0o666 less the umask, as from open()."""
+    _check_out(path)
+    umask = os.umask(0)  # the umask is read by setting it; restored at once
+    os.umask(umask)
+    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".floqlat-")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -378,6 +394,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_out(args.out)
         _check_dense_bytes(args)
         args.func(args)
     except SystemExit as exc:  # argparse's own exits (--help, bad flags)

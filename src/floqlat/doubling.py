@@ -11,7 +11,6 @@ quarter of the sites, with couplings fixed by eta = theta1 - pi/4.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import NamedTuple
 
@@ -34,11 +33,6 @@ from .models import BoundaryCondition, DriveParams
 
 LINE_ATOL = 1e-12
 ASIN_CLAMP = 1e-12
-
-
-class BranchChoice(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
 
 
 class SSHCouplings(NamedTuple):
@@ -92,25 +86,23 @@ def sine_transform(spectrum: QuasienergySpectrum) -> EnergySpectrum:
     return EnergySpectrum(np.sort(np.sin(values)))
 
 
-def solve_ssh_params(eta: float, branch: BranchChoice = BranchChoice.PLUS) -> SSHCouplings:
-    """Dimerized-chain couplings u = (1 +- sin 2 eta) / 2, v = 1 - u.
+def solve_ssh_params(eta: float) -> SSHCouplings:
+    """Dimerized-chain couplings u = (1 + sin 2 eta) / 2, v = 1 - u.
 
-    The PLUS branch is canonical: it makes u > v exactly when eta > 0, matching
-    the boundary-mode content of the drive.
+    This is the + branch of u = (1 +- sin 2 eta) / 2: it makes u > v exactly
+    when eta > 0, matching the boundary-mode content of the drive.
     """
-    s = math.sin(2.0 * eta)
-    u = 0.5 * (1.0 + s) if branch is BranchChoice.PLUS else 0.5 * (1.0 - s)
+    u = 0.5 * (1.0 + math.sin(2.0 * eta))
     return SSHCouplings(u=u, v=1.0 - u)
 
 
-def solve_wd_params(eta: float, branch: BranchChoice = BranchChoice.MINUS) -> WDCouplings:
-    """Wilson-Dirac couplings m = -+ sin(2 eta), r = 1/2 - m/2.
+def solve_wd_params(eta: float) -> WDCouplings:
+    """Wilson-Dirac couplings m = -sin(2 eta), r = 1/2 - m/2.
 
-    The MINUS branch is canonical: it makes m < 0 (edge modes present) exactly
-    when eta > 0.
+    This is the - branch of m = -+ sin(2 eta): it makes m < 0 (edge modes
+    present) exactly when eta > 0.
     """
-    s = math.sin(2.0 * eta)
-    m = -s if branch is BranchChoice.MINUS else s
+    m = -math.sin(2.0 * eta)
     return WDCouplings(m=m, r=0.5 * (1.0 - m))
 
 

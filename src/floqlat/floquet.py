@@ -5,23 +5,23 @@ Quasienergies are dimensionless (epsilon * T) and live in the half-open window
 lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 [-pi, pi); values within 1e-12 of +pi fold to -pi.
 
-Operators built from the drive keep it and are solved in the chiral timeframe:
-the spectrum from two N x N singular-value problems, the eigenvectors from the
-CS decomposition of the same real blocks.  Dense eigvals and eig of the 2N x 2N
-matrix are kept for raw matrices and as the test oracle.
+The one-period operator is kept as the drive's bond data and solved in the
+chiral timeframe: the spectrum from two N x N singular-value problems, the
+eigenvectors from the CS decomposition of the same real blocks.  The dense
+2N x 2N matrix is formed only when it is read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DimensionError,
     DispersionDomainError,
     GaplessPointError,
     NotUnitaryError,
@@ -39,7 +39,6 @@ from .models import (
 
 FOLD_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
-EIGENVALUE_UNIT_TOL = 1e-6
 ARCCOS_CLAMP = 1e-12
 
 DEFAULT_TOL_MODE = 0.05
@@ -63,9 +62,14 @@ def wrap_distance(a, b):
 
 
 @dataclass(frozen=True, eq=False)
-class Drive:
-    """The two-step drive as bond data: its parameters and one coefficient per
-    second-step bond (in h1_bond_sites order; None means the native 2 on every bond).
+class UnitaryOperator:
+    """One-period operator of the two-step drive, kept as its bond data: the
+    parameters and one coefficient per second-step bond (in h1_bond_sites
+    order; None means the native 2 on every bond).
+
+    `quasienergies` and `quasienergy_states` work from the bond data alone;
+    the dense matrix is formed, and checked for unitarity, only when `matrix`
+    is first read.
     """
 
     params: DriveParams
@@ -78,44 +82,18 @@ class Drive:
         coeffs.flags.writeable = False
         object.__setattr__(self, "h1_coeffs", coeffs)
 
-
-@dataclass(frozen=True, eq=False)
-class UnitaryOperator:
-    """Unitary matrix with the unitarity invariant checked when the dense matrix is formed.
-
-    Built from a matrix, the check runs on construction.  Built from a Drive
-    (UnitaryOperator(drive=...)), the operator keeps the drive and forms and
-    checks the dense matrix only when `matrix` is first read; `quasienergies`
-    and `quasienergy_states` work from the drive alone and never read it.
-    """
-
-    dense: np.ndarray | None = None
-    drive: Drive | None = None
-
-    def __post_init__(self):
-        if (self.dense is None) == (self.drive is None):
-            raise ValidationError("a unitary operator takes either a matrix or a drive")
-        if self.dense is None:
-            return
-        m = np.array(self.dense, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-        deviation = float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        m = composed_drive_evolution(self)
+        deviation = float(np.abs(m.conj().T @ m - np.eye(self.dim)).max())
         if not deviation < UNITARITY_ATOL:
             raise NotUnitaryError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
         m.flags.writeable = False
-        object.__setattr__(self, "dense", m)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self.dense is None:
-            formed = UnitaryOperator(composed_drive_evolution(self.drive))
-            object.__setattr__(self, "dense", formed.dense)
-        return self.dense
+        return m
 
     @property
     def dim(self) -> int:
-        return self.drive.params.n_sites if self.drive is not None else self.dense.shape[0]
+        return self.params.n_sites
 
 
 @dataclass(frozen=True)
@@ -159,7 +137,7 @@ def _dimer_evolution_apply(n_sites, bonds, coeffs, angle, matrix) -> np.ndarray:
     return out
 
 
-def composed_drive_evolution(drive: Drive) -> np.ndarray:
+def composed_drive_evolution(u: UnitaryOperator) -> np.ndarray:
     """exp(-i H1 theta1) exp(-i H0 theta0) assembled from exact 2x2 bond blocks.
 
     Both drive steps are disjoint-dimer Hamiltonians on the bonds of
@@ -167,22 +145,22 @@ def composed_drive_evolution(drive: Drive) -> np.ndarray:
     decomposition of its bond blocks (identical to a dense eigensolve of the
     factor), applied row-wise to the identity in O(N^2).
     """
-    params = drive.params
+    params = u.params
     n = params.n_sites
     h0_bonds = h0_bond_sites(params.n_cells)
     e0 = _dimer_evolution_apply(
         n, h0_bonds, [2.0] * len(h0_bonds), params.theta0, np.eye(n, dtype=complex)
     )
     h1_bonds = h1_bond_sites(params.n_cells, params.bc)
-    return _dimer_evolution_apply(n, h1_bonds, drive.h1_coeffs, params.theta1, e0)
+    return _dimer_evolution_apply(n, h1_bonds, u.h1_coeffs, params.theta1, e0)
 
 
 def build_floquet(params: DriveParams) -> UnitaryOperator:
-    """One-period evolution operator exp(-i H1 theta1) exp(-i H0 theta0), kept as its drive."""
-    return UnitaryOperator(drive=Drive(params))
+    """One-period evolution operator exp(-i H1 theta1) exp(-i H0 theta0) of the uniform drive."""
+    return UnitaryOperator(params)
 
 
-def chiral_blocks(drive: Drive) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def chiral_blocks(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Real N x N blocks a, b, c, d of the half-period factor G in the real form
     S G S^-1 = [[a, -b], [c, d]], S = diag(1_A, i 1_B).
 
@@ -197,16 +175,16 @@ def chiral_blocks(drive: Drive) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     bond list: a and b carry their bond entry at [a_cell, b_cell], as the
     static chains' hopping_block does, c and d at [b_cell, a_cell].
     """
-    a, b, c, d = (hopping_block(*entries, drive.params.bc) for entries in _chiral_entries(drive))
+    a, b, c, d = (hopping_block(*entries, u.params.bc) for entries in _chiral_entries(u))
     return a, b, c.T, d.T
 
 
-def _chiral_entries(drive: Drive) -> tuple[tuple, tuple, tuple, tuple]:
+def _chiral_entries(u: UnitaryOperator) -> tuple[tuple, tuple, tuple, tuple]:
     """(diagonal, bond entries) of a, b, c^T and d^T for hopping_block; see chiral_blocks."""
-    params = drive.params
+    params = u.params
     n = params.n_cells
     b_site, a_site = np.array(h1_bond_sites(n, params.bc), dtype=int).reshape(-1, 2).T
-    phi = 0.5 * params.theta1 * drive.h1_coeffs
+    phi = 0.5 * params.theta1 * u.h1_coeffs
     sin_phi = np.sin(phi)
     cos0, sin0 = math.cos(params.theta0), math.sin(params.theta0)
     cos_a, cos_b = np.ones(n), np.ones(n)
@@ -249,7 +227,7 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.concatenate([-eps, eps])
 
 
-def _cs_decomposition(drive: Drive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cs_decomposition(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Principal angles theta and the right factors V1, V2 of the CS
     decomposition of the chiral blocks.
 
@@ -262,7 +240,7 @@ def _cs_decomposition(drive: Drive) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     widest gap of sigma_a inside [1/2, sqrt(3)/2], so every division is by at
     least about 1/2 and no degenerate pair is cut in two.
     """
-    a, b, c, d = chiral_blocks(drive)
+    a, b, c, d = chiral_blocks(u)
     u1, sigma_a, v1_from_a = np.linalg.svd(a)
     u2, sigma_c, v1_from_c = np.linalg.svd(c)
     u2, sigma_c, v1_from_c = u2[:, ::-1], sigma_c[::-1], v1_from_c[::-1]
@@ -276,16 +254,25 @@ def _cs_decomposition(drive: Drive) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return theta, v1, v2
 
 
-def timeframe_states(drive: Drive) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted quasienergies and orthonormal eigenvector columns of a drive-built U.
+def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
+    """Sorted quasienergies -arg(lambda) of the one-period operator's eigenvalues,
+    solved in the chiral timeframe from two N x N singular-value problems."""
+    a, _, c, _ = _chiral_entries(u)
+    bc = u.params.bc
+    eps = timeframe_quasienergies(hopping_block(*a, bc), hopping_block(*c, bc).T)
+    return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
+
+
+def quasienergy_states(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Quasienergies sorted ascending with matching orthonormal eigenvector columns.
 
     In the CS basis the timeframe operator Gamma G^dag Gamma G rotates each
     pair (v1, v2) by 2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector
     with quasienergy -+2 theta, and psi = exp(+i theta0 H0 / 2) phi that of U.
     """
-    params = drive.params
+    params = u.params
     n = params.n_cells
-    theta, v1, v2 = _cs_decomposition(drive)
+    theta, v1, v2 = _cs_decomposition(u)
     eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
     order = np.argsort(eps)
     column = np.empty(2 * n, dtype=int)
@@ -304,6 +291,9 @@ def timeframe_states(drive: Drive) -> tuple[np.ndarray, np.ndarray]:
     return eps[order], states
 
 
+timeframe_states = quasienergy_states
+
+
 def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.ndarray:
     """Unitary R such that states @ R diagonalizes the site position (row x is
     site x // components_per_site) within the span of the orthonormal columns.
@@ -315,48 +305,6 @@ def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.
     position = np.arange(states.shape[0]) // components_per_site
     _, rotation = np.linalg.eigh(states.conj().T @ (position[:, None] * states))
     return rotation
-
-
-def _dense(u: UnitaryOperator | np.ndarray) -> np.ndarray:
-    return u.matrix if isinstance(u, UnitaryOperator) else np.asarray(u, dtype=complex)
-
-
-def _on_unit_circle(lam: np.ndarray) -> np.ndarray:
-    deviation = float(np.abs(np.abs(lam) - 1.0).max())
-    if not deviation <= EIGENVALUE_UNIT_TOL:
-        raise NotUnitaryError(f"eigenvalues leave the unit circle by {deviation:.3e}")
-    return lam
-
-
-def quasienergies(u: UnitaryOperator | np.ndarray) -> QuasienergySpectrum:
-    """Sorted quasienergies -arg(lambda) of the one-period operator's eigenvalues.
-
-    A drive-built operator is solved in the chiral timeframe from two N x N
-    singular-value problems; a raw or dense matrix goes through dense eigvals.
-    """
-    if isinstance(u, UnitaryOperator) and u.drive is not None:
-        a, _, c, _ = _chiral_entries(u.drive)
-        bc = u.drive.params.bc
-        eps = timeframe_quasienergies(hopping_block(*a, bc), hopping_block(*c, bc).T)
-    else:
-        eps = -np.angle(_on_unit_circle(np.linalg.eigvals(_dense(u))))
-    return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
-
-
-def quasienergy_states(u: UnitaryOperator | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quasienergies sorted ascending with matching normalized eigenvector columns.
-
-    A drive-built operator is solved in the chiral timeframe (timeframe_states:
-    orthonormal columns); a raw or dense matrix goes through dense eig.
-    """
-    if isinstance(u, UnitaryOperator) and u.drive is not None:
-        return timeframe_states(u.drive)
-    lam, vec = np.linalg.eig(_dense(u))
-    eps = fold_quasienergy(-np.angle(_on_unit_circle(lam)))
-    order = np.argsort(eps)
-    vec = vec[:, order]
-    vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
-    return eps[order], vec
 
 
 def _check_cos_domain(argument: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ used to assemble matrices.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionError, ProfileLengthError, ValidationError
 
-HERMITICITY_ATOL = 1e-12
 _RANGE_SLACK = 1e-12
 
 # Columns: the a and b orbital of one cell on its two rows.  The dimerized
@@ -105,11 +105,12 @@ class WDParams:
 
 
 @dataclass(frozen=True, eq=False)
-class HoppingBlock:
-    """Real hopping block h of a chiral chain with two orbitals per cell.
+class HermitianOperator:
+    """Chiral chain with two orbitals per cell, kept as its real hopping block h.
 
     H = sum_ij h[i, j] (|a_i><b_j| + |b_j><a_i|), where a_i and b_i are the
-    columns of `orbitals` placed on rows 2i and 2i + 1.
+    columns of `orbitals` placed on rows 2i and 2i + 1.  The spectrum is
+    +-svd(h); the dense matrix is formed only when `matrix` is first read.
     """
 
     h: np.ndarray
@@ -128,50 +129,19 @@ class HoppingBlock:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "orbitals", orbitals)
 
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Hermitian matrix, given densely or kept as the hopping block of a chiral chain.
-
-    Built from a matrix, the hermiticity invariant is checked on construction
-    and the spectrum comes from dense eigh, the test oracle.  Built from a
-    block (HermitianOperator(block=...)), the spectrum is +-svd(h) and the
-    dense matrix is formed and checked only when `matrix` is first read.
-    """
-
-    dense: np.ndarray | None = None
-    block: HoppingBlock | None = None
-
-    def __post_init__(self):
-        if (self.dense is None) == (self.block is None):
-            raise ValidationError("a Hermitian operator takes either a matrix or a hopping block")
-        if self.dense is None:
-            return
-        m = np.array(self.dense, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-        deviation = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-        if not deviation < HERMITICITY_ATOL:
-            raise ValidationError(f"matrix is not Hermitian: max |M - M^dag| = {deviation:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "dense", m)
-
-    @property
+    @functools.cached_property
     def matrix(self) -> np.ndarray:
-        if self.dense is None:
-            orbitals = self.block.orbitals
-            half = np.kron(self.block.h, np.outer(orbitals[:, 0], orbitals[:, 1].conj()))
-            object.__setattr__(self, "dense", HermitianOperator(half + half.conj().T).dense)
-        return self.dense
+        half = np.kron(self.h, np.outer(self.orbitals[:, 0], self.orbitals[:, 1].conj()))
+        m = half + half.conj().T
+        m.flags.writeable = False
+        return m
 
     @property
     def dim(self) -> int:
-        return 2 * len(self.block.h) if self.block is not None else self.dense.shape[0]
+        return 2 * len(self.h)
 
     def eigenvalues(self) -> np.ndarray:
-        if self.block is None:
-            return np.linalg.eigvalsh(self.dense)
-        sigma = np.linalg.svd(self.block.h, compute_uv=False)
+        sigma = np.linalg.svd(self.h, compute_uv=False)
         return np.concatenate([-sigma, sigma[::-1]])
 
     def diagonalize(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,16 +153,14 @@ class HermitianOperator:
         numerical-rank tolerance is degenerate to working precision; its zero
         modes come out sublattice-polarized, (u_k; 0) and (0; v_k).
         """
-        if self.block is None:
-            return np.linalg.eigh(self.dense)
-        u, sigma, vt = np.linalg.svd(self.block.h)
+        u, sigma, vt = np.linalg.svd(self.h)
         zero = sigma <= sigma.max(initial=0.0) * len(sigma) * np.finfo(float).eps
         keep = np.where(zero, 1.0, math.sqrt(0.5))
         mix = np.where(zero, 0.0, math.sqrt(0.5))
         a = np.concatenate([u * keep, (u * mix)[:, ::-1]], axis=1)
         b = np.concatenate([-vt.T * mix, (vt.T * keep)[:, ::-1]], axis=1)
         states = np.empty((len(sigma), 2, 2 * len(sigma)), dtype=complex)
-        for row, (to_a, to_b) in zip(states.transpose(1, 0, 2), self.block.orbitals):
+        for row, (to_a, to_b) in zip(states.transpose(1, 0, 2), self.orbitals):
             np.multiply(to_a, a, out=row)
             row += to_b * b
         return np.concatenate([-sigma, sigma[::-1]]), states.reshape(self.dim, self.dim)
@@ -280,7 +248,7 @@ def build_ssh_profile(
     if n_cells < 2:
         raise DimensionError(f"need at least 2 cells, got {n_cells}")
     u = bond_coefficients(u_bonds, len(h1_bond_sites(n_cells, bc)), bc)
-    return HermitianOperator(block=HoppingBlock(hopping_block(v, u, bc), SITE_ORBITALS))
+    return HermitianOperator(hopping_block(v, u, bc), SITE_ORBITALS)
 
 
 def build_ssh(params: SSHParams) -> HermitianOperator:
@@ -317,7 +285,7 @@ def build_wd_profile(
     r_bond = 0.5 * (wilson + np.roll(wilson, -1))
     n_bonds = len(h1_bond_sites(n_sites, bc))
     h = hopping_block(mass + wilson, -r_bond[:n_bonds], bc)
-    return HermitianOperator(block=HoppingBlock(h, SPINOR_ORBITALS))
+    return HermitianOperator(h, SPINOR_ORBITALS)
 
 
 def build_wd(params: WDParams) -> HermitianOperator:

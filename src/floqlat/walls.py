@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EtaRangeError, FitWindowError, ValidationError
-from .floquet import Drive, UnitaryOperator, localizing_rotation, quasienergy_states
+from .floquet import UnitaryOperator, localizing_rotation, quasienergy_states
 from .models import (
     BoundaryCondition,
     DriveParams,
@@ -121,7 +121,7 @@ def build_floquet_wall(profile: DomainWallProfile, n_cells: int) -> UnitaryOpera
     )
     wall = profile.wall_site(params.n_sites)
     coeffs = h1_step_profile(n_cells, profile.eta_left, profile.eta_right, wall)
-    return UnitaryOperator(drive=Drive(params, coeffs))
+    return UnitaryOperator(params, coeffs)
 
 
 def build_ssh_wall(profile: DomainWallProfile, n_cells: int) -> HermitianOperator:

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +343,11 @@ def test_dense_estimate_admits_the_usual_sizes_and_grows_as_n_squared():
     assert dense_bytes("spectrum", 10**4) > MAX_DENSE_BYTES
 
 
+def _refuse_every_run(monkeypatch):
+    for name in ("cmd_spectrum", "cmd_map", "cmd_phase_diagram", "cmd_domainwall", "cmd_scaling"):
+        monkeypatch.setattr(cli, name, lambda args: pytest.fail("the run was not refused"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -355,12 +361,70 @@ def test_dense_estimate_admits_the_usual_sizes_and_grows_as_n_squared():
 )
 def test_oversized_runs_exit_2_before_allocating(tmp_path, capsys, monkeypatch, argv):
     # every subcommand is replaced, so a missed refusal fails without allocating
-    for name in ("cmd_spectrum", "cmd_map", "cmd_phase_diagram", "cmd_domainwall", "cmd_scaling"):
-        monkeypatch.setattr(cli, name, lambda args: pytest.fail("the run was not refused"))
+    _refuse_every_run(monkeypatch)
     out = tmp_path / "x.csv"
     assert main(argv + ["--out", str(out)]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------- output path
+
+SPECTRUM_ARGV = ["spectrum", "--theta0", "0.3", "--theta1", "0.7", "--cells", "4"]
+
+
+def test_out_fifo_is_refused_and_left_alone(tmp_path, capsys, monkeypatch):
+    _refuse_every_run(monkeypatch)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert main(SPECTRUM_ARGV + ["--out", str(fifo)]) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo"]
+
+
+def test_out_directory_is_refused(tmp_path, capsys, monkeypatch):
+    _refuse_every_run(monkeypatch)
+    (tmp_path / "sub").mkdir()
+    assert main(SPECTRUM_ARGV + ["--out", str(tmp_path / "sub")]) == 2
+    assert "not a regular file" in capsys.readouterr().err
+    assert (tmp_path / "sub").is_dir() and not any((tmp_path / "sub").iterdir())
+
+
+def test_out_in_missing_directory_is_refused(tmp_path, capsys, monkeypatch):
+    _refuse_every_run(monkeypatch)
+    assert main(SPECTRUM_ARGV + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert "directory does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_write_output_refuses_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(ValidationError):
+        cli.write_output(str(fifo), "csv", {}, ["a"], [[1.0]])
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_out_file_mode_follows_the_umask(tmp_path, umask):
+    out = tmp_path / "x.csv"
+    old = os.umask(umask)
+    try:
+        assert main(SPECTRUM_ARGV + ["--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o666 & ~umask
+    assert sorted(os.listdir(tmp_path)) == ["x.csv"]
+
+
+def test_replaced_out_file_keeps_its_mode(tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+    os.chmod(out, 0o604)
+    assert main(SPECTRUM_ARGV + ["--out", str(out)]) == 0
+    assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
+    assert read_lines(out)[1] == "index,quasienergy,analytic"
 
 
 def test_runtime_needs_only_numpy(tmp_path):

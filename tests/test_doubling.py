@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from floqlat import (
     AsinDomainError,
     BoundaryCondition,
-    BranchChoice,
     CellCountError,
     DriveParams,
     EnergySpectrum,
@@ -103,20 +102,10 @@ def test_ssh_couplings_plus_branch():
     assert u > v  # topological side
 
 
-def test_ssh_couplings_minus_branch():
-    u, v = solve_ssh_params(PI / 8, BranchChoice.MINUS)
-    np.testing.assert_allclose([u, v], [0.14645, 0.85355], atol=5e-6)
-
-
 def test_wd_couplings_minus_branch():
     m, r = solve_wd_params(PI / 8)
     np.testing.assert_allclose([m, r], [-0.70711, 0.85355], atol=5e-6)
     assert m < 0  # edge modes present
-
-
-def test_wd_couplings_plus_branch():
-    m, r = solve_wd_params(PI / 8, BranchChoice.PLUS)
-    np.testing.assert_allclose([m, r], [0.70711, 0.14645], atol=5e-6)
 
 
 def test_couplings_at_zero_detuning():

@@ -24,6 +24,8 @@ from floqlat import (
     wrap_distance,
 )
 
+from oracles import dense_quasienergies
+
 PBC = BoundaryCondition.PERIODIC
 OBC = BoundaryCondition.OPEN
 PI = np.pi
@@ -71,7 +73,7 @@ def test_first_step_only_gives_dimer_phases(bc):
 
 
 def test_block_composition_matches_generic_spectral_path():
-    from floqlat import Drive, build_h0, build_h1, build_h1_scaled
+    from floqlat import build_h0, build_h1, build_h1_scaled
     from oracles import floquet_operator
     from floqlat.walls import h1_step_profile
 
@@ -81,13 +83,13 @@ def test_block_composition_matches_generic_spectral_path():
         generic = floquet_operator(
             build_h0(params), build_h1(params), params.theta0, params.theta1
         )
-        assert np.abs(build_floquet(params).matrix - generic.matrix).max() < 1e-13
+        assert np.abs(build_floquet(params).matrix - generic).max() < 1e-13
         coeffs = step if bc is OBC else np.append(step, step[-1])  # PBC adds the wrap bond
         generic = floquet_operator(
             build_h0(params), build_h1_scaled(params, coeffs), params.theta0, params.theta1
         )
-        from_drive = UnitaryOperator(drive=Drive(params, coeffs))
-        assert np.abs(from_drive.matrix - generic.matrix).max() < 1e-13
+        from_drive = UnitaryOperator(params, coeffs)
+        assert np.abs(from_drive.matrix - generic).max() < 1e-13
 
 
 def test_unitarity_over_phase_grid():
@@ -102,29 +104,22 @@ def test_unitarity_over_phase_grid():
 
 
 def test_quasienergy_of_diagonal_phases():
-    eps = quasienergies(np.diag([np.exp(1j * PI / 2), np.exp(-1j * PI / 2)]))
+    eps = dense_quasienergies(np.diag([np.exp(1j * PI / 2), np.exp(-1j * PI / 2)]))
     np.testing.assert_allclose(eps.values, [-PI / 2, PI / 2], atol=1e-15)
 
 
 def test_quasienergy_of_identity():
-    assert np.abs(quasienergies(np.eye(6)).values).max() == 0.0
+    assert np.abs(dense_quasienergies(np.eye(6)).values).max() == 0.0
 
 
 def test_quasienergies_reject_non_unitary():
     with pytest.raises(NotUnitaryError):
-        quasienergies(np.diag([2.0, 1.0]))
-
-
-def test_unitary_operator_rejects_nan_matrix():
-    with pytest.raises(NotUnitaryError):
-        UnitaryOperator(np.full((2, 2), np.nan))
+        dense_quasienergies(np.diag([2.0, 1.0]))
 
 
 def test_drive_rejects_nan_coefficients():
-    from floqlat import Drive
-
     with pytest.raises(ValidationError):
-        Drive(DriveParams(PI / 4, 0.9, 4, OBC), [np.nan, 2.0, 2.0])
+        UnitaryOperator(DriveParams(PI / 4, 0.9, 4, OBC), [np.nan, 2.0, 2.0])
 
 
 def test_pbc_quasienergies_match_line_dispersion():

@@ -22,7 +22,6 @@ from floqlat import (
     build_wd_profile,
     build_wd_wall,
     DomainWallProfile,
-    HoppingBlock,
     WallModel,
     ssh_dispersion,
     ssh_momentum_grid,
@@ -220,7 +219,7 @@ def test_wd_rejects_nan_couplings():
 
 def test_hermitian_operator_rejects_nan_entries():
     with pytest.raises(ValidationError):
-        HermitianOperator(np.full((2, 2), np.nan))
+        HermitianOperator(np.full((2, 2), np.nan), np.eye(2))
 
 
 # ---------------------------------------------------------------- shared invariants
@@ -306,8 +305,7 @@ ORACLE_TOL = 1e-10
 
 def assert_matches_dense_eigh(op):
     """eigenvalues() and diagonalize() of a block-built chain against eigh of its matrix."""
-    dense = HermitianOperator(op.matrix)
-    oracle = dense.eigenvalues()
+    oracle = np.linalg.eigvalsh(op.matrix)
     energies, states = op.diagonalize()
     np.testing.assert_allclose(op.eigenvalues(), oracle, rtol=0, atol=ORACLE_TOL)
     np.testing.assert_allclose(energies, oracle, rtol=0, atol=ORACLE_TOL)
@@ -399,37 +397,30 @@ def test_block_spectrum_survives_an_underflowing_coupling():
 
 def test_block_spectrum_is_plus_minus_singular_values():
     op = build_wd(WDParams(m=-0.3, r=0.65, n_sites=12, bc=OBC))
-    sigma = np.linalg.svd(op.block.h, compute_uv=False)
+    sigma = np.linalg.svd(op.h, compute_uv=False)
     np.testing.assert_array_equal(op.eigenvalues(), np.concatenate([-sigma, sigma[::-1]]))
 
 
 def test_open_wd_block_is_the_ssh_block_up_to_bond_signs():
     u, v = 0.7, 0.3
-    ssh = build_ssh(SSHParams(u=u, v=v, n_cells=6, bc=OBC)).block.h
-    wd = build_wd(WDParams(m=v - u, r=u, n_sites=6, bc=OBC)).block.h
+    ssh = build_ssh(SSHParams(u=u, v=v, n_cells=6, bc=OBC)).h
+    wd = build_wd(WDParams(m=v - u, r=u, n_sites=6, bc=OBC)).h
     np.testing.assert_allclose(np.abs(wd), ssh, rtol=0, atol=1e-15)
 
 
 def test_block_operator_forms_its_matrix_on_demand():
     op = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=4, bc=PBC))
-    assert op.dense is None
+    assert "matrix" not in vars(op)
     matrix = op.matrix
-    assert op.dense is matrix and not matrix.flags.writeable
-    assert not op.block.h.flags.writeable
+    assert op.matrix is matrix and not matrix.flags.writeable
+    assert not op.h.flags.writeable
 
 
-def test_hermitian_operator_takes_a_matrix_or_a_block():
-    block = HoppingBlock(np.eye(2), np.eye(2))
-    with pytest.raises(ValidationError):
-        HermitianOperator()
-    with pytest.raises(ValidationError):
-        HermitianOperator(np.eye(4), block)
-    with pytest.raises(ValidationError):
-        HoppingBlock(np.full((2, 2), np.nan), np.eye(2))
+def test_hermitian_operator_checks_block_and_orbital_shapes():
     with pytest.raises(DimensionError):
-        HoppingBlock(np.ones((2, 3)), np.eye(2))
+        HermitianOperator(np.ones((2, 3)), np.eye(2))
     with pytest.raises(DimensionError):
-        HoppingBlock(np.eye(2), np.eye(3))
+        HermitianOperator(np.eye(2), np.eye(3))
 
 
 def test_ssh_profile_rejects_nan_couplings():

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from floqlat import (
     BoundaryCondition,
     DomainWallProfile,
-    Drive,
     DriveParams,
     NotUnitaryError,
     ProfileLengthError,
     UnitaryOperator,
-    ValidationError,
     WallModel,
     build_floquet,
     build_floquet_wall,
@@ -33,7 +31,7 @@ from floqlat.floquet import (
     timeframe_quasienergies,
 )
 from floqlat.models import h1_bond_sites
-from oracles import floquet_operator
+from oracles import dense_quasienergies, dense_quasienergy_states, floquet_operator
 
 PI = np.pi
 PBC = BoundaryCondition.PERIODIC
@@ -43,14 +41,14 @@ LINE_OFFSET = 1e-6
 
 
 def dense_operator(params, coeffs):
-    """The one-period operator from dense exponentials of H0 and the scaled H1."""
+    """The one-period matrix from dense exponentials of H0 and the scaled H1."""
     return floquet_operator(build_h0(params), build_h1_scaled(params, coeffs),
                             params.theta0, params.theta1)
 
 
 def dense_oracle(params, coeffs):
     """Sorted quasienergies of the dense operator from eigvals."""
-    return quasienergies(dense_operator(params, coeffs)).values
+    return dense_quasienergies(dense_operator(params, coeffs)).values
 
 
 def _clip(theta):
@@ -87,13 +85,13 @@ def drives(draw):
         wall = draw(st.integers(0, n_bonds))
         left, right = draw(positive), draw(positive)
         coeffs = np.where(np.arange(n_bonds) < wall, left, right)
-    return Drive(params, coeffs)
+    return UnitaryOperator(params, coeffs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(drive=drives())
 def test_timeframe_matches_dense_oracle(drive):
-    fast = quasienergies(UnitaryOperator(drive=drive)).values
+    fast = quasienergies(drive).values
     assert fast.shape == (drive.params.n_sites,)
     assert compare_spectra(fast, dense_oracle(drive.params, drive.h1_coeffs)) < ORACLE_TOL
 
@@ -124,7 +122,7 @@ def test_single_entry_perturbation_is_refused(drive, data):
 
 def test_blocks_are_real_bidiagonal():
     for bc in (OBC, PBC):
-        drive = Drive(DriveParams(0.37, 1.12, 9, bc))
+        drive = UnitaryOperator(DriveParams(0.37, 1.12, 9, bc))
         for block in chiral_blocks(drive):
             assert block.dtype == float
             assert (np.count_nonzero(block, axis=0) <= 2).all()
@@ -138,8 +136,8 @@ def test_blocks_are_the_half_period_factor():
         params = DriveParams(0.37, 1.12, 7, bc)
         coeffs = np.linspace(0.5, 3.0, len(h1_bond_sites(7, bc)))
         half = DriveParams(params.theta0 / 2, params.theta1 / 2, 7, bc)
-        g = composed_drive_evolution(Drive(half, coeffs))
-        a, b, c, d = chiral_blocks(Drive(params, coeffs))
+        g = composed_drive_evolution(UnitaryOperator(half, coeffs))
+        a, b, c, d = chiral_blocks(UnitaryOperator(params, coeffs))
         np.testing.assert_allclose(a, g[0::2, 0::2], atol=1e-15)
         np.testing.assert_allclose(b, 1j * g[0::2, 1::2], atol=1e-15)
         np.testing.assert_allclose(c, 1j * g[1::2, 0::2], atol=1e-15)
@@ -154,9 +152,8 @@ def test_wall_and_open_chain_match_oracle_at_sweep_sizes(n_cells):
     profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
     params = DriveParams(PI / 4, PI / 4 + eta, n_cells, OBC)
     for u in (build_floquet_wall(profile, n_cells), build_floquet(params)):
-        assert u.drive is not None
         fast = quasienergies(u).values
-        assert compare_spectra(fast, quasienergies(UnitaryOperator(u.matrix)).values) < 1e-12
+        assert compare_spectra(fast, dense_quasienergies(u.matrix).values) < 1e-12
 
 
 def test_dense_matrix_is_formed_on_demand():
@@ -164,37 +161,32 @@ def test_dense_matrix_is_formed_on_demand():
     u = build_floquet(params)
     assert u.dim == 12
     quasienergies(u)
-    assert u.dense is None  # the spectrum never forms the matrix
-    np.testing.assert_array_equal(u.matrix, composed_drive_evolution(Drive(params)))
-    assert u.dense is u.matrix
+    assert "matrix" not in vars(u)  # the spectrum never forms the matrix
+    np.testing.assert_array_equal(u.matrix, composed_drive_evolution(u))
+    assert u.matrix is u.matrix  # formed once, then cached
     assert not u.matrix.flags.writeable
-
-
-def test_operator_takes_a_matrix_or_a_drive():
-    with pytest.raises(ValidationError):
-        UnitaryOperator()
-    with pytest.raises(ValidationError):
-        UnitaryOperator(np.eye(4), Drive(DriveParams(0.3, 0.7, 2, PBC)))
 
 
 def test_drive_checks_profile_length():
     with pytest.raises(ProfileLengthError):
-        Drive(DriveParams(0.3, 0.7, 4, OBC), [2.0] * 4)  # open chains have N - 1 bonds
-    np.testing.assert_array_equal(Drive(DriveParams(0.3, 0.7, 4, PBC)).h1_coeffs, [2.0] * 4)
+        UnitaryOperator(DriveParams(0.3, 0.7, 4, OBC), [2.0] * 4)  # open chains have N - 1 bonds
+    np.testing.assert_array_equal(
+        UnitaryOperator(DriveParams(0.3, 0.7, 4, PBC)).h1_coeffs, [2.0] * 4
+    )
 
 
 # ------------------------------------------------------------- eigenvectors
 
 
-def assert_states_match_oracle(drive):
+def assert_states_match_oracle(op):
     """The timeframe eigenpairs solve the dense operator, are orthonormal, and
-    carry the quasienergies of the spectrum solver."""
-    op = UnitaryOperator(drive=drive)
+    carry the quasienergies of the spectrum solver and of dense eig."""
     eps, states = quasienergy_states(op)
-    assert op.dense is None  # the eigenvectors never form the matrix
-    dim = drive.params.n_sites
+    assert "matrix" not in vars(op)  # the eigenvectors never form the matrix
+    dim = op.params.n_sites
     assert eps.shape == (dim,) and states.shape == (dim, dim)
-    u = dense_operator(drive.params, drive.h1_coeffs).matrix
+    u = dense_operator(op.params, op.h1_coeffs)
+    assert compare_spectra(eps, dense_quasienergy_states(u)[0]) < ORACLE_TOL
     residual = np.abs(u @ states - states * np.exp(-1j * eps)).max()
     assert residual <= ORACLE_TOL
     assert np.abs(states.conj().T @ states - np.eye(dim)).max() <= ORACLE_TOL
@@ -229,7 +221,7 @@ def test_timeframe_states_match_dense_oracle(drive):
     ],
 )
 def test_timeframe_states_at_degeneracies_and_window_ends(theta0, theta1, n_cells, bc):
-    assert_states_match_oracle(Drive(DriveParams(theta0, theta1, n_cells, bc)))
+    assert_states_match_oracle(UnitaryOperator(DriveParams(theta0, theta1, n_cells, bc)))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -242,7 +234,9 @@ def test_timeframe_states_on_random_wall_profiles(seed):
         left, right = rng.uniform(0.01, 4.0, size=2)
         coeffs = np.where(np.arange(n_bonds) < wall, left, right)
         theta0, theta1 = rng.uniform(0.0, PI / 2, size=2)
-        assert_states_match_oracle(Drive(DriveParams(theta0, theta1, n_cells, bc), coeffs))
+        assert_states_match_oracle(
+            UnitaryOperator(DriveParams(theta0, theta1, n_cells, bc), coeffs)
+        )
 
 
 def test_degenerate_wall_and_end_modes_come_out_localized():
@@ -276,4 +270,4 @@ def test_edge_mode_search_never_forms_the_dense_matrix(monkeypatch):
     find_edge_modes(DriveParams(PI / 4, 3 * PI / 8, 32, OBC))
     classify_phase(DriveParams(PI / 4, PI / 8, 32, PBC))
     assert len(built) == 2
-    assert all(op.dense is None for op in built)
+    assert all("matrix" not in vars(op) for op in built)
