@@ -25,10 +25,12 @@ from floqlat import (
     WallModel,
     ssh_dispersion,
     ssh_momentum_grid,
+    solve_ssh_params,
     sublattice_parity,
     wd_dispersion,
     wd_momentum_grid,
 )
+from floqlat.walls import h1_step_profile
 
 PBC = BoundaryCondition.PERIODIC
 OBC = BoundaryCondition.OPEN
@@ -114,6 +116,59 @@ def test_h1_scaled_rejects_wrong_length():
         build_h1_scaled(drive(4, OBC), [2.0] * 4)  # OBC has N - 1 bonds
     with pytest.raises(ProfileLengthError):
         build_h1_scaled(drive(4, PBC), [2.0] * 3)
+
+
+# ---------------------------------------------------------------- bond layout
+#
+# The site pairs are written out here, not read from the package, so that a
+# layout error in the shared bond table cannot hide behind the dense oracles,
+# which build from the same table.
+
+
+def intra_cell_sites(n_cells):
+    return [(2 * j, 2 * j + 1) for j in range(n_cells)]
+
+
+def inter_cell_sites(n_cells, bc):
+    n_bonds = n_cells if bc is PBC else n_cells - 1
+    return [(2 * j + 1, (2 * j + 2) % (2 * n_cells)) for j in range(n_bonds)]
+
+
+def symmetric_matrix(n_sites, bonds, values):
+    m = np.zeros((n_sites, n_sites))
+    for (x, y), value in zip(bonds, values):
+        m[x, y] = m[y, x] = value
+    return m
+
+
+@pytest.mark.parametrize("bc", [PBC, OBC])
+@pytest.mark.parametrize("n_cells", range(2, 10))
+def test_bond_layout_of_the_drive_steps(n_cells, bc):
+    params = drive(n_cells, bc)
+    expected_h0 = symmetric_matrix(2 * n_cells, intra_cell_sites(n_cells), [2.0] * n_cells)
+    np.testing.assert_array_equal(build_h0(params).matrix, expected_h0)
+    bonds = inter_cell_sites(n_cells, bc)
+    coeffs = np.random.default_rng(n_cells).uniform(0.5, 3.0, len(bonds))
+    expected_h1 = symmetric_matrix(2 * n_cells, bonds, coeffs)
+    np.testing.assert_array_equal(build_h1_scaled(params, coeffs).matrix, expected_h1)
+
+
+@pytest.mark.parametrize("n_cells", range(2, 10))
+def test_bond_layout_of_the_walls(n_cells):
+    eta_left, eta_right = 0.3, -0.2
+    right_coeff = 2.0 * (np.pi / 4 + eta_right) / (np.pi / 4 + eta_left)
+    left, right = solve_ssh_params(eta_left), solve_ssh_params(eta_right)
+    intra, inter = intra_cell_sites(n_cells), inter_cell_sites(n_cells, OBC)
+    for wall_site in range(1, 2 * n_cells):
+        # a bond takes the side of its left site
+        on_left = [x < wall_site for x, _ in inter]
+        coeffs = h1_step_profile(n_cells, eta_left, eta_right, wall_site)
+        np.testing.assert_array_equal(coeffs, [2.0 if l else right_coeff for l in on_left])
+        profile = DomainWallProfile(WallModel.SSH, eta_left, eta_right, wall_site)
+        v = [left.v if x < wall_site else right.v for x, _ in intra]
+        u = [left.u if l else right.u for l in on_left]
+        expected = symmetric_matrix(2 * n_cells, intra + inter, v + u)
+        np.testing.assert_array_equal(build_ssh_wall(profile, n_cells).matrix, expected)
 
 
 # ---------------------------------------------------------------- SSH
