@@ -31,8 +31,8 @@ from .models import (
     BoundaryCondition,
     DriveParams,
     bond_coefficients,
-    h0_bond_sites,
-    h1_bond_sites,
+    cell_states,
+    h1_bond_cells,
     hopping_block,
     ssh_momentum_grid,
 )
@@ -42,7 +42,7 @@ UNITARITY_ATOL = 1e-10
 ARCCOS_CLAMP = 1e-12
 
 DEFAULT_TOL_MODE = 0.05
-DEFAULT_MIN_EDGE_WEIGHT = 0.5
+MIN_EDGE_WEIGHT = 0.5
 
 
 def fold_quasienergy(x):
@@ -64,7 +64,7 @@ def wrap_distance(a, b):
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     """One-period operator of the two-step drive, kept as its bond data: the
-    parameters and one coefficient per second-step bond (in h1_bond_sites
+    parameters and one coefficient per second-step bond (in h1_bond_cells
     order; None means the native 2 on every bond).
 
     `quasienergies` and `quasienergy_states` work from the bond data alone;
@@ -76,7 +76,7 @@ class UnitaryOperator:
     h1_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
-        n_bonds = len(h1_bond_sites(self.params.n_cells, self.params.bc))
+        n_bonds = len(h1_bond_cells(self.params.n_cells, self.params.bc))
         values = np.full(n_bonds, 2.0) if self.h1_coeffs is None else self.h1_coeffs
         coeffs = bond_coefficients(values, n_bonds, self.params.bc)
         coeffs.flags.writeable = False
@@ -117,42 +117,39 @@ class QuasienergySpectrum:
         return len(self.values)
 
 
-def _dimer_evolution_apply(n_sites, bonds, coeffs, angle, matrix) -> np.ndarray:
-    """exp(-i * angle * H) @ matrix for a hopping H made of disjoint bonds.
+def _dimer_evolution_apply(sites_a, sites_b, phases, matrix) -> np.ndarray:
+    """exp(-i H) @ matrix for a hopping H with amplitude phases[k] on the
+    disjoint bonds (sites_a[k], sites_b[k]).
 
-    On each 2x2 bond block (eigenvalues +-c) the spectral decomposition closes:
-    cos(c * angle) on the diagonal and -i sin(c * angle) off it; uncoupled
-    sites stay at 1.  So the factor has at most two entries per row and is
-    applied row-wise in O(N^2), with no eigensolve.
+    On each 2x2 bond block the spectral decomposition closes: cos(phase) on
+    the diagonal and -i sin(phase) off it; uncoupled sites stay at 1.  So the
+    factor has at most two entries per row and is applied row-wise in
+    O(N^2), with no eigensolve.
     """
-    rows_a = np.array([a for a, _ in bonds], dtype=int)
-    rows_b = np.array([b for _, b in bonds], dtype=int)
-    phases = angle * np.asarray(coeffs, dtype=float)
-    diag = np.ones(n_sites)
-    diag[rows_a] = np.cos(phases)
-    diag[rows_b] = np.cos(phases)
+    off = (-1.0j * np.sin(phases))[:, None]
+    diag = np.ones(len(matrix))
+    diag[sites_a] = diag[sites_b] = np.cos(phases)
     out = diag[:, None] * matrix
-    out[rows_a] += (-1.0j * np.sin(phases))[:, None] * matrix[rows_b]
-    out[rows_b] += (-1.0j * np.sin(phases))[:, None] * matrix[rows_a]
+    out[sites_a] += off * matrix[sites_b]
+    out[sites_b] += off * matrix[sites_a]
     return out
 
 
 def composed_drive_evolution(u: UnitaryOperator) -> np.ndarray:
     """exp(-i H1 theta1) exp(-i H0 theta0) assembled from exact 2x2 bond blocks.
 
-    Both drive steps are disjoint-dimer Hamiltonians on the bonds of
-    h0_bond_sites and h1_bond_sites, so each factor is the spectral
+    Both drive steps are disjoint-dimer Hamiltonians, on the intra-cell bonds
+    and on the bonds of h1_bond_cells, so each factor is the spectral
     decomposition of its bond blocks (identical to a dense eigensolve of the
     factor), applied row-wise to the identity in O(N^2).
     """
     params = u.params
-    n = params.n_sites
-    h0_bonds = h0_bond_sites(params.n_cells)
-    e0 = _dimer_evolution_apply(
-        n, h0_bonds, [2.0] * len(h0_bonds), params.theta0, np.eye(n, dtype=complex)
-    )
-    h1_bonds = h1_bond_sites(params.n_cells, params.bc)
-    return _dimer_evolution_apply(n, h1_bonds, u.h1_coeffs, params.theta1, e0)
+    cells = np.arange(params.n_cells)
+    b_cell, a_cell = h1_bond_cells(params.n_cells, params.bc).T
+    phases0 = np.full(params.n_cells, 2.0 * params.theta0)
+    e0 = np.eye(params.n_sites, dtype=complex)
+    e0 = _dimer_evolution_apply(2 * cells, 2 * cells + 1, phases0, e0)
+    return _dimer_evolution_apply(2 * b_cell + 1, 2 * a_cell, params.theta1 * u.h1_coeffs, e0)
 
 
 def build_floquet(params: DriveParams) -> UnitaryOperator:
@@ -183,12 +180,12 @@ def _chiral_entries(u: UnitaryOperator) -> tuple[tuple, tuple, tuple, tuple]:
     """(diagonal, bond entries) of a, b, c^T and d^T for hopping_block; see chiral_blocks."""
     params = u.params
     n = params.n_cells
-    b_site, a_site = np.array(h1_bond_sites(n, params.bc), dtype=int).reshape(-1, 2).T
+    b_cell, a_cell = h1_bond_cells(n, params.bc).T
     phi = 0.5 * params.theta1 * u.h1_coeffs
     sin_phi = np.sin(phi)
     cos0, sin0 = math.cos(params.theta0), math.sin(params.theta0)
     cos_a, cos_b = np.ones(n), np.ones(n)
-    cos_a[a_site // 2] = cos_b[b_site // 2] = np.cos(phi)
+    cos_a[a_cell] = cos_b[b_cell] = np.cos(phi)
     return (
         (cos0 * cos_a, -sin0 * sin_phi),
         (sin0 * cos_a, cos0 * sin_phi),
@@ -269,29 +266,17 @@ def quasienergy_states(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
     In the CS basis the timeframe operator Gamma G^dag Gamma G rotates each
     pair (v1, v2) by 2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector
     with quasienergy -+2 theta, and psi = exp(+i theta0 H0 / 2) phi that of U.
+    That factor acts within each cell as exp(i theta0 sigma_x), so psi is
+    assembled by cell_states with those orbitals, the 1 / sqrt(2) folded in.
     """
-    params = u.params
-    n = params.n_cells
     theta, v1, v2 = _cs_decomposition(u)
     eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
     order = np.argsort(eps)
-    column = np.empty(2 * n, dtype=int)
-    column[order] = np.arange(2 * n)
-    states = np.empty((2 * n, 2 * n), dtype=complex)
-    # per cell psi_A = cos(theta0) phi_A + i sin(theta0) phi_B and
-    # psi_B = i sin(theta0) phi_A + cos(theta0) phi_B; the 1 / sqrt(2) of phi
-    # is folded into the two coefficients
-    cos0 = math.cos(params.theta0) / math.sqrt(2.0)
-    sin0 = math.sin(params.theta0) / math.sqrt(2.0)
-    for sign, cols in ((-1.0, column[:n]), (1.0, column[n:])):
-        states.real[0::2, cols] = cos0 * v1
-        states.imag[0::2, cols] = sign * sin0 * v2
-        states.real[1::2, cols] = sign * cos0 * v2
-        states.imag[1::2, cols] = sin0 * v1
-    return eps[order], states
-
-
-timeframe_states = quasienergy_states
+    a = np.concatenate([v1, v1], axis=1)[:, order]
+    b = np.concatenate([-v2, v2], axis=1)[:, order]
+    cos0 = math.cos(u.params.theta0) / math.sqrt(2.0)
+    sin0 = math.sin(u.params.theta0) / math.sqrt(2.0)
+    return eps[order], cell_states(a, b, np.array([[cos0, 1.0j * sin0], [1.0j * sin0, cos0]]))
 
 
 def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.ndarray:
@@ -407,9 +392,7 @@ class PhaseLabel:
 
 
 def find_edge_modes(
-    params: DriveParams,
-    tol_mode: float = DEFAULT_TOL_MODE,
-    min_edge_weight: float = DEFAULT_MIN_EDGE_WEIGHT,
+    params: DriveParams, tol_mode: float = DEFAULT_TOL_MODE
 ) -> list[EdgeModeReport]:
     """Boundary modes of the open chain: localized states near quasienergy 0 or +-pi.
 
@@ -418,7 +401,7 @@ def find_edge_modes(
     localizing_rotation so that the modes at the two ends count apart; their
     quasienergies go to the rotated states one to one, in the order of the
     eigenvector each draws the most weight from.  A rotated state qualifies
-    when at least min_edge_weight of its probability sits on the outer 10% of
+    when at least MIN_EDGE_WEIGHT of its probability sits on the outer 10% of
     sites (5% per end).  Results are sorted by quasienergy.
     """
     if params.bc is not BoundaryCondition.OPEN:
@@ -435,7 +418,7 @@ def find_edge_modes(
         for value, state in zip(eps[idx], (states[:, idx] @ rotation[:, order]).T):
             weight = np.abs(state) ** 2
             edge_weight = float(weight[:n_edge].sum() + weight[-n_edge:].sum())
-            if edge_weight < min_edge_weight:
+            if edge_weight < MIN_EDGE_WEIGHT:
                 continue
             reports.append(
                 EdgeModeReport(
@@ -448,11 +431,7 @@ def find_edge_modes(
     return sorted(reports, key=lambda report: report.quasienergy)
 
 
-def classify_phase(
-    params: DriveParams,
-    tol_mode: float = DEFAULT_TOL_MODE,
-    min_edge_weight: float = DEFAULT_MIN_EDGE_WEIGHT,
-) -> PhaseLabel:
+def classify_phase(params: DriveParams, tol_mode: float = DEFAULT_TOL_MODE) -> PhaseLabel:
     """Label the drive point by its boundary-mode content (open chain is forced).
 
     Points where either bulk gap drops below 4 * tol_mode are refused with
@@ -465,7 +444,7 @@ def classify_phase(
             f"bulk gaps ({gap_zero:.4f} around 0, {gap_pi:.4f} around pi) too small to classify"
         )
     open_params = dataclasses.replace(params, bc=BoundaryCondition.OPEN)
-    modes = find_edge_modes(open_params, tol_mode=tol_mode, min_edge_weight=min_edge_weight)
+    modes = find_edge_modes(open_params, tol_mode=tol_mode)
     n_zero = sum(1 for m in modes if m.kind == "zero")
     n_pi = sum(1 for m in modes if m.kind == "pi")
     if n_zero >= 2 and n_pi >= 2:

@@ -148,8 +148,7 @@ class HermitianOperator:
         """Ascending energies and orthonormal eigenvector columns.
 
         For a block h = U S V^T the chiral chain has (u_k; -+v_k) / sqrt(2) in
-        the (a, b) orbitals at energy -+s_k, the same construction as the
-        driven chain's timeframe states.  A pair with s_k below the
+        the (a, b) orbitals at energy -+s_k.  A pair with s_k below the
         numerical-rank tolerance is degenerate to working precision; its zero
         modes come out sublattice-polarized, (u_k; 0) and (0; v_k).
         """
@@ -159,11 +158,21 @@ class HermitianOperator:
         mix = np.where(zero, 0.0, math.sqrt(0.5))
         a = np.concatenate([u * keep, (u * mix)[:, ::-1]], axis=1)
         b = np.concatenate([-vt.T * mix, (vt.T * keep)[:, ::-1]], axis=1)
-        states = np.empty((len(sigma), 2, 2 * len(sigma)), dtype=complex)
-        for row, (to_a, to_b) in zip(states.transpose(1, 0, 2), self.orbitals):
-            np.multiply(to_a, a, out=row)
-            row += to_b * b
-        return np.concatenate([-sigma, sigma[::-1]]), states.reshape(self.dim, self.dim)
+        return np.concatenate([-sigma, sigma[::-1]]), cell_states(a, b, self.orbitals)
+
+
+def cell_states(a: np.ndarray, b: np.ndarray, orbitals: np.ndarray) -> np.ndarray:
+    """State columns with a[i] times the a orbital and b[i] times the b orbital
+    (the columns of `orbitals`) in cell i, on rows 2i and 2i + 1.
+
+    The one state assembly of the chiral chains: the static chains pass their
+    cell orbitals, the drive its timeframe rotation (see quasienergy_states).
+    """
+    states = np.empty((len(a), 2, a.shape[1]), dtype=complex)
+    for row, (to_a, to_b) in zip(states.transpose(1, 0, 2), orbitals):
+        np.multiply(to_a, a, out=row)
+        row += to_b * b
+    return states.reshape(2 * len(a), a.shape[1])
 
 
 def sublattice_parity(dim: int) -> np.ndarray:
@@ -171,25 +180,17 @@ def sublattice_parity(dim: int) -> np.ndarray:
     return np.diag(np.where(np.arange(dim) % 2 == 0, 1.0, -1.0))
 
 
-def h0_bond_sites(n_cells: int) -> list[tuple[int, int]]:
-    """Site pairs coupled by the first drive step: the intra-cell bonds (2j, 2j+1).
+def h1_bond_cells(n_cells: int, bc: BoundaryCondition) -> np.ndarray:
+    """The second-step bonds as rows (B cell, A cell), in bond order.
 
-    They never cross the boundary, so the list is the same for both boundary
-    conditions.
+    Bond j joins the B site of cell j to the A site of cell (j + 1) mod N.
+    Open chains stop at j = N - 2, leaving the A site of cell 0 and the B site
+    of cell N - 1 without a second-step bond; periodic chains keep the
+    wrap-around bond j = N - 1.  The first-step bonds are the intra-cell
+    pairs (A_j, B_j) on both boundary conditions.
     """
-    return [(2 * j, 2 * j + 1) for j in range(n_cells)]
-
-
-def h1_bond_sites(n_cells: int, bc: BoundaryCondition) -> list[tuple[int, int]]:
-    """Site pairs coupled by the second drive step, in bond order.
-
-    Open chains stop at bond (2N-3, 2N-2), leaving sites 0 and 2N-1 without a
-    second-step bond; periodic chains append the wrap-around bond (2N-1, 0).
-    """
-    bonds = [(2 * j + 1, 2 * j + 2) for j in range(n_cells - 1)]
-    if bc is BoundaryCondition.PERIODIC:
-        bonds.append((2 * n_cells - 1, 0))
-    return bonds
+    b_cell = np.arange(n_cells if bc is BoundaryCondition.PERIODIC else n_cells - 1)
+    return np.stack([b_cell, (b_cell + 1) % n_cells], axis=1)
 
 
 def bond_coefficients(values: Sequence[float], n_bonds: int, bc: BoundaryCondition) -> np.ndarray:
@@ -206,23 +207,23 @@ def bond_coefficients(values: Sequence[float], n_bonds: int, bc: BoundaryConditi
 
 def hopping_block(diagonal: np.ndarray, bonds: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     """Real N x N block with diagonal[j] at h[j, j] and bonds[i] on bond i of
-    h1_bond_sites, at h[A cell, B cell]: h[j + 1, j], and h[0, N - 1] for the
+    h1_bond_cells, at h[A cell, B cell]: h[j + 1, j], and h[0, N - 1] for the
     periodic wrap.  So h is bidiagonal, cyclic for periodic chains."""
     h = np.diag(diagonal)
-    b_site, a_site = np.array(h1_bond_sites(len(h), bc), dtype=int).reshape(-1, 2).T
-    h[a_site // 2, b_site // 2] = bonds
+    b_cell, a_cell = h1_bond_cells(len(h), bc).T
+    h[a_cell, b_cell] = bonds
     return h
 
 
 def build_h0(params: DriveParams) -> HermitianOperator:
     """Hopping Hamiltonian of the first drive step: amplitude 2 on bonds (2j, 2j+1)."""
-    n_u = len(h1_bond_sites(params.n_cells, params.bc))
+    n_u = len(h1_bond_cells(params.n_cells, params.bc))
     return build_ssh_profile([2.0] * params.n_cells, [0.0] * n_u, params.bc)
 
 
 def build_h1(params: DriveParams) -> HermitianOperator:
     """Hopping Hamiltonian of the second drive step: amplitude 2 on bonds (2j+1, 2j+2)."""
-    return build_h1_scaled(params, [2.0] * len(h1_bond_sites(params.n_cells, params.bc)))
+    return build_h1_scaled(params, [2.0] * len(h1_bond_cells(params.n_cells, params.bc)))
 
 
 def build_h1_scaled(params: DriveParams, coeff_profile: Sequence[float]) -> HermitianOperator:
@@ -247,13 +248,13 @@ def build_ssh_profile(
     n_cells = len(v)
     if n_cells < 2:
         raise DimensionError(f"need at least 2 cells, got {n_cells}")
-    u = bond_coefficients(u_bonds, len(h1_bond_sites(n_cells, bc)), bc)
+    u = bond_coefficients(u_bonds, len(h1_bond_cells(n_cells, bc)), bc)
     return HermitianOperator(hopping_block(v, u, bc), SITE_ORBITALS)
 
 
 def build_ssh(params: SSHParams) -> HermitianOperator:
     """Uniform dimerized chain; equals (u/2) H1 + (v/2) H0 on the same site count."""
-    n_u = len(h1_bond_sites(params.n_cells, params.bc))
+    n_u = len(h1_bond_cells(params.n_cells, params.bc))
     return build_ssh_profile([params.v] * params.n_cells, [params.u] * n_u, params.bc)
 
 
@@ -281,10 +282,8 @@ def build_wd_profile(
     n_sites = len(mass)
     if n_sites < 2:
         raise DimensionError(f"n_sites must be >= 2, got {n_sites}")
-    # bond (x, x + 1) in site order; the last is the periodic wrap (N - 1, 0)
-    r_bond = 0.5 * (wilson + np.roll(wilson, -1))
-    n_bonds = len(h1_bond_sites(n_sites, bc))
-    h = hopping_block(mass + wilson, -r_bond[:n_bonds], bc)
+    left, right = h1_bond_cells(n_sites, bc).T
+    h = hopping_block(mass + wilson, -0.5 * (wilson[left] + wilson[right]), bc)
     return HermitianOperator(h, SPINOR_ORBITALS)
 
 

@@ -24,8 +24,7 @@ from .models import (
     HermitianOperator,
     build_ssh_profile,
     build_wd_profile,
-    h0_bond_sites,
-    h1_bond_sites,
+    h1_bond_cells,
 )
 from .doubling import solve_ssh_params, solve_wd_params
 
@@ -101,8 +100,8 @@ def h1_step_profile(n_cells: int, eta_left: float, eta_right: float, wall_site: 
     if QUARTER_PI + eta_left < 1e-9:
         raise EtaRangeError("eta_left = -pi/4 freezes the second drive step; no rescaling exists")
     right_coeff = 2.0 * (QUARTER_PI + eta_right) / (QUARTER_PI + eta_left)
-    bonds = h1_bond_sites(n_cells, BoundaryCondition.OPEN)
-    return np.array([2.0 if a < wall_site else right_coeff for a, _ in bonds])
+    b_cell, _ = h1_bond_cells(n_cells, BoundaryCondition.OPEN).T
+    return np.where(2 * b_cell + 1 < wall_site, 2.0, right_coeff)
 
 
 def build_floquet_wall(profile: DomainWallProfile, n_cells: int) -> UnitaryOperator:
@@ -132,14 +131,12 @@ def build_ssh_wall(profile: DomainWallProfile, n_cells: int) -> HermitianOperato
     """
     if profile.model is not WallModel.SSH:
         raise ValidationError(f"profile is for model {profile.model.value}, expected ssh")
-    n_sites = 2 * n_cells
-    wall = profile.wall_site(n_sites)
+    wall = profile.wall_site(2 * n_cells)
     left = solve_ssh_params(profile.eta_left)
     right = solve_ssh_params(profile.eta_right)
-    v_bonds = [left.v if a < wall else right.v for a, _ in h0_bond_sites(n_cells)]
-    u_bonds = [
-        left.u if a < wall else right.u for a, _ in h1_bond_sites(n_cells, BoundaryCondition.OPEN)
-    ]
+    b_cell, _ = h1_bond_cells(n_cells, BoundaryCondition.OPEN).T
+    v_bonds = np.where(2 * np.arange(n_cells) < wall, left.v, right.v)
+    u_bonds = np.where(2 * b_cell + 1 < wall, left.u, right.u)
     return build_ssh_profile(v_bonds, u_bonds, BoundaryCondition.OPEN)
 
 
@@ -204,28 +201,21 @@ def analytic_wall_state(eta: float, n_sites: int, wall_site: int | None = None) 
     return state / np.linalg.norm(state)
 
 
-def fit_localization_length(
-    amplitudes,
-    wall_position: int,
-    rel_floor: float = AMP_REL_FLOOR,
-    wall_exclusion: int = 2,
-    edge_fraction: float = 0.1,
-) -> tuple[float, float]:
+def fit_localization_length(amplitudes, wall_position: int) -> tuple[float, float]:
     """Decay lengths on both sides of a wall from log-linear least squares.
 
     Fits log(amplitude) against the distance from the wall on each side,
-    using sites with amplitude above rel_floor times the peak amplitude,
-    skipping wall_exclusion sites nearest the wall and the edge_fraction of
-    sites nearest each chain end.  Returns (xi_left, xi_right) with
-    xi = -1 / slope.
+    using sites with amplitude above AMP_REL_FLOOR times the peak amplitude,
+    skipping the 2 sites nearest the wall and the 10% of sites nearest each
+    chain end.  Returns (xi_left, xi_right) with xi = -1 / slope.
     """
     amps = np.asarray(amplitudes, dtype=float)
     n = len(amps)
-    n_edge = math.ceil(edge_fraction * n)
-    amp_floor = rel_floor * amps.max(initial=0.0)
+    n_edge = math.ceil(0.1 * n)
+    amp_floor = AMP_REL_FLOOR * amps.max(initial=0.0)
 
     def _side_fit(sites: np.ndarray, distances: np.ndarray, side: str) -> float:
-        keep = (distances >= wall_exclusion) & (amps[sites] > amp_floor)
+        keep = (distances >= 2) & (amps[sites] > amp_floor)
         keep &= (sites >= n_edge) & (sites < n - n_edge)
         if keep.sum() < 4:
             raise FitWindowError(f"only {int(keep.sum())} usable sites on the {side} side")

@@ -163,10 +163,10 @@ def test_bond_layout_of_the_walls(n_cells):
         # a bond takes the side of its left site
         on_left = [x < wall_site for x, _ in inter]
         coeffs = h1_step_profile(n_cells, eta_left, eta_right, wall_site)
-        np.testing.assert_array_equal(coeffs, [2.0 if l else right_coeff for l in on_left])
+        np.testing.assert_array_equal(coeffs, [2.0 if side else right_coeff for side in on_left])
         profile = DomainWallProfile(WallModel.SSH, eta_left, eta_right, wall_site)
         v = [left.v if x < wall_site else right.v for x, _ in intra]
-        u = [left.u if l else right.u for l in on_left]
+        u = [left.u if side else right.u for side in on_left]
         expected = symmetric_matrix(2 * n_cells, intra + inter, v + u)
         np.testing.assert_array_equal(build_ssh_wall(profile, n_cells).matrix, expected)
 

@@ -30,7 +30,7 @@ from floqlat.floquet import (
     localizing_rotation,
     timeframe_quasienergies,
 )
-from floqlat.models import h1_bond_sites
+from floqlat.models import h1_bond_cells
 from oracles import dense_quasienergies, dense_quasienergy_states, floquet_operator
 
 PI = np.pi
@@ -74,7 +74,7 @@ def drives(draw):
     bc = draw(st.sampled_from([OBC, PBC]))
     n_cells = draw(st.integers(2, 64))
     params = DriveParams(theta0, theta1, n_cells, bc)
-    n_bonds = len(h1_bond_sites(n_cells, bc))
+    n_bonds = len(h1_bond_cells(n_cells, bc))
     positive = st.floats(0.01, 4.0)
     profile = draw(st.sampled_from(["uniform", "random", "wall"]))
     if profile == "uniform":
@@ -134,7 +134,7 @@ def test_blocks_are_the_half_period_factor():
     # G = exp(-i theta1 H1 / 2) exp(-i theta0 H0 / 2)
     for bc in (OBC, PBC):
         params = DriveParams(0.37, 1.12, 7, bc)
-        coeffs = np.linspace(0.5, 3.0, len(h1_bond_sites(7, bc)))
+        coeffs = np.linspace(0.5, 3.0, len(h1_bond_cells(7, bc)))
         half = DriveParams(params.theta0 / 2, params.theta1 / 2, 7, bc)
         g = composed_drive_evolution(UnitaryOperator(half, coeffs))
         a, b, c, d = chiral_blocks(UnitaryOperator(params, coeffs))
@@ -229,7 +229,7 @@ def test_timeframe_states_on_random_wall_profiles(seed):
     rng = np.random.default_rng(seed)
     n_cells = 40
     for bc in (OBC, PBC):
-        n_bonds = len(h1_bond_sites(n_cells, bc))
+        n_bonds = len(h1_bond_cells(n_cells, bc))
         wall = rng.integers(1, n_bonds)
         left, right = rng.uniform(0.01, 4.0, size=2)
         coeffs = np.where(np.arange(n_bonds) < wall, left, right)
