@@ -3,23 +3,7 @@ discrete-time static counterparts (dimerized SSH and Wilson-Dirac chains)."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AsinDomainError,
-    CellCountError,
-    DimensionError,
-    DispersionDomainError,
-    EtaRangeError,
-    FitWindowError,
-    FloqlatError,
-    GaplessPointError,
-    LengthMismatchError,
-    NonPositiveMetricError,
-    NotUnitaryError,
-    NumericalError,
-    OffLineError,
-    ProfileLengthError,
-    ValidationError,
-)
+from .errors import FloqlatError, GaplessPointError, NumericalError, ValidationError
 from .models import (
     BoundaryCondition,
     DriveParams,

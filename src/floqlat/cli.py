@@ -191,12 +191,6 @@ def _drive_params(args) -> DriveParams:
 
 def cmd_spectrum(args) -> None:
     params = _drive_params(args)
-    spectrum = quasienergies(build_floquet(params))
-    analytic = None
-    if params.bc is BoundaryCondition.PERIODIC:
-        analytic = analytic_pbc_spectrum(params.theta0, params.theta1, params.n_cells)
-    header = ["index", "quasienergy", "analytic"]
-    columns = [spectrum.values, analytic]
     if args.map is not None:
         if args.cells % 4 != 0:
             raise ValidationError(
@@ -204,6 +198,13 @@ def cmd_spectrum(args) -> None:
             )
         if abs(params.theta0 - QUARTER_PI) > 1e-12:
             raise ValidationError(f"--map {args.map} requires theta0 = pi/4")
+    spectrum = quasienergies(build_floquet(params))
+    analytic = None
+    if params.bc is BoundaryCondition.PERIODIC:
+        analytic = analytic_pbc_spectrum(params.theta0, params.theta1, params.n_cells)
+    header = ["index", "quasienergy", "analytic"]
+    columns = [spectrum.values, analytic]
+    if args.map is not None:
         eta = params.theta1 - QUARTER_PI
         if params.bc is BoundaryCondition.PERIODIC:
             static = static_spectrum(eta, args.cells)
@@ -390,10 +391,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_angles(argv: list[str]) -> list[str]:
+    """Join an angle option to a following negative pi fraction ('--eta -pi/8' ->
+    '--eta=-pi/8'): argparse would take the value for an option flag."""
+    joined: list[str] = []
+    for token in argv:
+        if (joined and joined[-1] in ("--theta0", "--theta1", "--eta")
+                and token.startswith("-") and _ANGLE_RE.match(token.lower())):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_angles(sys.argv[1:] if argv is None else argv))
         _check_out(args.out)
         _check_dense_bytes(args)
         args.func(args)

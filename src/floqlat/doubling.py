@@ -16,13 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    AsinDomainError,
-    CellCountError,
-    LengthMismatchError,
-    OffLineError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .floquet import (
     QuasienergySpectrum,
     analytic_dispersion_line,
@@ -67,10 +61,10 @@ def partition_quasienergies(params: DriveParams) -> QuasienergySpectrum:
     if params.bc is not BoundaryCondition.PERIODIC:
         raise ValidationError("the spectrum partition is defined for periodic chains")
     if abs(params.theta0 - math.pi / 4.0) > LINE_ATOL:
-        raise OffLineError(f"theta0={params.theta0} is not pi/4")
+        raise ValidationError(f"theta0={params.theta0} is not pi/4")
     n = params.n_cells
     if n % 4 != 0:
-        raise CellCountError(f"n_cells must be a multiple of 4, got {n}")
+        raise ValidationError(f"n_cells must be a multiple of 4, got {n}")
     return QuasienergySpectrum(np.sort(_central_branches(params.theta1 - math.pi / 4.0, n)))
 
 
@@ -118,7 +112,7 @@ def static_spectrum(eta: float, floquet_cells: int) -> EnergySpectrum:
     diagonalization of either built chain to better than 1e-10.
     """
     if floquet_cells % 4 != 0 or floquet_cells < 4:
-        raise CellCountError(f"n_cells must be a positive multiple of 4, got {floquet_cells}")
+        raise ValidationError(f"n_cells must be a positive multiple of 4, got {floquet_cells}")
     return EnergySpectrum(np.sort(np.sin(_central_branches(eta, floquet_cells))))
 
 
@@ -131,7 +125,7 @@ def double_poles(spectrum: EnergySpectrum) -> PoleSpectrum:
     values = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
     overshoot = float(np.abs(values).max()) - 1.0 if values.size else 0.0
     if overshoot > ASIN_CLAMP:
-        raise AsinDomainError(f"|E| exceeds 1 by {overshoot:.3e}")
+        raise ValidationError(f"|E| exceeds 1 by {overshoot:.3e}")
     principal = np.arcsin(np.clip(values, -1.0, 1.0))
     doubled = np.concatenate([principal, fold_quasienergy(np.pi - principal)])
     return PoleSpectrum(np.sort(doubled))
@@ -149,7 +143,7 @@ def compare_spectra(a, b) -> float:
     av = np.sort(np.asarray(getattr(a, "values", a), dtype=float))
     bv = np.sort(np.asarray(getattr(b, "values", b), dtype=float))
     if av.shape != bv.shape:
-        raise LengthMismatchError(f"spectra have different lengths: {av.shape} vs {bv.shape}")
+        raise ValidationError(f"spectra have different lengths: {av.shape} vs {bv.shape}")
     if av.size == 0:
         return 0.0
     sorted_match = float(wrap_distance(av, bv).max())

@@ -13,49 +13,5 @@ class NumericalError(FloqlatError):
     """A numerical check failed during a computation (CLI exit code 3)."""
 
 
-class DimensionError(ValidationError):
-    """Matrix or chain dimension out of range."""
-
-
-class ProfileLengthError(ValidationError):
-    """Per-bond or per-site coupling profile has the wrong length."""
-
-
-class NotUnitaryError(NumericalError):
-    """Operator failed the unitarity check."""
-
-
-class DispersionDomainError(NumericalError):
-    """arccos argument outside [-1, 1] beyond the roundoff tolerance."""
-
-
 class GaplessPointError(FloqlatError):
     """Bulk gap too small to classify: the point sits on or near a phase boundary."""
-
-
-class OffLineError(ValidationError):
-    """Operation requires drive parameters on the symmetric-drive line theta0 = pi/4."""
-
-
-class CellCountError(ValidationError):
-    """Cell count must be a multiple of 4 for the doubling map."""
-
-
-class AsinDomainError(ValidationError):
-    """Energy outside [-1, 1] beyond the roundoff tolerance."""
-
-
-class LengthMismatchError(ValidationError):
-    """Spectra have different lengths."""
-
-
-class NonPositiveMetricError(ValidationError):
-    """Power-law fit requires strictly positive metric values."""
-
-
-class EtaRangeError(ValidationError):
-    """Detuning eta outside the valid range."""
-
-
-class FitWindowError(ValidationError):
-    """Too few usable points for a least-squares fit."""

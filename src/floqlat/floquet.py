@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DispersionDomainError,
-    GaplessPointError,
-    NotUnitaryError,
-    ValidationError,
-)
+from .errors import GaplessPointError, NumericalError, ValidationError
 from .models import (
     BoundaryCondition,
     DriveParams,
@@ -87,7 +82,7 @@ class UnitaryOperator:
         m = composed_drive_evolution(self)
         deviation = float(np.abs(m.conj().T @ m - np.eye(self.dim)).max())
         if not deviation < UNITARITY_ATOL:
-            raise NotUnitaryError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
+            raise NumericalError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
         m.flags.writeable = False
         return m
 
@@ -202,7 +197,7 @@ def _cs_angles(sigma_a: np.ndarray, sigma_c: np.ndarray) -> np.ndarray:
     """
     deviation = float(np.abs(sigma_a**2 + sigma_c**2 - 1.0).max())
     if not deviation < UNITARITY_ATOL:
-        raise NotUnitaryError(
+        raise NumericalError(
             f"chiral blocks are not a CS pair: max |sigma_a^2 + sigma_c^2 - 1| = {deviation:.3e}"
         )
     return np.arctan2(sigma_c, sigma_a)
@@ -295,7 +290,7 @@ def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.
 def _check_cos_domain(argument: np.ndarray) -> np.ndarray:
     overshoot = float(np.abs(argument).max()) - 1.0 if argument.size else 0.0
     if overshoot > ARCCOS_CLAMP:
-        raise DispersionDomainError(f"arccos argument outside [-1, 1] by {overshoot:.3e}")
+        raise NumericalError(f"arccos argument outside [-1, 1] by {overshoot:.3e}")
     return np.clip(argument, -1.0, 1.0)
 
 

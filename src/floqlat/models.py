@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ProfileLengthError, ValidationError
+from .errors import ValidationError
 
 _RANGE_SLACK = 1e-12
 
@@ -36,7 +36,7 @@ def _check_count(owner, name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < 2:
-        raise DimensionError(f"{name} must be >= 2, got {value}")
+        raise ValidationError(f"{name} must be >= 2, got {value}")
     object.__setattr__(owner, name, int(value))
 
 
@@ -120,7 +120,7 @@ class HermitianOperator:
         h = np.array(self.h, dtype=float)
         orbitals = np.array(self.orbitals, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or orbitals.shape != (2, 2):
-            raise DimensionError(
+            raise ValidationError(
                 f"expected a square block and 2 x 2 orbitals, got {h.shape} and {orbitals.shape}"
             )
         if not np.isfinite(h).all():
@@ -197,7 +197,7 @@ def bond_coefficients(values: Sequence[float], n_bonds: int, bc: BoundaryConditi
     """One finite float coefficient per bond, as a fresh array."""
     coeffs = np.array(values, dtype=float)
     if coeffs.shape != (n_bonds,):
-        raise ProfileLengthError(
+        raise ValidationError(
             f"expected {n_bonds} bond coefficients for bc={bc.value}, got {coeffs.shape}"
         )
     if not np.isfinite(coeffs).all():
@@ -247,7 +247,7 @@ def build_ssh_profile(
     v = np.asarray(v_bonds, dtype=float)
     n_cells = len(v)
     if n_cells < 2:
-        raise DimensionError(f"need at least 2 cells, got {n_cells}")
+        raise ValidationError(f"need at least 2 cells, got {n_cells}")
     u = bond_coefficients(u_bonds, len(h1_bond_cells(n_cells, bc)), bc)
     return HermitianOperator(hopping_block(v, u, bc), SITE_ORBITALS)
 
@@ -276,12 +276,12 @@ def build_wd_profile(
     mass = np.asarray(mass_profile, dtype=float)
     wilson = np.asarray(wilson_profile, dtype=float)
     if mass.shape != wilson.shape or mass.ndim != 1:
-        raise ProfileLengthError(
+        raise ValidationError(
             f"mass and Wilson profiles must be 1D of equal length, got {mass.shape} and {wilson.shape}"
         )
     n_sites = len(mass)
     if n_sites < 2:
-        raise DimensionError(f"n_sites must be >= 2, got {n_sites}")
+        raise ValidationError(f"n_sites must be >= 2, got {n_sites}")
     left, right = h1_bond_cells(n_sites, bc).T
     h = hopping_block(mass + wilson, -0.5 * (wilson[left] + wilson[right]), bc)
     return HermitianOperator(h, SPINOR_ORBITALS)

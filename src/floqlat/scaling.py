@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CellCountError, FitWindowError, NonPositiveMetricError, ValidationError
+from .errors import ValidationError
 from .doubling import (
     EnergySpectrum,
     compare_spectra,
@@ -54,7 +54,7 @@ class ScalingRun:
         if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValidationError("sizes must be strictly increasing")
         if any(n % 4 != 0 for n in self.sizes):
-            raise CellCountError(f"all sizes must be multiples of 4, got {self.sizes}")
+            raise ValidationError(f"all sizes must be multiples of 4, got {self.sizes}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class PowerLawFit:
 def _validate_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     sizes = tuple(int(n) for n in sizes)
     if any(n % 4 != 0 or n < 8 for n in sizes):
-        raise CellCountError(f"sizes must be multiples of 4 (and >= 8), got {sizes}")
+        raise ValidationError(f"sizes must be multiples of 4 (and >= 8), got {sizes}")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValidationError("sizes must be strictly increasing")
     return sizes
@@ -150,9 +150,9 @@ def fit_power_law(run: ScalingRun) -> PowerLawFit:
     """Ordinary least squares of log(metric) against log(1/N)."""
     metrics = np.asarray(run.metric_values, dtype=float)
     if len(metrics) < 4:
-        raise FitWindowError(f"power-law fit needs at least 4 points, got {len(metrics)}")
+        raise ValidationError(f"power-law fit needs at least 4 points, got {len(metrics)}")
     if np.any(metrics <= 0.0):
-        raise NonPositiveMetricError("all metric values must be positive for a log-log fit")
+        raise ValidationError("all metric values must be positive for a log-log fit")
     x = -np.log(np.asarray(run.sizes, dtype=float))
     y = np.log(metrics)
     slope, intercept = np.polyfit(x, y, 1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EtaRangeError, FitWindowError, ValidationError
+from .errors import ValidationError
 from .floquet import UnitaryOperator, localizing_rotation, quasienergy_states
 from .models import (
     BoundaryCondition,
@@ -58,7 +58,7 @@ class DomainWallProfile:
         for name in ("eta_left", "eta_right"):
             value = getattr(self, name)
             if not abs(value) <= QUARTER_PI + 1e-12:
-                raise EtaRangeError(f"{name}={value} outside [-pi/4, pi/4]")
+                raise ValidationError(f"{name}={value} outside [-pi/4, pi/4]")
 
     def wall_site(self, n_sites: int) -> int:
         if self.wall_position is None:
@@ -98,7 +98,7 @@ def h1_step_profile(n_cells: int, eta_left: float, eta_right: float, wall_site: 
     coefficient 2 (the wall bond takes the left value).
     """
     if QUARTER_PI + eta_left < 1e-9:
-        raise EtaRangeError("eta_left = -pi/4 freezes the second drive step; no rescaling exists")
+        raise ValidationError("eta_left = -pi/4 freezes the second drive step; no rescaling exists")
     right_coeff = 2.0 * (QUARTER_PI + eta_right) / (QUARTER_PI + eta_left)
     b_cell, _ = h1_bond_cells(n_cells, BoundaryCondition.OPEN).T
     return np.where(2 * b_cell + 1 < wall_site, 2.0, right_coeff)
@@ -176,7 +176,7 @@ def analytic_wd_zero_mode(eta: float, x_range: tuple[int, int]) -> BoundState:
     Both localization lengths equal -1 / log of the decaying factor.
     """
     if not 0.0 < eta < QUARTER_PI:
-        raise EtaRangeError(f"eta={eta} outside (0, pi/4)")
+        raise ValidationError(f"eta={eta} outside (0, pi/4)")
     lo, hi = int(x_range[0]), int(x_range[1])
     if lo > hi:
         raise ValidationError(f"empty position window ({lo}, {hi})")
@@ -218,7 +218,7 @@ def fit_localization_length(amplitudes, wall_position: int) -> tuple[float, floa
         keep = (distances >= 2) & (amps[sites] > amp_floor)
         keep &= (sites >= n_edge) & (sites < n - n_edge)
         if keep.sum() < 4:
-            raise FitWindowError(f"only {int(keep.sum())} usable sites on the {side} side")
+            raise ValidationError(f"only {int(keep.sum())} usable sites on the {side} side")
         slope = np.polyfit(distances[keep], np.log(amps[sites[keep]]), 1)[0]
         return -1.0 / slope
 

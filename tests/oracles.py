@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from floqlat import HermitianOperator, NotUnitaryError, QuasienergySpectrum, fold_quasienergy
+from floqlat import HermitianOperator, NumericalError, QuasienergySpectrum, fold_quasienergy
 
 EIGENVALUE_UNIT_TOL = 1e-6
 
@@ -25,7 +25,7 @@ def floquet_operator(
 def _on_unit_circle(lam: np.ndarray) -> np.ndarray:
     deviation = float(np.abs(np.abs(lam) - 1.0).max())
     if not deviation <= EIGENVALUE_UNIT_TOL:
-        raise NotUnitaryError(f"eigenvalues leave the unit circle by {deviation:.3e}")
+        raise NumericalError(f"eigenvalues leave the unit circle by {deviation:.3e}")
     return lam
 
 

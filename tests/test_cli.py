@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floqlat import ValidationError, analytic_wd_zero_mode, cli
+from floqlat import GaplessPointError, NumericalError, ValidationError, analytic_wd_zero_mode, cli
 from floqlat.cli import MAX_DENSE_BYTES, dense_bytes, main, parse_angle, parse_sizes
 
 PI = np.pi
@@ -73,6 +73,45 @@ def test_out_of_window_phase_exits_2(tmp_path, capsys):
     assert "pi/2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map", "--cells", "16", "--target", "ssh"],
+        ["domainwall", "--cells", "40", "--model", "ssh"],
+        ["scaling", "--config", "obc", "--target", "ssh", "--sizes", "16,24,32,48"],
+    ],
+)
+def test_negative_pi_fraction_may_follow_its_option(tmp_path, argv):
+    joined, separate = tmp_path / "joined.csv", tmp_path / "separate.csv"
+    assert main(argv + ["--eta=-pi/8", "--out", str(joined)]) == 0
+    assert main(argv + ["--eta", "-pi/8", "--out", str(separate)]) == 0
+    assert separate.read_bytes() == joined.read_bytes()
+
+
+def test_console_script_reads_a_separate_negative_angle(tmp_path, monkeypatch):
+    out = tmp_path / "map.csv"
+    monkeypatch.setattr(sys, "argv", ["floqlat", "map", "--eta", "-pi/8", "--cells", "16",
+                                      "--target", "ssh", "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == 0
+    assert parse_meta(read_lines(out)[0])["eta"] == f"{-PI / 8:.11e}"
+
+
+def test_angle_option_missing_its_value_exits_2(tmp_path, capsys):
+    code = main(["map", "--eta", "--cells", "16", "--target", "ssh",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "argument --eta: expected one argument" in capsys.readouterr().err
+
+
+def test_separate_negative_phase_is_range_checked(tmp_path, capsys):
+    code = main(["spectrum", "--theta0", "0.3", "--theta1", "-pi/8", "--cells", "4",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "outside [0, pi/2]" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -110,12 +149,29 @@ def test_spectrum_open_chain_has_blank_analytic_column(tmp_path):
     assert all(r[2] == "" for r in rows)
 
 
-def test_spectrum_map_validates_cell_count(tmp_path, capsys):
+def _refuse_to_solve(monkeypatch):
+    monkeypatch.setattr(cli, "quasienergies", lambda op: pytest.fail("solved before the check"))
+
+
+def test_spectrum_map_validates_cell_count(tmp_path, capsys, monkeypatch):
+    _refuse_to_solve(monkeypatch)
     out = tmp_path / "bad.csv"
     code = main(["spectrum", "--theta0", "pi/4", "--theta1", "3pi/8", "--cells", "6",
                  "--map", "ssh", "--out", str(out)])
     assert code == 2
-    assert "multiple of 4" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: --map ssh requires --cells to be a multiple of 4, got 6\n"
+    )
+    assert not out.exists()
+
+
+def test_spectrum_map_requires_the_symmetric_line(tmp_path, capsys, monkeypatch):
+    _refuse_to_solve(monkeypatch)
+    out = tmp_path / "bad.csv"
+    code = main(["spectrum", "--theta0", "0.3", "--theta1", "1.0", "--cells", "8",
+                 "--map", "ssh", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --map ssh requires theta0 = pi/4\n"
     assert not out.exists()
 
 
@@ -381,6 +437,20 @@ def test_out_fifo_is_refused_and_left_alone(tmp_path, capsys, monkeypatch):
     assert "not a regular file" in capsys.readouterr().err
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fifo"]
+
+
+@pytest.mark.parametrize("error", [NumericalError, GaplessPointError])
+def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, error):
+    message = "matrix is not unitary: max |U^dag U - 1| = 1.000e-03"
+
+    def fail(op):
+        raise error(message)
+
+    monkeypatch.setattr(cli, "quasienergies", fail)
+    out = tmp_path / "x.csv"
+    assert main(SPECTRUM_ARGV + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_out_directory_is_refused(tmp_path, capsys, monkeypatch):

@@ -5,10 +5,8 @@ from hypothesis import strategies as st
 
 from floqlat import (
     BoundaryCondition,
-    DimensionError,
     DriveParams,
     HermitianOperator,
-    ProfileLengthError,
     SSHParams,
     ValidationError,
     WDParams,
@@ -112,9 +110,9 @@ def test_h1_scaled_step_profile():
 
 
 def test_h1_scaled_rejects_wrong_length():
-    with pytest.raises(ProfileLengthError):
+    with pytest.raises(ValidationError, match="expected 3 bond coefficients for bc=obc"):
         build_h1_scaled(drive(4, OBC), [2.0] * 4)  # OBC has N - 1 bonds
-    with pytest.raises(ProfileLengthError):
+    with pytest.raises(ValidationError, match="expected 4 bond coefficients for bc=pbc"):
         build_h1_scaled(drive(4, PBC), [2.0] * 3)
 
 
@@ -216,9 +214,9 @@ def test_ssh_profile_builder():
     uniform = build_ssh_profile([0.3] * 4, [0.7] * 4, PBC)
     reference = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=4, bc=PBC))
     assert np.abs(uniform.matrix - reference.matrix).max() == 0.0
-    with pytest.raises(ProfileLengthError):
+    with pytest.raises(ValidationError, match="expected 2 bond coefficients for bc=obc"):
         build_ssh_profile([0.5, 0.5, 0.5], [0.5], OBC)  # OBC expects n_cells - 1
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="need at least 2 cells"):
         build_ssh_profile([0.5], [], OBC)
 
 
@@ -254,14 +252,14 @@ def test_wd_positive_mass_has_no_midgap_state():
 
 
 def test_wd_requires_two_sites():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="n_sites must be >= 2"):
         WDParams(m=0.1, r=0.5, n_sites=1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="n_sites must be >= 2"):
         build_wd_profile([0.1], [0.5], OBC)
 
 
 def test_wd_profile_rejects_mismatched_lengths():
-    with pytest.raises(ProfileLengthError):
+    with pytest.raises(ValidationError, match="mass and Wilson profiles must be 1D of equal length"):
         build_wd_profile([0.1, 0.1], [0.5], OBC)
 
 
@@ -327,7 +325,7 @@ def test_drive_params_validation():
         DriveParams(theta0=-0.2, theta1=0.1, n_cells=4)
     with pytest.raises(ValidationError):
         DriveParams(theta0=0.1, theta1=2.0, n_cells=4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="n_cells must be >= 2"):
         DriveParams(theta0=0.1, theta1=0.1, n_cells=1)
 
 
@@ -472,9 +470,9 @@ def test_block_operator_forms_its_matrix_on_demand():
 
 
 def test_hermitian_operator_checks_block_and_orbital_shapes():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="expected a square block and 2 x 2 orbitals"):
         HermitianOperator(np.ones((2, 3)), np.eye(2))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValidationError, match="expected a square block and 2 x 2 orbitals"):
         HermitianOperator(np.eye(2), np.eye(3))
 
 

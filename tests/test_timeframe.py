@@ -9,9 +9,9 @@ from floqlat import (
     BoundaryCondition,
     DomainWallProfile,
     DriveParams,
-    NotUnitaryError,
-    ProfileLengthError,
+    NumericalError,
     UnitaryOperator,
+    ValidationError,
     WallModel,
     build_floquet,
     build_floquet_wall,
@@ -101,7 +101,7 @@ def test_timeframe_matches_dense_oracle(drive):
 def test_blocks_off_the_cs_identity_are_refused(drive, offset, sign):
     a, _, c, _ = chiral_blocks(drive)
     scale = 1.0 + sign * offset  # shifts sigma_a^2 + sigma_c^2 to scale^2 everywhere
-    with pytest.raises(NotUnitaryError):
+    with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
         timeframe_quasienergies(scale * a, scale * c)
 
 
@@ -116,7 +116,7 @@ def test_single_entry_perturbation_is_refused(drive, data):
     a[i, j] += delta
     # sum_k (sigma_a^2 + sigma_c^2 - 1) = |a|_F^2 + |c|_F^2 - N grows by
     # 2 delta a[i, j] + delta^2 >= 1e-6, so some pair is off by >= 1e-6 / N
-    with pytest.raises(NotUnitaryError):
+    with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
         timeframe_quasienergies(a, c)
 
 
@@ -168,7 +168,7 @@ def test_dense_matrix_is_formed_on_demand():
 
 
 def test_drive_checks_profile_length():
-    with pytest.raises(ProfileLengthError):
+    with pytest.raises(ValidationError, match="expected 3 bond coefficients for bc=obc"):
         UnitaryOperator(DriveParams(0.3, 0.7, 4, OBC), [2.0] * 4)  # open chains have N - 1 bonds
     np.testing.assert_array_equal(
         UnitaryOperator(DriveParams(0.3, 0.7, 4, PBC)).h1_coeffs, [2.0] * 4

@@ -7,8 +7,6 @@ from floqlat import (
     BoundaryCondition,
     DomainWallProfile,
     DriveParams,
-    EtaRangeError,
-    FitWindowError,
     ValidationError,
     WallModel,
     analytic_wall_state,
@@ -73,7 +71,7 @@ def test_floquet_wall_model_check():
 
 
 def test_wall_profile_rejects_nan_detuning():
-    with pytest.raises(EtaRangeError):
+    with pytest.raises(ValidationError, match=r"eta_left=nan outside \[-pi/4, pi/4\]"):
         wall(WallModel.SSH, np.nan, 0.1)
 
 
@@ -172,9 +170,9 @@ def test_analytic_zero_mode_values():
 
 
 def test_analytic_zero_mode_eta_range():
-    with pytest.raises(EtaRangeError):
+    with pytest.raises(ValidationError, match=r"eta=-0\.1 outside \(0, pi/4\)"):
         analytic_wd_zero_mode(-0.1, (-5, 5))
-    with pytest.raises(EtaRangeError):
+    with pytest.raises(ValidationError, match=r"outside \(0, pi/4\)"):
         analytic_wd_zero_mode(PI / 4 + 0.01, (-5, 5))
 
 
@@ -219,7 +217,7 @@ def test_fit_recovers_synthetic_decay():
 
 
 def test_fit_needs_enough_sites():
-    with pytest.raises(FitWindowError):
+    with pytest.raises(ValidationError, match="usable sites on the left side"):
         fit_localization_length(np.exp(-np.abs(np.arange(-4, 5))), wall_position=4)
 
 
