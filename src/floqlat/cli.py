@@ -30,7 +30,13 @@ from .doubling import (
     solve_wd_params,
     static_spectrum,
 )
-from .floquet import analytic_pbc_spectrum, build_floquet, classify_phase, quasienergies
+from .floquet import (
+    LINE_ATOL,
+    analytic_pbc_spectrum,
+    build_floquet,
+    classify_phase,
+    quasienergies,
+)
 from .models import BoundaryCondition, DriveParams
 from .scaling import (
     MapTarget,
@@ -196,7 +202,7 @@ def cmd_spectrum(args) -> None:
             raise ValidationError(
                 f"--map {args.map} requires --cells to be a multiple of 4, got {args.cells}"
             )
-        if abs(params.theta0 - QUARTER_PI) > 1e-12:
+        if abs(params.theta0 - QUARTER_PI) > LINE_ATOL:
             raise ValidationError(f"--map {args.map} requires theta0 = pi/4")
     spectrum = quasienergies(build_floquet(params))
     analytic = None

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .floquet import (
+    LINE_ATOL,
     QuasienergySpectrum,
     analytic_dispersion_line,
     fold_quasienergy,
@@ -25,7 +26,6 @@ from .floquet import (
 )
 from .models import BoundaryCondition, DriveParams
 
-LINE_ATOL = 1e-12
 ASIN_CLAMP = 1e-12
 
 

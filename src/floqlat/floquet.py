@@ -6,9 +6,11 @@ lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 [-pi, pi); values within 1e-12 of +pi fold to -pi.
 
 The one-period operator is kept as the drive's bond data and solved in the
-chiral timeframe: the spectrum from two N x N singular-value problems, the
-eigenvectors from the CS decomposition of the same real blocks.  The dense
-2N x 2N matrix is formed only when it is read.
+chiral timeframe: the spectrum from two N x N singular-value problems, or one
+on pi-paired drives (theta0 = pi/4 on an open or even periodic chain, where
+both blocks share their singular values), the eigenvectors from the CS
+decomposition of the same real blocks.  The dense 2N x 2N matrix is formed
+only when it is read.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .models import (
 )
 
 FOLD_ATOL = 1e-12
+LINE_ATOL = 1e-12
 UNITARITY_ATOL = 1e-10
 ARCCOS_CLAMP = 1e-12
 
@@ -152,6 +155,28 @@ def build_floquet(params: DriveParams) -> UnitaryOperator:
     return UnitaryOperator(params)
 
 
+def is_pi_paired(params: DriveParams) -> bool:
+    """Whether the spectrum is closed under eps -> pi - eps for every bond
+    profile: theta0 is pi/4 (the float nearest it), on an open chain or on a
+    periodic chain with an even number of cells.
+
+    At theta0 = pi/4 the first step exp(-i theta0 H0) is -i X, where X swaps
+    A_j and B_j in every cell.  The diagonal V with (-1)^j on A_j and -(-1)^j
+    on B_j anticommutes with X, and its signs agree across every second-step
+    bond B_j - A_(j+1), so it commutes with H1 whatever the bond profile.
+    Hence V U V^dag = -U, and with the chiral symmetry eps -> -eps the
+    spectrum is closed under eps -> pi - eps.  In the timeframe that reads
+    {theta} = {pi/2 - theta}, so the chiral blocks a and c have the same
+    singular values.  The periodic wrap bond B_(N-1) - A_0 keeps the signs in
+    agreement only when (-1)^N = 1.
+
+    A theta0 that is within LINE_ATOL of pi/4 but not on it does not count:
+    read as paired, its quasienergies would move by a few times the offset,
+    more than the 1e-12 to which quasienergies and quasienergy_states agree.
+    """
+    return params.theta0 == math.pi / 4.0 and (params.bc is BoundaryCondition.OPEN or params.n_cells % 2 == 0)
+
+
 def chiral_blocks(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Real N x N blocks a, b, c, d of the half-period factor G in the real form
     S G S^-1 = [[a, -b], [c, d]], S = diag(1_A, i 1_B).
@@ -203,7 +228,7 @@ def _cs_angles(sigma_a: np.ndarray, sigma_c: np.ndarray) -> np.ndarray:
     return np.arctan2(sigma_c, sigma_a)
 
 
-def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def timeframe_quasienergies(a: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
     """Unsorted, unfolded quasienergies +-2 atan2(sigma_c, sigma_a) of the chiral blocks.
 
     Both drive steps flip sign under the sublattice operator Gamma, so U is
@@ -212,10 +237,15 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     Its eigenphases are +-2 theta_k, where theta_k are the principal angles
     between the A sublattice and its image under G^dag: cos theta_k are the
     singular values of a (descending) and sin theta_k those of c (ascending).
+
+    c = None stands for a pi-paired drive (is_pi_paired), whose block c has
+    the singular values of a: sigma_c is then sigma_a reversed, with no second
+    SVD, and the CS check tests that pairing.  Small theta still come from
+    small singular values, which are accurate in absolute terms.
     """
     sigma_a = np.linalg.svd(a, compute_uv=False)
-    sigma_c = np.linalg.svd(c, compute_uv=False)[::-1]
-    eps = 2.0 * _cs_angles(sigma_a, sigma_c)
+    sigma_c = sigma_a if c is None else np.linalg.svd(c, compute_uv=False)
+    eps = 2.0 * _cs_angles(sigma_a, sigma_c[::-1])
     return np.concatenate([-eps, eps])
 
 
@@ -248,10 +278,13 @@ def _cs_decomposition(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.nd
 
 def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
     """Sorted quasienergies -arg(lambda) of the one-period operator's eigenvalues,
-    solved in the chiral timeframe from two N x N singular-value problems."""
+    solved in the chiral timeframe from the singular values of the N x N
+    blocks a and c, or of a alone when the drive is pi-paired (is_pi_paired),
+    in which case block c is never built."""
     a, _, c, _ = _chiral_entries(u)
     bc = u.params.bc
-    eps = timeframe_quasienergies(hopping_block(*a, bc), hopping_block(*c, bc).T)
+    c_block = None if is_pi_paired(u.params) else hopping_block(*c, bc).T
+    eps = timeframe_quasienergies(hopping_block(*a, bc), c_block)
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 

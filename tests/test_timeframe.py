@@ -25,8 +25,11 @@ from floqlat import (
 )
 from floqlat import floquet
 from floqlat.floquet import (
+    LINE_ATOL,
     chiral_blocks,
     composed_drive_evolution,
+    fold_quasienergy,
+    is_pi_paired,
     localizing_rotation,
     timeframe_quasienergies,
 )
@@ -55,11 +58,21 @@ def _clip(theta):
     return float(min(max(theta, 0.0), PI / 2))
 
 
+# theta1 on the symmetric line: generic, or within 1e-6 of pi/4, where both gaps close
+line_theta1 = st.one_of(
+    st.floats(0.0, PI / 2), st.floats(-LINE_OFFSET, LINE_OFFSET).map(lambda x: PI / 4 + x)
+)
+
+
 @st.composite
 def drive_angles(draw):
-    """Generic points, plus points within 1e-6 of the gap-closing lines
-    theta1 = theta0 and theta0 + theta1 = pi/2."""
-    kind = draw(st.sampled_from(["generic", "diagonal", "antidiagonal"]))
+    """Generic points, points within 1e-6 of the gap-closing lines
+    theta1 = theta0 and theta0 + theta1 = pi/2, and points with theta0 = pi/4
+    exactly or within LINE_ATOL of it."""
+    kind = draw(st.sampled_from(["generic", "diagonal", "antidiagonal", "line"]))
+    if kind == "line":
+        offset = draw(st.one_of(st.just(0.0), st.floats(-LINE_ATOL, LINE_ATOL)))
+        return PI / 4 + offset, draw(line_theta1)
     theta0 = draw(st.floats(0.0, PI / 2))
     if kind == "generic":
         return theta0, draw(st.floats(0.0, PI / 2))
@@ -69,8 +82,8 @@ def drive_angles(draw):
 
 
 @st.composite
-def drives(draw):
-    theta0, theta1 = draw(drive_angles())
+def drives(draw, angles=drive_angles()):
+    theta0, theta1 = draw(angles)
     bc = draw(st.sampled_from([OBC, PBC]))
     n_cells = draw(st.integers(2, 64))
     params = DriveParams(theta0, theta1, n_cells, bc)
@@ -94,6 +107,72 @@ def test_timeframe_matches_dense_oracle(drive):
     fast = quasienergies(drive).values
     assert fast.shape == (drive.params.n_sites,)
     assert compare_spectra(fast, dense_oracle(drive.params, drive.h1_coeffs)) < ORACLE_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drive=drives(st.tuples(st.just(PI / 4), line_theta1)).filter(
+        lambda drive: is_pi_paired(drive.params)
+    )
+)
+def test_one_svd_matches_both_svds_on_pi_paired_drives(drive):
+    a, _, c, _ = chiral_blocks(drive)
+    both = fold_quasienergy(timeframe_quasienergies(a, c))
+    assert compare_spectra(quasienergies(drive).values, both) <= 1e-12
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the np.linalg.svd calls made while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def _random_drive(theta0, n_cells, bc, seed=0):
+    coeffs = np.random.default_rng(seed).uniform(0.01, 4.0, len(h1_bond_cells(n_cells, bc)))
+    return UnitaryOperator(DriveParams(theta0, 0.6, n_cells, bc), coeffs)
+
+
+@pytest.mark.parametrize(
+    "drive, n_svd",
+    [
+        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 12), 1),
+        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 13), 1),
+        (_random_drive(PI / 4, 12, PBC), 1),
+        (_random_drive(PI / 4, 7, PBC), 2),  # the wrap bond breaks the pairing
+        (_random_drive(PI / 4 + 1e-9, 12, OBC), 2),
+        (_random_drive(PI / 4 + 1e-9, 12, PBC), 2),
+        (_random_drive(PI / 4 + 0.5 * LINE_ATOL, 12, OBC), 2),  # near the line is not on it
+    ],
+)
+def test_pi_paired_drives_need_one_svd(drive, n_svd, svd_calls):
+    assert is_pi_paired(drive.params) is (n_svd == 1)
+    fast = quasienergies(drive).values
+    assert svd_calls == [(drive.params.n_cells,) * 2] * n_svd
+    assert compare_spectra(fast, dense_quasienergies(drive.matrix).values) < ORACLE_TOL
+
+
+def test_odd_periodic_chain_on_the_line_is_not_pi_paired():
+    a, _, c, _ = chiral_blocks(_random_drive(PI / 4, 7, PBC))
+    sigma_a, sigma_c = (np.linalg.svd(block, compute_uv=False) for block in (a, c))
+    assert np.abs(sigma_a - sigma_c).max() > 1e-3
+    with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
+        timeframe_quasienergies(a)  # read as paired, it fails the CS check
+
+
+def test_near_line_drive_read_as_paired_misses_by_more_than_1e_12():
+    # within LINE_ATOL of pi/4 the CS check passes, but the one-SVD reading is
+    # off the two-SVD spectrum by a few times the offset
+    a, _, c, _ = chiral_blocks(_random_drive(PI / 4 + LINE_ATOL, 12, OBC))
+    paired = fold_quasienergy(timeframe_quasienergies(a))
+    assert compare_spectra(paired, fold_quasienergy(timeframe_quasienergies(a, c))) > 1e-12
 
 
 @settings(max_examples=100, deadline=None)
