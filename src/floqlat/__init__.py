@@ -37,8 +37,8 @@ from .floquet import (
     classify_phase,
     find_edge_modes,
     fold_quasienergy,
+    mode_states,
     quasienergies,
-    quasienergy_states,
     wrap_distance,
 )
 from .doubling import (

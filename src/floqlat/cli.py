@@ -165,11 +165,12 @@ def dense_bytes(command: str, cells: int) -> int:
     """Estimated peak bytes of the dense arrays of one subcommand at N = cells.
 
     Per N^2 it is the peak of the largest solve, measured at N = 800: spectra
-    (spectrum, map, scaling) keep a few real N x N blocks, 32 N^2; eigenvectors
-    (phase-diagram, domainwall) add the singular vectors and the complex
-    2N x 2N states, 192 N^2.
+    and phase counts (spectrum, map, scaling, phase-diagram) keep a few real
+    N x N blocks, 32 N^2; domainwall, the largest of its three models (the
+    static walls, whose singular vectors fill complex 2N x 2N states),
+    192 N^2.
     """
-    return (192 if command in ("phase-diagram", "domainwall") else 32) * cells**2
+    return (192 if command == "domainwall" else 32) * cells**2
 
 
 def _check_dense_bytes(args) -> None:

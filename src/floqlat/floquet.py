@@ -8,9 +8,9 @@ lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 The one-period operator is kept as the drive's bond data and solved in the
 chiral timeframe: the spectrum from two N x N singular-value problems, or one
 on pi-paired drives (theta0 = pi/4 on an open or even periodic chain, where
-both blocks share their singular values), the eigenvectors from the CS
-decomposition of the same real blocks.  The dense 2N x 2N matrix is formed
-only when it is read.
+both blocks share their singular values), and the 0 (pi) modes with their
+eigenvectors from the singular vectors of block c (a) alone.  The dense
+2N x 2N matrix is formed only when it is read.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class UnitaryOperator:
     parameters and one coefficient per second-step bond (in h1_bond_cells
     order; None means the native 2 on every bond).
 
-    `quasienergies` and `quasienergy_states` work from the bond data alone;
+    `quasienergies` and `mode_states` work from the bond data alone;
     the dense matrix is formed, and checked for unitarity, only when `matrix`
     is first read.
     """
@@ -172,7 +172,7 @@ def is_pi_paired(params: DriveParams) -> bool:
 
     A theta0 that is within LINE_ATOL of pi/4 but not on it does not count:
     read as paired, its quasienergies would move by a few times the offset,
-    more than the 1e-12 to which quasienergies and quasienergy_states agree.
+    more than the 1e-12 to which quasienergies and mode_states agree.
     """
     return params.theta0 == math.pi / 4.0 and (params.bc is BoundaryCondition.OPEN or params.n_cells % 2 == 0)
 
@@ -220,7 +220,7 @@ def _cs_angles(sigma_a: np.ndarray, sigma_c: np.ndarray) -> np.ndarray:
     The pairing rests on the CS identity sigma_a^2 + sigma_c^2 = 1, which is
     checked in place of the dense U^dag U test.
     """
-    deviation = float(np.abs(sigma_a**2 + sigma_c**2 - 1.0).max())
+    deviation = float(np.abs(sigma_a**2 + sigma_c**2 - 1.0).max(initial=0.0))
     if not deviation < UNITARITY_ATOL:
         raise NumericalError(
             f"chiral blocks are not a CS pair: max |sigma_a^2 + sigma_c^2 - 1| = {deviation:.3e}"
@@ -249,33 +249,6 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray | None = None) -> np.nd
     return np.concatenate([-eps, eps])
 
 
-def _cs_decomposition(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Principal angles theta and the right factors V1, V2 of the CS
-    decomposition of the chiral blocks.
-
-    The real form [[a, -b], [c, d]] of G is orthogonal, so a = U1 C V1^T,
-    b = U1 S V2^T, c = U2 S V1^T and d = U2 C V2^T with C = cos theta and
-    S = sin theta (Van Loan, Numer. Math. 46, 479 (1985)).  numpy has no CS
-    decomposition, so it is assembled from two SVDs: pairs with small sigma_c
-    come from svd(c), with v2 = d^T u2 / sigma_a, and pairs with small sigma_a
-    from svd(a), with v2 = b^T u1 / sigma_c.  The two groups are split at the
-    widest gap of sigma_a inside [1/2, sqrt(3)/2], so every division is by at
-    least about 1/2 and no degenerate pair is cut in two.
-    """
-    a, b, c, d = chiral_blocks(u)
-    u1, sigma_a, v1_from_a = np.linalg.svd(a)
-    u2, sigma_c, v1_from_c = np.linalg.svd(c)
-    u2, sigma_c, v1_from_c = u2[:, ::-1], sigma_c[::-1], v1_from_c[::-1]
-    theta = _cs_angles(sigma_a, sigma_c)
-    lo, hi = 0.5, 0.5 * math.sqrt(3.0)
-    edges = np.concatenate([[hi], sigma_a[(sigma_a > lo) & (sigma_a < hi)], [lo]])
-    widest = int(np.argmax(edges[:-1] - edges[1:]))
-    m = int(np.count_nonzero(sigma_a > 0.5 * (edges[widest] + edges[widest + 1])))
-    v1 = np.concatenate([v1_from_c[:m], v1_from_a[m:]]).T
-    v2 = np.concatenate([d.T @ u2[:, :m] / sigma_a[:m], b.T @ u1[:, m:] / sigma_c[m:]], axis=1)
-    return theta, v1, v2
-
-
 def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
     """Sorted quasienergies -arg(lambda) of the one-period operator's eigenvalues,
     solved in the chiral timeframe from the singular values of the N x N
@@ -288,8 +261,25 @@ def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 
-def quasienergy_states(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Quasienergies sorted ascending with matching orthonormal eigenvector columns.
+def _check_mode_window(window: float) -> None:
+    """Refuse a mode window outside (0, pi/2]; wider, the 0 and pi windows overlap."""
+    if not 0.0 < window <= 0.5 * math.pi:
+        raise ValidationError(f"mode window {window} outside (0, pi/2]")
+
+
+def mode_states(u: UnitaryOperator, kind: str, window: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 0 modes (kind "zero": |eps| < window) or pi modes (kind "pi":
+    pi - |eps| < window), quasienergies ascending with orthonormal eigenvector columns.
+
+    The orthogonal real form [[a, -b], [c, d]] of G has the CS decomposition
+    a = U1 C V1^T, b = U1 S V2^T, c = U2 S V1^T, d = U2 C V2^T with C = cos
+    theta, S = sin theta (Van Loan, Numer. Math. 46, 479 (1985)).  A 0 mode
+    is a small singular value s = sin theta of c, a pi mode one s = cos theta
+    of a, so one SVD holds each kind: u2, s, v1 from svd(c) and
+    v2 = d^T u2 / |d^T u2|, or u1, s, v1 from svd(a) and v2 = b^T u1 / |b^T u1|.
+    The pairs with s < sin(window / 2) are kept; their norm, at least
+    cos(pi/4), is the other CS value, and s^2 + norm^2 = 1 is checked on them
+    in place of the dense U^dag U test.
 
     In the CS basis the timeframe operator Gamma G^dag Gamma G rotates each
     pair (v1, v2) by 2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector
@@ -297,14 +287,25 @@ def quasienergy_states(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
     That factor acts within each cell as exp(i theta0 sigma_x), so psi is
     assembled by cell_states with those orbitals, the 1 / sqrt(2) folded in.
     """
-    theta, v1, v2 = _cs_decomposition(u)
+    _check_mode_window(window)
+    if kind not in ("zero", "pi"):
+        raise ValidationError(f"mode kind {kind!r} is neither 'zero' nor 'pi'")
+    a, b, c, d = chiral_blocks(u)
+    block, partner = (c, d) if kind == "zero" else (a, b)
+    left, sigma, right_t = np.linalg.svd(block)
+    keep = sigma < math.sin(0.5 * window)
+    v2 = partner.T @ left[:, keep]
+    norm = np.linalg.norm(v2, axis=0)
+    theta = _cs_angles(norm, sigma[keep]) if kind == "zero" else _cs_angles(sigma[keep], norm)
+    v1, v2 = right_t[keep].T, v2 / norm
     eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
     order = np.argsort(eps)
-    a = np.concatenate([v1, v1], axis=1)[:, order]
-    b = np.concatenate([-v2, v2], axis=1)[:, order]
+    a_part = np.concatenate([v1, v1], axis=1)[:, order]
+    b_part = np.concatenate([-v2, v2], axis=1)[:, order]
     cos0 = math.cos(u.params.theta0) / math.sqrt(2.0)
     sin0 = math.sin(u.params.theta0) / math.sqrt(2.0)
-    return eps[order], cell_states(a, b, np.array([[cos0, 1.0j * sin0], [1.0j * sin0, cos0]]))
+    orbitals = np.array([[cos0, 1.0j * sin0], [1.0j * sin0, cos0]])
+    return eps[order], cell_states(a_part, b_part, orbitals)
 
 
 def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.ndarray:
@@ -424,8 +425,8 @@ def find_edge_modes(
 ) -> list[EdgeModeReport]:
     """Boundary modes of the open chain: localized states near quasienergy 0 or +-pi.
 
-    The eigenstates with |eps| < tol_mode (zero modes), and apart from them
-    those with pi - |eps| < tol_mode (pi modes), are rotated by
+    The 0 modes (|eps| < tol_mode) and apart from them the pi modes
+    (pi - |eps| < tol_mode), each from mode_states, are rotated by
     localizing_rotation so that the modes at the two ends count apart; their
     quasienergies go to the rotated states one to one, in the order of the
     eigenvector each draws the most weight from.  A rotated state qualifies
@@ -434,16 +435,16 @@ def find_edge_modes(
     """
     if params.bc is not BoundaryCondition.OPEN:
         raise ValidationError("edge-mode search requires open boundary conditions")
-    eps, states = quasienergy_states(build_floquet(params))
-    n_edge = max(1, math.ceil(0.05 * len(eps)))
+    u = build_floquet(params)
+    n_edge = max(1, math.ceil(0.05 * params.n_sites))
     reports = []
-    for kind, distance in (("zero", np.abs(eps)), ("pi", np.pi - np.abs(eps))):
-        idx = np.flatnonzero(distance < tol_mode)
-        if idx.size == 0:
+    for kind in ("zero", "pi"):
+        eps, states = mode_states(u, kind, tol_mode)
+        if eps.size == 0:
             continue
-        rotation = localizing_rotation(states[:, idx])
+        rotation = localizing_rotation(states)
         order = np.argsort(np.argmax(np.abs(rotation), axis=0), kind="stable")
-        for value, state in zip(eps[idx], (states[:, idx] @ rotation[:, order]).T):
+        for value, state in zip(eps, (states @ rotation[:, order]).T):
             weight = np.abs(state) ** 2
             edge_weight = float(weight[:n_edge].sum() + weight[-n_edge:].sum())
             if edge_weight < MIN_EDGE_WEIGHT:
@@ -460,31 +461,26 @@ def find_edge_modes(
 
 
 def classify_phase(params: DriveParams, tol_mode: float = DEFAULT_TOL_MODE) -> PhaseLabel:
-    """Label the drive point by its boundary-mode content (open chain is forced).
+    """Label the drive point by its mode counts on the open chain (open is forced).
+
+    With eps = +-2 atan2(sigma_c, sigma_a), the 2 #(sigma_c < sin(tol_mode / 2))
+    modes within tol_mode of 0 and the 2 #(sigma_a < sin(tol_mode / 2)) within
+    tol_mode of pi are read off the spectrum: twice the timeframe windings.
 
     Points where either bulk gap drops below 4 * tol_mode are refused with
     GaplessPointError rather than guessed: with a closed gap the mode counts
     carry no phase information.
     """
+    _check_mode_window(tol_mode)
     gap_zero, gap_pi = bulk_gaps(params.theta0, params.theta1)
     if min(gap_zero, gap_pi) < 4.0 * tol_mode:
         raise GaplessPointError(
             f"bulk gaps ({gap_zero:.4f} around 0, {gap_pi:.4f} around pi) too small to classify"
         )
     open_params = dataclasses.replace(params, bc=BoundaryCondition.OPEN)
-    modes = find_edge_modes(open_params, tol_mode=tol_mode)
-    n_zero = sum(1 for m in modes if m.kind == "zero")
-    n_pi = sum(1 for m in modes if m.kind == "pi")
-    if n_zero >= 2 and n_pi >= 2:
-        label = Phase.ZERO_PI
-    elif n_zero >= 2 and n_pi == 0:
-        label = Phase.ZERO
-    elif n_zero == 0 and n_pi >= 2:
-        label = Phase.PI
-    elif n_zero == 0 and n_pi == 0:
-        label = Phase.TRIVIAL
-    else:
-        raise GaplessPointError(
-            f"ambiguous edge-mode counts (n_zero={n_zero}, n_pi={n_pi}) near a boundary"
-        )
+    eps = np.abs(quasienergies(build_floquet(open_params)).values)
+    n_zero = int(np.count_nonzero(eps < tol_mode))
+    n_pi = int(np.count_nonzero(np.pi - eps < tol_mode))
+    label = {(False, False): Phase.TRIVIAL, (True, False): Phase.ZERO,
+             (False, True): Phase.PI, (True, True): Phase.ZERO_PI}[n_zero > 0, n_pi > 0]
     return PhaseLabel(label=label, n_zero_modes=n_zero, n_pi_modes=n_pi)

@@ -166,7 +166,7 @@ def cell_states(a: np.ndarray, b: np.ndarray, orbitals: np.ndarray) -> np.ndarra
     (the columns of `orbitals`) in cell i, on rows 2i and 2i + 1.
 
     The one state assembly of the chiral chains: the static chains pass their
-    cell orbitals, the drive its timeframe rotation (see quasienergy_states).
+    cell orbitals, the drive its timeframe rotation (see floquet.mode_states).
     """
     states = np.empty((len(a), 2, a.shape[1]), dtype=complex)
     for row, (to_a, to_b) in zip(states.transpose(1, 0, 2), orbitals):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .floquet import UnitaryOperator, localizing_rotation, quasienergy_states
+from .floquet import UnitaryOperator, localizing_rotation, mode_states
 from .models import (
     BoundaryCondition,
     DriveParams,
@@ -231,31 +231,29 @@ def fit_localization_length(amplitudes, wall_position: int) -> tuple[float, floa
 
 def _select_bound_state(
     values: np.ndarray,
-    distance: np.ndarray,
     states: np.ndarray,
     wall_position: int,
     energy_window: float,
     components_per_site: int = 1,
 ) -> BoundState:
-    """Fit the wall-localized state among the eigenstates with distance < energy_window.
+    """Fit the wall-localized state among the eigenpairs within energy_window of the mode energy.
 
     The candidates are rotated by localizing_rotation, since a chain end can
     host a partner degenerate with the wall mode or mixed with it into a +-E
     pair.  The rotated state with the most weight within a few sites of the
     wall is fitted; its energy is the eigenvalue it draws the most weight from.
     """
-    candidates = np.flatnonzero(distance < energy_window)
-    if candidates.size == 0:
+    if values.size == 0:
         raise ValidationError(f"no eigenstate within {energy_window} of the mode energy")
     n_sites = states.shape[0] // components_per_site
-    rotation = localizing_rotation(states[:, candidates], components_per_site)
-    weights = np.abs(states[:, candidates] @ rotation) ** 2
+    rotation = localizing_rotation(states, components_per_site)
+    weights = np.abs(states @ rotation) ** 2
     weights = weights.reshape(n_sites, components_per_site, -1).sum(axis=1)
     radius = max(4, min(10, n_sites // 10))
     best = np.argmax(weights[max(0, wall_position - radius) : wall_position + radius].sum(axis=0))
     xi_left, xi_right = fit_localization_length(np.sqrt(weights[:, best]), wall_position)
     return BoundState(
-        energy=float(values[candidates[np.argmax(np.abs(rotation[:, best]))]]),
+        energy=float(values[np.argmax(np.abs(rotation[:, best]))]),
         amplitudes=weights[:, best] / weights[:, best].sum(),
         xi_left=xi_left,
         xi_right=xi_right,
@@ -271,8 +269,9 @@ def numeric_bound_state(
 ) -> BoundState:
     """Fit the wall-localized eigenstate with |E| < energy_window of a wall Hamiltonian."""
     energies, states = op.diagonalize()
+    near = np.abs(energies) < energy_window
     return _select_bound_state(
-        energies, np.abs(energies), states, wall_position, energy_window, components_per_site
+        energies[near], states[:, near], wall_position, energy_window, components_per_site
     )
 
 
@@ -280,9 +279,7 @@ def floquet_bound_states(
     unitary: UnitaryOperator, wall_position: int, energy_window: float
 ) -> tuple[BoundState, BoundState]:
     """The wall-localized zero mode (|eps| < energy_window) and pi mode
-    (pi - |eps| < energy_window) of a driven-chain wall, from one eigensolve."""
-    eps, states = quasienergy_states(unitary)
-    return tuple(
-        _select_bound_state(eps, distance, states, wall_position, energy_window)
-        for distance in (np.abs(eps), np.pi - np.abs(eps))
-    )
+    (pi - |eps| < energy_window) of a driven-chain wall, each from the one
+    chiral block that holds it (mode_states)."""
+    modes = (mode_states(unitary, kind, energy_window) for kind in ("zero", "pi"))
+    return tuple(_select_bound_state(*mode, wall_position, energy_window) for mode in modes)

@@ -397,6 +397,9 @@ def test_dense_estimate_admits_the_usual_sizes_and_grows_as_n_squared():
         assert dense_bytes(command, 2000) == 4 * dense_bytes(command, 1000)
     assert dense_bytes("domainwall", 10**4) > MAX_DENSE_BYTES
     assert dense_bytes("spectrum", 10**4) > MAX_DENSE_BYTES
+    # phase counts need no eigenvectors: sized like a spectrum
+    assert dense_bytes("phase-diagram", 4000) == dense_bytes("spectrum", 4000) < MAX_DENSE_BYTES
+    assert dense_bytes("domainwall", 4000) > MAX_DENSE_BYTES
 
 
 def _refuse_every_run(monkeypatch):

@@ -19,7 +19,9 @@ from floqlat import (
     check_pi_pairing,
     classify_phase,
     find_edge_modes,
+    floquet_bound_states,
     fold_quasienergy,
+    mode_states,
     quasienergies,
     wrap_distance,
 )
@@ -312,3 +314,23 @@ def test_classification_of_representative_points(theta0, theta1, expected):
 def test_classification_refuses_gapless_point():
     with pytest.raises(GaplessPointError):
         classify_phase(DriveParams(0.3, 0.3, 64, PBC))  # on the gap-closing diagonal
+
+
+@pytest.mark.parametrize("window", [np.nan, -1.0, 0.0, PI / 2 + 1e-9, np.inf])
+def test_mode_window_outside_zero_to_half_pi_is_refused(window):
+    params = DriveParams(0.3, 1.2, 32, OBC)
+    drive = build_floquet(params)
+    calls = [
+        lambda: classify_phase(params, tol_mode=window),
+        lambda: find_edge_modes(params, tol_mode=window),
+        lambda: mode_states(drive, "zero", window),
+        lambda: floquet_bound_states(drive, 32, window),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"mode window .* outside \(0, pi/2\]"):
+            call()
+
+
+def test_mode_kind_is_checked():
+    with pytest.raises(ValidationError, match="neither 'zero' nor 'pi'"):
+        mode_states(build_floquet(DriveParams(0.3, 1.2, 8, OBC)), "half", 0.1)

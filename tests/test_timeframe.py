@@ -1,8 +1,8 @@
-"""The chiral-timeframe quasienergy and eigenvector solvers against the dense oracle."""
+"""The chiral-timeframe quasienergy, mode and phase-count solvers against the dense oracle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from floqlat import (
@@ -20,12 +20,15 @@ from floqlat import (
     classify_phase,
     compare_spectra,
     find_edge_modes,
+    mode_states,
     quasienergies,
-    quasienergy_states,
+    wrap_distance,
 )
 from floqlat import floquet
 from floqlat.floquet import (
+    DEFAULT_TOL_MODE,
     LINE_ATOL,
+    bulk_gaps,
     chiral_blocks,
     composed_drive_evolution,
     fold_quasienergy,
@@ -123,13 +126,14 @@ def test_one_svd_matches_both_svds_on_pi_paired_drives(drive):
 
 @pytest.fixture
 def svd_calls(monkeypatch):
-    """Shapes of the np.linalg.svd calls made while the test runs."""
+    """(shape, whether singular vectors were asked for) of the np.linalg.svd
+    calls made while the test runs."""
     calls = []
     svd = np.linalg.svd
 
-    def counting_svd(matrix, *args, **kwargs):
-        calls.append(matrix.shape)
-        return svd(matrix, *args, **kwargs)
+    def counting_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((matrix.shape, compute_uv))
+        return svd(matrix, full_matrices, compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     return calls
@@ -155,8 +159,29 @@ def _random_drive(theta0, n_cells, bc, seed=0):
 def test_pi_paired_drives_need_one_svd(drive, n_svd, svd_calls):
     assert is_pi_paired(drive.params) is (n_svd == 1)
     fast = quasienergies(drive).values
-    assert svd_calls == [(drive.params.n_cells,) * 2] * n_svd
+    assert svd_calls == [((drive.params.n_cells,) * 2, False)] * n_svd
     assert compare_spectra(fast, dense_quasienergies(drive.matrix).values) < ORACLE_TOL
+
+
+@pytest.mark.parametrize(
+    "params, n_svd",
+    [
+        (DriveParams(PI / 4, 3 * PI / 8, 24, PBC), 1),  # classified on the open chain
+        (DriveParams(PI / 4, 0.3, 25, OBC), 1),
+        (DriveParams(0.3, 1.0, 24, OBC), 2),
+        (DriveParams(PI / 4 + 1e-9, 1.2, 24, PBC), 2),
+    ],
+)
+def test_phase_counts_need_singular_values_only(params, n_svd, svd_calls):
+    classify_phase(params)
+    assert svd_calls == [((params.n_cells,) * 2, False)] * n_svd
+
+
+def test_each_mode_kind_needs_one_svd_with_vectors(svd_calls):
+    drive = _random_drive(PI / 4, 12, OBC)
+    for kind in ("zero", "pi"):
+        mode_states(drive, kind, 0.5)
+    assert svd_calls == [((12, 12), True)] * 2
 
 
 def test_odd_periodic_chain_on_the_line_is_not_pi_paired():
@@ -254,28 +279,70 @@ def test_drive_checks_profile_length():
     )
 
 
-# ------------------------------------------------------------- eigenvectors
+# ------------------------------------------------------------- mode counts
 
 
-def assert_states_match_oracle(op):
-    """The timeframe eigenpairs solve the dense operator, are orthonormal, and
-    carry the quasienergies of the spectrum solver and of dense eig."""
-    eps, states = quasienergy_states(op)
-    assert "matrix" not in vars(op)  # the eigenvectors never form the matrix
-    dim = op.params.n_sites
-    assert eps.shape == (dim,) and states.shape == (dim, dim)
+def region_counts(theta0, theta1):
+    """(n_zero, n_pi) of the uniform drive by the region rule: a mode at each end
+    once theta1 > theta0 (0 modes) or theta0 + theta1 > pi/2 (pi modes)."""
+    return 2 * int(theta1 > theta0), 2 * int(theta0 + theta1 > PI / 2)
+
+
+GRID_12 = np.linspace(0.05, PI / 2 - 0.05, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta0=st.floats(0.0, PI / 2),
+    theta1=st.floats(0.0, PI / 2),
+    n_cells=st.integers(10, 48),
+    tol_mode=st.floats(DEFAULT_TOL_MODE, 0.3),
+)
+# a 16-cell phase-diagram row once labelled trivial: the eigenvector filter
+# dropped both end modes
+@example(theta0=float(GRID_12[3]), theta1=float(GRID_12[4]), n_cells=16, tol_mode=DEFAULT_TOL_MODE)
+def test_mode_counts_match_dense_eigvals_and_region_rule(theta0, theta1, n_cells, tol_mode):
+    if min(bulk_gaps(theta0, theta1)) < 4.0 * tol_mode:
+        return  # refused as gapless; see test_floquet
+    result = classify_phase(DriveParams(theta0, theta1, n_cells, PBC), tol_mode=tol_mode)
+    open_chain = DriveParams(theta0, theta1, n_cells, OBC)
+    dense = np.abs(dense_oracle(open_chain, np.full(n_cells - 1, 2.0)))
+    dense_counts = np.count_nonzero(dense < tol_mode), np.count_nonzero(PI - dense < tol_mode)
+    assert (result.n_zero_modes, result.n_pi_modes) == dense_counts
+    assert dense_counts == region_counts(theta0, theta1)
+
+
+# ------------------------------------------------------------- mode states
+
+WINDOWS = (1e-3, DEFAULT_TOL_MODE, 1.0, PI / 2)
+
+
+def assert_states_match_oracle(op, windows=WINDOWS):
+    """For each window and kind, the mode eigenpairs solve the dense operator,
+    are orthonormal, number as many as dense eig finds in the window (up to
+    ORACLE_TOL at its end), and carry the quasienergies of the spectrum solver."""
     u = dense_operator(op.params, op.h1_coeffs)
-    assert compare_spectra(eps, dense_quasienergy_states(u)[0]) < ORACLE_TOL
-    residual = np.abs(u @ states - states * np.exp(-1j * eps)).max()
-    assert residual <= ORACLE_TOL
-    assert np.abs(states.conj().T @ states - np.eye(dim)).max() <= ORACLE_TOL
-    assert np.abs(eps - quasienergies(op).values).max() <= 1e-12
+    dense_eps = dense_quasienergy_states(u)[0]
+    spectrum = quasienergies(op).values
+    for window in windows:
+        for kind, dense_distance in (("zero", np.abs(dense_eps)), ("pi", PI - np.abs(dense_eps))):
+            eps, states = mode_states(op, kind, window)
+            assert "matrix" not in vars(op)  # the eigenvectors never form the matrix
+            assert states.shape == (op.params.n_sites, len(eps))
+            assert np.count_nonzero(dense_distance < window - ORACLE_TOL) <= len(eps)
+            assert len(eps) <= np.count_nonzero(dense_distance < window + ORACLE_TOL)
+            residual = np.abs(u @ states - states * np.exp(-1j * eps)).max(initial=0.0)
+            assert residual <= ORACLE_TOL
+            overlap = states.conj().T @ states - np.eye(len(eps))
+            assert np.abs(overlap).max(initial=0.0) <= ORACLE_TOL
+            nearest = wrap_distance(eps[:, None], spectrum[None, :]).min(axis=1, initial=PI)
+            assert nearest.max(initial=0.0) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
-@given(drive=drives())
-def test_timeframe_states_match_dense_oracle(drive):
-    assert_states_match_oracle(drive)
+@given(drive=drives(), window=st.floats(0.0, PI / 2, exclude_min=True))
+def test_mode_states_match_dense_oracle(drive, window):
+    assert_states_match_oracle(drive, (window,))
 
 
 @pytest.mark.parametrize(
@@ -299,12 +366,12 @@ def test_timeframe_states_match_dense_oracle(drive):
         (PI / 2, PI / 2, 4, OBC),
     ],
 )
-def test_timeframe_states_at_degeneracies_and_window_ends(theta0, theta1, n_cells, bc):
+def test_mode_states_at_degeneracies_and_window_ends(theta0, theta1, n_cells, bc):
     assert_states_match_oracle(UnitaryOperator(DriveParams(theta0, theta1, n_cells, bc)))
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_timeframe_states_on_random_wall_profiles(seed):
+def test_mode_states_on_random_wall_profiles(seed):
     rng = np.random.default_rng(seed)
     n_cells = 40
     for bc in (OBC, PBC):
@@ -313,9 +380,19 @@ def test_timeframe_states_on_random_wall_profiles(seed):
         left, right = rng.uniform(0.01, 4.0, size=2)
         coeffs = np.where(np.arange(n_bonds) < wall, left, right)
         theta0, theta1 = rng.uniform(0.0, PI / 2, size=2)
+        window = rng.uniform(0.0, PI / 2)
         assert_states_match_oracle(
-            UnitaryOperator(DriveParams(theta0, theta1, n_cells, bc), coeffs)
+            UnitaryOperator(DriveParams(theta0, theta1, n_cells, bc), coeffs), (window,)
         )
+
+
+@pytest.mark.parametrize("kind", ["zero", "pi"])
+def test_mode_states_check_the_cs_identity(kind, monkeypatch):
+    blocks = chiral_blocks
+    monkeypatch.setattr(floquet, "chiral_blocks", lambda u: [1.01 * m for m in blocks(u)])
+    drive = UnitaryOperator(DriveParams(0.3, 1.4, 16, OBC))  # a 0 and a pi mode at each end
+    with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
+        mode_states(drive, kind, 0.5)
 
 
 def test_degenerate_wall_and_end_modes_come_out_localized():
@@ -324,11 +401,10 @@ def test_degenerate_wall_and_end_modes_come_out_localized():
     # not on both
     eta, n_cells = PI / 8, 100
     profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
-    eps, states = quasienergy_states(build_floquet_wall(profile, n_cells))
-    for group in (np.abs(eps) < 0.05, PI - np.abs(eps) < 0.05):
-        idx = np.flatnonzero(group)
-        assert len(idx) == 2
-        block = states[:, idx]
+    drive = build_floquet_wall(profile, n_cells)
+    for kind in ("zero", "pi"):
+        _, block = mode_states(drive, kind, 0.05)
+        assert block.shape[1] == 2
         weights = np.abs(block @ localizing_rotation(block)) ** 2
         at_end = weights[:20].sum(axis=0)
         at_wall = weights[n_cells - 20 : n_cells + 20].sum(axis=0)

@@ -16,8 +16,8 @@ from floqlat import (
     build_ssh_wall,
     build_wd_wall,
     fit_localization_length,
+    mode_states,
     numeric_bound_state,
-    quasienergy_states,
     solve_ssh_params,
     solve_wd_params,
     wall_decay_factors,
@@ -54,12 +54,10 @@ def test_uniform_wall_reduces_to_plain_drive():
 def test_floquet_wall_binds_midgap_states():
     # eta > 0 on the left: both-mode region left of the wall, trivial right of it
     unitary = build_floquet_wall(wall(WallModel.FLOQUET, ETA, -ETA), 100)
-    eps, states = quasienergy_states(unitary)
-    near_zero = np.nonzero(np.abs(eps) < 0.05)[0]
-    near_pi = np.nonzero(PI - np.abs(eps) < 0.05)[0]
-    assert len(near_zero) == 2 and len(near_pi) == 2  # wall plus left chain end
-    for group in (near_zero, near_pi):
-        weights = np.abs(states[:, group] @ localizing_rotation(states[:, group])) ** 2
+    for kind in ("zero", "pi"):
+        _, states = mode_states(unitary, kind, 0.05)
+        assert states.shape[1] == 2  # wall plus left chain end
+        weights = np.abs(states @ localizing_rotation(states)) ** 2
         positions = [int(np.argmax(column)) for column in weights.T]
         assert min(positions) < 10  # one state pinned at the left (topological) end
         assert any(abs(p - 100) < 10 for p in positions)  # one pinned at the wall
