@@ -9,6 +9,7 @@ success, 2 on validation errors, 3 on numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -89,8 +90,7 @@ def parse_sizes(text: str) -> tuple[int, ...]:
         raise ValidationError(f"cannot parse size list {text!r} (use e.g. '100,200,300')")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
+_fmt = "{:.11e}".format  # one float in scientific notation, 12 significant digits
 
 
 def _meta_line(meta: dict) -> str:
@@ -134,9 +134,25 @@ def _atomic_write(path: str, text: str) -> None:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """json.dumps(value, indent=1) as it reads `depth` levels down, for nested
+    dicts whose lists hold only scalars (the JSON output's payload).
+
+    The same bytes, but each list goes through json's C encoder in one call:
+    with indent set, json.dumps falls back to its pure-Python encoder, which
+    took most of the time of writing a long column.
+    """
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(value, dict) and value:
+        items = (f"{json.dumps(key)}: {_json_text(item, depth + 1)}" for key, item in value.items())
+        return "{" + pad + ("," + pad).join(items) + pad[:-1] + "}"
+    if isinstance(value, list) and value:
+        flat = json.JSONEncoder(separators=("," + pad, ": ")).encode(value)
+        return "[" + pad + flat[1:-1] + pad[:-1] + "]"
+    return json.dumps(value)
 
 
 def write_output(
@@ -149,7 +165,7 @@ def write_output(
 ) -> None:
     if fmt == "csv":
         lines = [_meta_line(meta), ",".join(header)]
-        lines.extend(",".join(_cell(value) for value in row) for row in rows)
+        lines.extend(",".join(map(_cell, row)) for row in rows)
         if footer:
             lines.append("# " + " ".join(f"{k}={_cell(v)}" for k, v in footer.items()))
         _atomic_write(path, "\n".join(lines) + "\n")
@@ -158,7 +174,7 @@ def write_output(
         payload = {"meta": {"floqlat": __version__, **meta}, "columns": columns}
         if footer:
             payload["fit"] = footer
-        _atomic_write(path, json.dumps(payload, indent=1, sort_keys=False) + "\n")
+        _atomic_write(path, _json_text(payload) + "\n")
 
 
 def dense_bytes(command: str, cells: int) -> int:
@@ -185,10 +201,8 @@ def _check_dense_bytes(args) -> None:
 
 def _indexed_rows(columns: list, n_rows: int) -> list[list]:
     """Row i holds i and entry i of each column as a float; None past a column's end."""
-    return [
-        [i] + [float(col[i]) if col is not None and i < len(col) else None for col in columns]
-        for i in range(n_rows)
-    ]
+    lists = [[] if col is None else np.asarray(col, dtype=float).tolist() for col in columns]
+    return [[i] + [col[i] if i < len(col) else None for col in lists] for i in range(n_rows)]
 
 
 def _drive_params(args) -> DriveParams:
@@ -344,7 +358,12 @@ def cmd_scaling(args) -> None:
     write_output(args.out, args.format, meta, ["cells", "metric"], rows, footer=footer)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parse_args leaves it unchanged, and building it took a millisecond or more
+    of every short run.  main looks the subcommand's function up by name at
+    each call, so the parser holds no reference to it."""
     parser = argparse.ArgumentParser(
         prog="floqlat",
         description="Quasienergy spectra of the two-step driven chain and their "
@@ -365,20 +384,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", choices=("ssh", "wd"), default=None,
                    help="also emit doubled poles of the mapped static model")
     _common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("phase-diagram", help="classification grid over both drive phases")
     p.add_argument("--grid", type=int, required=True, help="grid points per axis (>= 4)")
     p.add_argument("--cells", type=int, default=64)
     _common(p)
-    p.set_defaults(func=cmd_phase_diagram)
 
     p = sub.add_parser("map", help="spectrum partition, sine transform, and pole doubling")
     p.add_argument("--eta", type=parse_angle, required=True, help="detuning theta1 - pi/4")
     p.add_argument("--cells", type=int, required=True)
     p.add_argument("--target", choices=("ssh", "wd"), required=True)
     _common(p)
-    p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("domainwall", help="bound states of an eta domain wall")
     p.add_argument("--eta", type=parse_angle, required=True)
@@ -386,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cells (floquet/ssh) or sites (wd); matrix dimension is 2N either way")
     p.add_argument("--model", choices=("floquet", "ssh", "wd"), required=True)
     _common(p)
-    p.set_defaults(func=cmd_domainwall)
 
     p = sub.add_parser("scaling", help="finite-size sweep of the spectral difference")
     p.add_argument("--config", choices=("obc", "wall"), required=True)
@@ -394,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("ssh", "wd"), required=True)
     p.add_argument("--sizes", required=True, help="comma-separated cell counts, e.g. 100,200,300")
     _common(p)
-    p.set_defaults(func=cmd_scaling)
     return parser
 
 
@@ -417,7 +431,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(_join_negative_angles(sys.argv[1:] if argv is None else argv))
         _check_out(args.out)
         _check_dense_bytes(args)
-        args.func(args)
+        command = {"spectrum": cmd_spectrum, "phase-diagram": cmd_phase_diagram, "map": cmd_map,
+                   "domainwall": cmd_domainwall, "scaling": cmd_scaling}[args.command]
+        command(args)
     except SystemExit as exc:  # argparse's own exits (--help, bad flags)
         return int(exc.code or 0)
     except ValidationError as exc:

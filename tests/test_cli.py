@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqlat import GaplessPointError, NumericalError, ValidationError, analytic_wd_zero_mode, cli
 from floqlat.cli import MAX_DENSE_BYTES, dense_bytes, main, parse_angle, parse_sizes
@@ -402,6 +404,15 @@ def test_dense_estimate_admits_the_usual_sizes_and_grows_as_n_squared():
     assert dense_bytes("domainwall", 4000) > MAX_DENSE_BYTES
 
 
+def test_shared_parser_calls_the_current_command_function(tmp_path, monkeypatch):
+    argv = ["map", "--eta", "0.3", "--cells", "16", "--target", "ssh", "--out", str(tmp_path / "x")]
+    assert main(argv) == 0  # the parser is built and cached
+    calls = []
+    monkeypatch.setattr(cli, "cmd_map", calls.append)
+    assert main(argv) == 0
+    assert [args.command for args in calls] == ["map"]
+
+
 def _refuse_every_run(monkeypatch):
     for name in ("cmd_spectrum", "cmd_map", "cmd_phase_diagram", "cmd_domainwall", "cmd_scaling"):
         monkeypatch.setattr(cli, name, lambda args: pytest.fail("the run was not refused"))
@@ -477,6 +488,30 @@ def test_write_output_refuses_a_fifo(tmp_path):
     with pytest.raises(ValidationError):
         cli.write_output(str(fifo), "csv", {}, ["a"], [[1.0]])
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_payloads = st.fixed_dictionaries(
+    {"meta": st.dictionaries(st.text(), _scalars),
+     "columns": st.dictionaries(st.text(), st.lists(_scalars))},
+    optional={"fit": st.dictionaries(st.text(), st.floats())},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_payloads)
+def test_json_text_matches_indented_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, indent=1)
+
+
+def test_json_output_matches_indented_dumps(tmp_path):
+    out = tmp_path / "x.json"
+    header, rows = ["t", "label", "n"], [[0.5, "zero", 2], [float("nan"), "boundary", None]]
+    cli.write_output(str(out), "json", {"command": "x", "eta": -0.25}, header, rows, {"r": 1.0})
+    payload = {"meta": {"floqlat": cli.__version__, "command": "x", "eta": -0.25},
+               "columns": {"t": [0.5, float("nan")], "label": ["zero", "boundary"], "n": [2, None]},
+               "fit": {"r": 1.0}}
+    assert out.read_text() == json.dumps(payload, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
