@@ -6,11 +6,11 @@ lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 [-pi, pi); values within 1e-12 of +pi fold to -pi.
 
 The one-period operator is kept as the drive's bond data and solved in the
-chiral timeframe: the spectrum from two N x N singular-value problems, or one
-on pi-paired drives (theta0 = pi/4 on an open or even periodic chain, where
-both blocks share their singular values), and the 0 (pi) modes with their
-eigenvectors from the singular vectors of block c (a) alone.  The dense
-2N x 2N matrix is formed only when it is read.
+chiral timeframe: the spectrum from two N x N singular-value problems, or, on
+pi-paired drives (theta0 = pi/4 on an open or even periodic chain), from two
+ceil(N/2) x ceil(N/2) ones of the half-size drive that U^2 restricts to, and
+the 0 (pi) modes with their eigenvectors from the singular vectors of block
+c (a) alone.  The dense 2N x 2N matrix is formed only when it is read.
 """
 
 from __future__ import annotations
@@ -170,6 +170,16 @@ def is_pi_paired(params: DriveParams) -> bool:
     singular values.  The periodic wrap bond B_(N-1) - A_0 keeps the signs in
     agreement only when (-1)^N = 1.
 
+    So U^2 = -E1 (X E1 X), E1 = exp(-i theta1 H1), commutes with V.  Bond j
+    of H1 joins B_j to A_(j+1) and bond j of X H1 X joins A_j to B_(j+1), so
+    together they form two chains of N sites: the +1 sector of V,
+    {A_0, B_1, A_2, B_3, ...} (sites 0, 3, 4, 7, 8, ...), and the -1 sector.
+    U maps one sector onto the other, so U^2 has the same spectrum on both,
+    and each of its eigenvalues mu on one sector gives U the pair +-sqrt(mu).
+    On the +1 sector U^2 is minus a two-step drive on N/2 cells; an open
+    chain with odd N is padded with one decoupled cell first.  quasienergies
+    solves that drive (_squared_drive_quasienergies).
+
     A theta0 that is within LINE_ATOL of pi/4 but not on it does not count:
     read as paired, its quasienergies would move by a few times the offset,
     more than the 1e-12 to which quasienergies and mode_states agree.
@@ -192,25 +202,39 @@ def chiral_blocks(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarra
     bond list: a and b carry their bond entry at [a_cell, b_cell], as the
     static chains' hopping_block does, c and d at [b_cell, a_cell].
     """
-    a, b, c, d = (hopping_block(*entries, u.params.bc) for entries in _chiral_entries(u))
+    bc = u.params.bc
+    a, b, c, d = (hopping_block(*entries, bc) for entries in _chiral_entries(*_drive_phases(u), bc))
     return a, b, c.T, d.T
 
 
-def _chiral_entries(u: UnitaryOperator) -> tuple[tuple, tuple, tuple, tuple]:
-    """(diagonal, bond entries) of a, b, c^T and d^T for hopping_block; see chiral_blocks."""
+def _drive_phases(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
+    """First-step half-phases theta0, one per cell, and second-step half-phases
+    theta1 * coeff / 2, one per bond."""
     params = u.params
-    n = params.n_cells
-    b_cell, a_cell = h1_bond_cells(n, params.bc).T
-    phi = 0.5 * params.theta1 * u.h1_coeffs
-    sin_phi = np.sin(phi)
-    cos0, sin0 = math.cos(params.theta0), math.sin(params.theta0)
+    return np.full(params.n_cells, params.theta0), 0.5 * params.theta1 * u.h1_coeffs
+
+
+def _chiral_entries(
+    half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition
+) -> tuple[tuple, tuple, tuple, tuple]:
+    """(diagonal, bond entries) of a, b, c^T and d^T for hopping_block (see
+    chiral_blocks) of a two-step drive with first-step half-phase half0[j] on
+    cell j and second-step half-phase half1[i] on bond i of h1_bond_cells.
+
+    A bond entry takes the first-step phase of the cell whose column it sits
+    in: the B cell in a and b, the A cell in c^T and d^T.
+    """
+    n = len(half0)
+    b_cell, a_cell = h1_bond_cells(n, bc).T
+    sin_phi = np.sin(half1)
+    cos0, sin0 = np.cos(half0), np.sin(half0)
     cos_a, cos_b = np.ones(n), np.ones(n)
-    cos_a[a_cell] = cos_b[b_cell] = np.cos(phi)
+    cos_a[a_cell] = cos_b[b_cell] = np.cos(half1)
     return (
-        (cos0 * cos_a, -sin0 * sin_phi),
-        (sin0 * cos_a, cos0 * sin_phi),
-        (sin0 * cos_b, cos0 * sin_phi),
-        (cos0 * cos_b, -sin0 * sin_phi),
+        (cos0 * cos_a, -sin0[b_cell] * sin_phi),
+        (sin0 * cos_a, cos0[b_cell] * sin_phi),
+        (sin0 * cos_b, cos0[a_cell] * sin_phi),
+        (cos0 * cos_b, -sin0[a_cell] * sin_phi),
     )
 
 
@@ -228,7 +252,7 @@ def _cs_angles(sigma_a: np.ndarray, sigma_c: np.ndarray) -> np.ndarray:
     return np.arctan2(sigma_c, sigma_a)
 
 
-def timeframe_quasienergies(a: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
+def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Unsorted, unfolded quasienergies +-2 atan2(sigma_c, sigma_a) of the chiral blocks.
 
     Both drive steps flip sign under the sublattice operator Gamma, so U is
@@ -238,26 +262,66 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray | None = None) -> np.nd
     between the A sublattice and its image under G^dag: cos theta_k are the
     singular values of a (descending) and sin theta_k those of c (ascending).
 
-    c = None stands for a pi-paired drive (is_pi_paired), whose block c has
-    the singular values of a: sigma_c is then sigma_a reversed, with no second
-    SVD, and the CS check tests that pairing.  Small theta still come from
-    small singular values, which are accurate in absolute terms.
+    Swapping the blocks, (a, c) -> (c, a), maps theta_k to pi/2 - theta_k,
+    so it gives the spectrum of -U: on the half-size drive of a pi-paired
+    drive, that of U^2 (is_pi_paired).  Small theta come from small singular
+    values, which are accurate in absolute terms, and in relative terms when
+    the block is upper bidiagonal (as c and a^T are on open chains): LAPACK
+    then reaches bidiagonal form without rounding.
     """
     sigma_a = np.linalg.svd(a, compute_uv=False)
-    sigma_c = sigma_a if c is None else np.linalg.svd(c, compute_uv=False)
+    sigma_c = np.linalg.svd(c, compute_uv=False)
     eps = 2.0 * _cs_angles(sigma_a, sigma_c[::-1])
     return np.concatenate([-eps, eps])
+
+
+def _blocks_a_c(
+    half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition
+) -> tuple[np.ndarray, np.ndarray]:
+    """The chiral blocks a and c alone (see chiral_blocks and _chiral_entries)."""
+    a, _, c, _ = _chiral_entries(half0, half1, bc)
+    return hopping_block(*a, bc), hopping_block(*c, bc).T
+
+
+def _squared_drive_quasienergies(u: UnitaryOperator) -> np.ndarray:
+    """Unsorted quasienergies in [-pi, pi) of a pi-paired drive (is_pi_paired),
+    from the half-size drive that U^2 restricts to (see is_pi_paired).
+
+    Bond i of the drive, with coefficient c_i, is bond i of the sector chain
+    {A_0, B_1, A_2, ...}, so that chain is a two-step drive on ceil(N/2)
+    cells: first-step half-phase theta1 c_(2k) / 2 on cell k, second-step
+    half-phase theta1 c_(2k+1) / 2 on its bonds, with the periodic wrap when
+    N is even.  An open chain with odd N gets one more cell, joined by a bond
+    with c = 0: its first step -i X adds eps = +-pi/2 to the spectrum, and
+    the values nearest +pi/2 and -pi/2 are dropped again.  U^2 is minus the
+    sector drive, so timeframe_quasienergies with the blocks swapped gives
+    the spectrum 2 eps of U^2, and U has both square roots, eps and eps + pi.
+    The CS check runs on the half-size blocks.  The half-angles eps are not
+    folded, so the 0 modes keep the relative precision of a^T's singular
+    values.
+    """
+    params = u.params
+    _, phases = _drive_phases(u)
+    padded = params.bc is BoundaryCondition.OPEN and params.n_cells % 2 == 1
+    if padded:
+        phases = np.append(phases, 0.0)
+    a, c = _blocks_a_c(phases[0::2], phases[1::2], params.bc)
+    half = 0.5 * timeframe_quasienergies(c, a.T) + 0.0  # -0.0 written as 0.0, as the fold does
+    eps = np.concatenate([half, fold_quasienergy(half + np.pi)])
+    if padded:
+        eps = np.delete(eps, [np.argmin(np.abs(eps - side)) for side in (0.5 * np.pi, -0.5 * np.pi)])
+    return eps
 
 
 def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
     """Sorted quasienergies -arg(lambda) of the one-period operator's eigenvalues,
     solved in the chiral timeframe from the singular values of the N x N
-    blocks a and c, or of a alone when the drive is pi-paired (is_pi_paired),
-    in which case block c is never built."""
-    a, _, c, _ = _chiral_entries(u)
-    bc = u.params.bc
-    c_block = None if is_pi_paired(u.params) else hopping_block(*c, bc).T
-    eps = timeframe_quasienergies(hopping_block(*a, bc), c_block)
+    blocks a and c, or, on a pi-paired drive (is_pi_paired), of the two
+    ceil(N / 2) x ceil(N / 2) blocks of the half-size drive that U^2
+    restricts to."""
+    if is_pi_paired(u.params):
+        return QuasienergySpectrum(np.sort(_squared_drive_quasienergies(u)))
+    eps = timeframe_quasienergies(*_blocks_a_c(*_drive_phases(u), u.params.bc))
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 

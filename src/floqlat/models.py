@@ -208,10 +208,12 @@ def bond_coefficients(values: Sequence[float], n_bonds: int, bc: BoundaryConditi
 def hopping_block(diagonal: np.ndarray, bonds: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     """Real N x N block with diagonal[j] at h[j, j] and bonds[i] on bond i of
     h1_bond_cells, at h[A cell, B cell]: h[j + 1, j], and h[0, N - 1] for the
-    periodic wrap.  So h is bidiagonal, cyclic for periodic chains."""
+    periodic wrap.  So h is bidiagonal, cyclic for periodic chains.  A bond
+    entry is added, so the one bond of a 1-cell ring, which joins B_0 back to
+    A_0, lands on the diagonal."""
     h = np.diag(diagonal)
     b_cell, a_cell = h1_bond_cells(len(h), bc).T
-    h[a_cell, b_cell] = bonds
+    h[a_cell, b_cell] += bonds
     return h
 
 

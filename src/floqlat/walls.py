@@ -32,6 +32,9 @@ QUARTER_PI = math.pi / 4.0
 # Amplitudes below this fraction of a state's peak are left out of the decay
 # fits: 1e4 ulp, above the roundoff of the eigenvector components.
 AMP_REL_FLOOR = 1e4 * np.finfo(float).eps
+# Rotation weights this close to the largest count as a tie in picking the
+# bound state's energy.
+WEIGHT_TIE_ATOL = 1e-9
 
 
 class WallModel(enum.Enum):
@@ -241,7 +244,10 @@ def _select_bound_state(
     The candidates are rotated by localizing_rotation, since a chain end can
     host a partner degenerate with the wall mode or mixed with it into a +-E
     pair.  The rotated state with the most weight within a few sites of the
-    wall is fitted; its energy is the eigenvalue it draws the most weight from.
+    wall is fitted; its energy is the eigenvalue it draws the most weight
+    from.  A state that draws evenly from a split +-E pair would take its sign
+    from round-off in the eigenbasis, so among the eigenvalues within
+    WEIGHT_TIE_ATOL of the largest weight the smallest is reported.
     """
     if values.size == 0:
         raise ValidationError(f"no eigenstate within {energy_window} of the mode energy")
@@ -252,8 +258,9 @@ def _select_bound_state(
     radius = max(4, min(10, n_sites // 10))
     best = np.argmax(weights[max(0, wall_position - radius) : wall_position + radius].sum(axis=0))
     xi_left, xi_right = fit_localization_length(np.sqrt(weights[:, best]), wall_position)
+    drawn = np.abs(rotation[:, best]) ** 2
     return BoundState(
-        energy=float(values[np.argmax(np.abs(rotation[:, best]))]),
+        energy=float(values[drawn >= drawn.max() - WEIGHT_TIE_ATOL].min()),
         amplitudes=weights[:, best] / weights[:, best].sum(),
         xi_left=xi_left,
         xi_right=xi_right,

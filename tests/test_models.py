@@ -28,6 +28,7 @@ from floqlat import (
     wd_dispersion,
     wd_momentum_grid,
 )
+from floqlat.models import hopping_block
 from floqlat.walls import h1_step_profile
 
 PBC = BoundaryCondition.PERIODIC
@@ -167,6 +168,16 @@ def test_bond_layout_of_the_walls(n_cells):
         u = [left.u if side else right.u for side in on_left]
         expected = symmetric_matrix(2 * n_cells, intra + inter, v + u)
         np.testing.assert_array_equal(build_ssh_wall(profile, n_cells).matrix, expected)
+
+
+def test_hopping_block_of_the_one_cell_ring_adds_the_bond_to_the_diagonal():
+    # on one periodic cell the wrap bond joins B_0 back to A_0, the pair the
+    # diagonal already couples
+    np.testing.assert_array_equal(hopping_block(np.array([0.25]), np.array([-1.5]), PBC), [[-1.25]])
+    np.testing.assert_array_equal(hopping_block(np.array([0.25]), np.array([]), OBC), [[0.25]])
+    np.testing.assert_array_equal(
+        hopping_block(np.array([1.0, 2.0]), np.array([3.0, 4.0]), PBC), [[1.0, 4.0], [3.0, 2.0]]
+    )
 
 
 # ---------------------------------------------------------------- SSH

@@ -36,7 +36,7 @@ from floqlat.floquet import (
     localizing_rotation,
     timeframe_quasienergies,
 )
-from floqlat.models import h1_bond_cells
+from floqlat.models import h1_bond_cells, hopping_block
 from oracles import dense_quasienergies, dense_quasienergy_states, floquet_operator
 
 PI = np.pi
@@ -118,10 +118,62 @@ def test_timeframe_matches_dense_oracle(drive):
         lambda drive: is_pi_paired(drive.params)
     )
 )
-def test_one_svd_matches_both_svds_on_pi_paired_drives(drive):
+def test_half_size_drive_matches_the_full_blocks_on_pi_paired_drives(drive):
     a, _, c, _ = chiral_blocks(drive)
     both = fold_quasienergy(timeframe_quasienergies(a, c))
     assert compare_spectra(quasienergies(drive).values, both) <= 1e-12
+
+
+@st.composite
+def pi_paired_drives(draw):
+    """Drives on theta0 = pi/4: open chains of odd and even length and even
+    rings down to 2 cells, with random or wall profiles that take zero and
+    negative coefficients, at theta1 = 0, pi/4 (gapless) or pi/2."""
+    bc = draw(st.sampled_from([OBC, PBC]))
+    n_cells = draw(st.integers(2, 65))
+    if bc is PBC:
+        n_cells += n_cells % 2
+    n_bonds = len(h1_bond_cells(n_cells, bc))
+    coeff = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        coeffs = np.array(draw(st.lists(coeff, min_size=n_bonds, max_size=n_bonds)))
+    else:
+        wall = draw(st.integers(0, n_bonds))
+        coeffs = np.where(np.arange(n_bonds) < wall, draw(coeff), draw(coeff))
+    theta1 = draw(st.sampled_from([0.0, PI / 4, PI / 2]))
+    return UnitaryOperator(DriveParams(PI / 4, theta1, n_cells, bc), coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drive=pi_paired_drives())
+@example(drive=UnitaryOperator(DriveParams(PI / 4, 0.9, 2, PBC), [1.3, -0.4]))  # the 1-cell ring
+@example(drive=UnitaryOperator(DriveParams(PI / 4, PI / 4, 3, OBC), [0.0, 0.0]))
+@example(drive=UnitaryOperator(DriveParams(PI / 4, PI / 2, 101, OBC)))  # exact 0 modes
+def test_half_size_drive_matches_dense_oracle(drive):
+    assert is_pi_paired(drive.params)
+    fast = quasienergies(drive).values
+    assert fast.shape == (drive.params.n_sites,)
+    assert not np.signbit(fast[fast == 0.0]).any()  # written as 0, not -0
+    assert compare_spectra(fast, dense_oracle(drive.params, drive.h1_coeffs)) < ORACLE_TOL
+
+
+@pytest.mark.parametrize(
+    "n_cells, theta1, splitting",
+    [(63, 1.1, 4.8373217159552803e-19), (64, 0.9, 1.7448032504822728e-7),
+     (101, 0.9, 3.3575203684174452e-11)],
+)
+def test_pi_paired_end_mode_splitting_to_full_relative_precision(n_cells, theta1, splitting):
+    # the splitting of the two end modes of the open chain, from a 40-digit
+    # SVD (mpmath) of the full-size block c
+    eps = quasienergies(build_floquet(DriveParams(PI / 4, theta1, n_cells, OBC))).values
+    assert np.abs(eps).min() == pytest.approx(splitting, rel=1e-12, abs=0.0)
+
+
+def _sector_coupling(drive):
+    """Largest |U^2| entry between the sites {0, 3, 4, 7, 8, ...} and the rest."""
+    square = drive.matrix @ drive.matrix
+    sector = (np.arange(drive.dim) + 1) // 2 % 2 == 0
+    return np.abs(square[np.ix_(sector, ~sector)]).max()
 
 
 @pytest.fixture
@@ -145,36 +197,37 @@ def _random_drive(theta0, n_cells, bc, seed=0):
 
 
 @pytest.mark.parametrize(
-    "drive, n_svd",
+    "drive, svd_size",
     [
-        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 12), 1),
-        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 13), 1),
-        (_random_drive(PI / 4, 12, PBC), 1),
-        (_random_drive(PI / 4, 7, PBC), 2),  # the wrap bond breaks the pairing
-        (_random_drive(PI / 4 + 1e-9, 12, OBC), 2),
-        (_random_drive(PI / 4 + 1e-9, 12, PBC), 2),
-        (_random_drive(PI / 4 + 0.5 * LINE_ATOL, 12, OBC), 2),  # near the line is not on it
+        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 12), 6),
+        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 13), 7),
+        (_random_drive(PI / 4, 12, PBC), 6),
+        (_random_drive(PI / 4, 2, PBC), 1),  # the 1-cell ring
+        (_random_drive(PI / 4, 7, PBC), 7),  # the wrap bond breaks the pairing
+        (_random_drive(PI / 4 + 1e-9, 12, OBC), 12),
+        (_random_drive(PI / 4 + 1e-9, 12, PBC), 12),
+        (_random_drive(PI / 4 + 0.5 * LINE_ATOL, 12, OBC), 12),  # near the line is not on it
     ],
 )
-def test_pi_paired_drives_need_one_svd(drive, n_svd, svd_calls):
-    assert is_pi_paired(drive.params) is (n_svd == 1)
+def test_pi_paired_drives_need_two_half_size_svds(drive, svd_size, svd_calls):
+    assert is_pi_paired(drive.params) is (svd_size < drive.params.n_cells)
     fast = quasienergies(drive).values
-    assert svd_calls == [((drive.params.n_cells,) * 2, False)] * n_svd
+    assert svd_calls == [((svd_size,) * 2, False)] * 2
     assert compare_spectra(fast, dense_quasienergies(drive.matrix).values) < ORACLE_TOL
 
 
 @pytest.mark.parametrize(
-    "params, n_svd",
+    "params, svd_size",
     [
-        (DriveParams(PI / 4, 3 * PI / 8, 24, PBC), 1),  # classified on the open chain
-        (DriveParams(PI / 4, 0.3, 25, OBC), 1),
-        (DriveParams(0.3, 1.0, 24, OBC), 2),
-        (DriveParams(PI / 4 + 1e-9, 1.2, 24, PBC), 2),
+        (DriveParams(PI / 4, 3 * PI / 8, 24, PBC), 12),  # classified on the open chain
+        (DriveParams(PI / 4, 0.3, 25, OBC), 13),
+        (DriveParams(0.3, 1.0, 24, OBC), 24),
+        (DriveParams(PI / 4 + 1e-9, 1.2, 24, PBC), 24),
     ],
 )
-def test_phase_counts_need_singular_values_only(params, n_svd, svd_calls):
+def test_phase_counts_need_singular_values_only(params, svd_size, svd_calls):
     classify_phase(params)
-    assert svd_calls == [((params.n_cells,) * 2, False)] * n_svd
+    assert svd_calls == [((svd_size,) * 2, False)] * 2
 
 
 def test_each_mode_kind_needs_one_svd_with_vectors(svd_calls):
@@ -184,20 +237,35 @@ def test_each_mode_kind_needs_one_svd_with_vectors(svd_calls):
     assert svd_calls == [((12, 12), True)] * 2
 
 
+@pytest.mark.parametrize("n_cells, bc", [(12, PBC), (12, OBC), (13, OBC), (2, PBC)])
+def test_squared_drive_splits_into_two_sectors_on_the_line(n_cells, bc):
+    assert _sector_coupling(_random_drive(PI / 4, n_cells, bc)) < 1e-14
+
+
 def test_odd_periodic_chain_on_the_line_is_not_pi_paired():
-    a, _, c, _ = chiral_blocks(_random_drive(PI / 4, 7, PBC))
+    drive = _random_drive(PI / 4, 7, PBC)
+    a, _, c, _ = chiral_blocks(drive)
     sigma_a, sigma_c = (np.linalg.svd(block, compute_uv=False) for block in (a, c))
     assert np.abs(sigma_a - sigma_c).max() > 1e-3
-    with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
-        timeframe_quasienergies(a)  # read as paired, it fails the CS check
+    # the wrap bond joins the two sectors of U^2, so no half-size drive exists
+    assert _sector_coupling(drive) > 1e-3
+    eps = quasienergies(drive).values
+    assert compare_spectra(eps, np.sort(fold_quasienergy(PI - eps))) > 1e-3
 
 
 def test_near_line_drive_read_as_paired_misses_by_more_than_1e_12():
-    # within LINE_ATOL of pi/4 the CS check passes, but the one-SVD reading is
-    # off the two-SVD spectrum by a few times the offset
-    a, _, c, _ = chiral_blocks(_random_drive(PI / 4 + LINE_ATOL, 12, OBC))
-    paired = fold_quasienergy(timeframe_quasienergies(a))
-    assert compare_spectra(paired, fold_quasienergy(timeframe_quasienergies(a, c))) > 1e-12
+    # within LINE_ATOL of pi/4 the half-size drive, which takes the first
+    # step as -i X, is off the two-block spectrum by a few times the offset
+    drive = _random_drive(PI / 4 + LINE_ATOL, 12, OBC)
+    paired = np.sort(floquet._squared_drive_quasienergies(drive))
+    assert compare_spectra(paired, quasienergies(drive).values) > 1e-12
+
+
+def test_half_size_blocks_are_checked_for_the_cs_identity(monkeypatch):
+    blocks = floquet._blocks_a_c
+    monkeypatch.setattr(floquet, "_blocks_a_c", lambda *args: [1.01 * m for m in blocks(*args)])
+    with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
+        quasienergies(_random_drive(PI / 4, 12, OBC))
 
 
 @settings(max_examples=100, deadline=None)
@@ -248,6 +316,23 @@ def test_blocks_are_the_half_period_factor():
         np.testing.assert_allclose(d, g[1::2, 1::2], atol=1e-15)
         real_form = np.block([[a, -b], [c, d]])
         np.testing.assert_allclose(real_form.T @ real_form, np.eye(14), atol=1e-14)
+
+
+@pytest.mark.parametrize("n_cells, bc", [(7, OBC), (7, PBC), (1, OBC), (1, PBC)])
+def test_blocks_with_a_first_step_phase_per_cell(n_cells, bc):
+    # the half-size drive of a pi-paired drive has its own first-step phase
+    # on each cell, and on 1 cell both steps join the same A - B pair
+    rng = np.random.default_rng(n_cells)
+    cells = np.arange(n_cells)
+    b_cell, a_cell = h1_bond_cells(n_cells, bc).T
+    half0, half1 = rng.uniform(-2.0, 2.0, n_cells), rng.uniform(-2.0, 2.0, len(b_cell))
+    g = floquet._dimer_evolution_apply(2 * cells, 2 * cells + 1, half0, np.eye(2 * n_cells, dtype=complex))
+    g = floquet._dimer_evolution_apply(2 * b_cell + 1, 2 * a_cell, half1, g)
+    a, b, c, d = (hopping_block(*entries, bc) for entries in floquet._chiral_entries(half0, half1, bc))
+    np.testing.assert_allclose(a, g[0::2, 0::2], atol=1e-15)
+    np.testing.assert_allclose(b, 1j * g[0::2, 1::2], atol=1e-15)
+    np.testing.assert_allclose(c.T, 1j * g[1::2, 0::2], atol=1e-15)
+    np.testing.assert_allclose(d.T, g[1::2, 1::2], atol=1e-15)
 
 
 @pytest.mark.parametrize("n_cells", [60, 100])

@@ -23,7 +23,7 @@ from floqlat import (
     wall_decay_factors,
 )
 from floqlat.floquet import localizing_rotation
-from floqlat.walls import h1_step_profile
+from floqlat.walls import _select_bound_state, h1_step_profile
 
 PI = np.pi
 ETA = PI / 8
@@ -61,6 +61,25 @@ def test_floquet_wall_binds_midgap_states():
         positions = [int(np.argmax(column)) for column in weights.T]
         assert min(positions) < 10  # one state pinned at the left (topological) end
         assert any(abs(p - 100) < 10 for p in positions)  # one pinned at the wall
+
+
+@pytest.mark.parametrize("kind", ["zero", "pi"])
+def test_bound_state_energy_does_not_depend_on_the_eigenbasis(kind):
+    # at this detuning the wall state draws evenly from a split +-E pair, so
+    # the eigenvector it draws the most from is picked by round-off
+    n_cells = 41
+    values, states = mode_states(build_floquet_wall(wall(WallModel.FLOQUET, -0.10070634684340969,
+                                                         0.10070634684340969), n_cells), kind, 0.05)
+    drawn = np.abs(localizing_rotation(states)) ** 2
+    assert np.abs(drawn - 0.5).max() < 1e-6
+    reported = _select_bound_state(values, states, n_cells, 0.05).energy
+    assert reported == values.min()
+    rng = np.random.default_rng(0)
+    for _ in range(8):
+        order = rng.permutation(len(values))
+        signs = rng.choice([-1.0, 1.0], len(values))
+        shuffled = _select_bound_state(values[order], states[:, order] * signs, n_cells, 0.05)
+        assert shuffled.energy == reported
 
 
 def test_floquet_wall_model_check():
