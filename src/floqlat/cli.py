@@ -183,10 +183,11 @@ def dense_bytes(command: str, cells: int) -> int:
     Per N^2 it is the peak of the largest solve, measured at N = 800: spectra
     and phase counts (spectrum, map, scaling, phase-diagram) keep a few real
     N x N blocks, 32 N^2; domainwall, the largest of its three models (the
-    static walls, whose singular vectors fill complex 2N x 2N states),
-    192 N^2.
+    floquet wall: four real N x N chiral blocks and the singular vectors of
+    one; the static walls, one block and its singular vectors, peak at
+    75 N^2), 96 N^2.
     """
-    return (192 if command == "domainwall" else 32) * cells**2
+    return (96 if command == "domainwall" else 32) * cells**2
 
 
 def _check_dense_bytes(args) -> None:

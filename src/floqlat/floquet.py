@@ -44,9 +44,11 @@ MIN_EDGE_WEIGHT = 0.5
 
 
 def fold_quasienergy(x):
-    """Fold angles into [-pi, pi); values within 1e-12 of +pi map to -pi."""
+    """Fold angles into [-pi, pi); values within 1e-12 of +pi map to -pi.  Only
+    values outside [-pi, pi - 1e-12) are moved, the rest keep every digit."""
     arr = np.asarray(x, dtype=float)
-    folded = np.mod(arr + np.pi, 2.0 * np.pi) - np.pi
+    outside = (arr < -np.pi) | (arr >= np.pi - FOLD_ATOL)
+    folded = np.where(outside, np.mod(arr + np.pi, 2.0 * np.pi) - np.pi, arr) + 0.0
     folded = np.where(folded >= np.pi - FOLD_ATOL, -np.pi, folded)
     if np.isscalar(x) or arr.ndim == 0:
         return float(folded)
@@ -296,9 +298,9 @@ def _squared_drive_quasienergies(u: UnitaryOperator) -> np.ndarray:
     the values nearest +pi/2 and -pi/2 are dropped again.  U^2 is minus the
     sector drive, so timeframe_quasienergies with the blocks swapped gives
     the spectrum 2 eps of U^2, and U has both square roots, eps and eps + pi.
-    The CS check runs on the half-size blocks.  The half-angles eps are not
-    folded, so the 0 modes keep the relative precision of a^T's singular
-    values.
+    The CS check runs on the half-size blocks.  The half-angles eps lie in
+    the fold window, which leaves them as they are, so the 0 modes keep the
+    relative precision of a^T's singular values.
     """
     params = u.params
     _, phases = _drive_phases(u)
@@ -306,8 +308,8 @@ def _squared_drive_quasienergies(u: UnitaryOperator) -> np.ndarray:
     if padded:
         phases = np.append(phases, 0.0)
     a, c = _blocks_a_c(phases[0::2], phases[1::2], params.bc)
-    half = 0.5 * timeframe_quasienergies(c, a.T) + 0.0  # -0.0 written as 0.0, as the fold does
-    eps = np.concatenate([half, fold_quasienergy(half + np.pi)])
+    half = 0.5 * timeframe_quasienergies(c, a.T)
+    eps = fold_quasienergy(np.concatenate([half, half + np.pi]))
     if padded:
         eps = np.delete(eps, [np.argmin(np.abs(eps - side)) for side in (0.5 * np.pi, -0.5 * np.pi)])
     return eps
@@ -348,8 +350,8 @@ def mode_states(u: UnitaryOperator, kind: str, window: float) -> tuple[np.ndarra
     In the CS basis the timeframe operator Gamma G^dag Gamma G rotates each
     pair (v1, v2) by 2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector
     with quasienergy -+2 theta, and psi = exp(+i theta0 H0 / 2) phi that of U.
-    That factor acts within each cell as exp(i theta0 sigma_x), so psi is
-    assembled by cell_states with those orbitals, the 1 / sqrt(2) folded in.
+    That factor acts within each cell as exp(i theta0 sigma_x), so cell_states
+    assembles psi with those orbitals.
     """
     _check_mode_window(window)
     if kind not in ("zero", "pi"):
@@ -361,15 +363,10 @@ def mode_states(u: UnitaryOperator, kind: str, window: float) -> tuple[np.ndarra
     v2 = partner.T @ left[:, keep]
     norm = np.linalg.norm(v2, axis=0)
     theta = _cs_angles(norm, sigma[keep]) if kind == "zero" else _cs_angles(sigma[keep], norm)
-    v1, v2 = right_t[keep].T, v2 / norm
     eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
-    order = np.argsort(eps)
-    a_part = np.concatenate([v1, v1], axis=1)[:, order]
-    b_part = np.concatenate([-v2, v2], axis=1)[:, order]
-    cos0 = math.cos(u.params.theta0) / math.sqrt(2.0)
-    sin0 = math.sin(u.params.theta0) / math.sqrt(2.0)
+    cos0, sin0 = math.cos(u.params.theta0), math.sin(u.params.theta0)
     orbitals = np.array([[cos0, 1.0j * sin0], [1.0j * sin0, cos0]])
-    return eps[order], cell_states(a_part, b_part, orbitals)
+    return cell_states(eps, right_t[keep].T, v2 / norm, orbitals)
 
 
 def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.ndarray:

@@ -4,7 +4,8 @@ All couplings are stored in units of the inverse driving period (T = 1) and the
 spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 0 .. 2N-1, with sublattice A on even and B on odd sites.  Every built chain is
 chiral and is kept as its real N x N hopping block h, from which the spectrum
-is +-svd(h); the dense complex matrix is formed only on demand.
+is +-svd(h) and the eigenpairs in an energy window come from the singular
+triplets inside it; the dense complex matrix is formed only on demand.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
@@ -144,35 +145,34 @@ class HermitianOperator:
         sigma = np.linalg.svd(self.h, compute_uv=False)
         return np.concatenate([-sigma, sigma[::-1]])
 
-    def diagonalize(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending energies and orthonormal eigenvector columns.
+    def mode_states(self, window: float) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenpairs with |E| < window: energies ascending, orthonormal state columns.
 
         For a block h = U S V^T the chiral chain has (u_k; -+v_k) / sqrt(2) in
-        the (a, b) orbitals at energy -+s_k.  A pair with s_k below the
-        numerical-rank tolerance is degenerate to working precision; its zero
-        modes come out sublattice-polarized, (u_k; 0) and (0; v_k).
+        the (a, b) orbitals at energy -+s_k; only the triplets with s_k < window are built.
         """
         u, sigma, vt = np.linalg.svd(self.h)
-        zero = sigma <= sigma.max(initial=0.0) * len(sigma) * np.finfo(float).eps
-        keep = np.where(zero, 1.0, math.sqrt(0.5))
-        mix = np.where(zero, 0.0, math.sqrt(0.5))
-        a = np.concatenate([u * keep, (u * mix)[:, ::-1]], axis=1)
-        b = np.concatenate([-vt.T * mix, (vt.T * keep)[:, ::-1]], axis=1)
-        return np.concatenate([-sigma, sigma[::-1]]), cell_states(a, b, self.orbitals)
+        keep = sigma < window
+        values = np.concatenate([-sigma[keep], sigma[keep]])
+        return cell_states(values, u[:, keep], vt[keep].T, self.orbitals)
 
 
-def cell_states(a: np.ndarray, b: np.ndarray, orbitals: np.ndarray) -> np.ndarray:
-    """State columns with a[i] times the a orbital and b[i] times the b orbital
-    (the columns of `orbitals`) in cell i, on rows 2i and 2i + 1.
-
-    The one state assembly of the chiral chains: the static chains pass their
-    cell orbitals, the drive its timeframe rotation (see floquet.mode_states).
+def cell_states(values, a, b, orbitals) -> tuple[np.ndarray, np.ndarray]:
+    """Values ascending with the state columns (a; -+b) / sqrt(2) at values[:k]
+    and values[k:], k = a.shape[1]: in cell i, on rows 2i and 2i + 1, the a
+    part times the a orbital plus the b part times the b one (the columns of
+    `orbitals`).  The one state assembly of the chiral chains: the static
+    chains pass +-s with their singular vectors (HermitianOperator.mode_states),
+    the drive +-2 theta with its CS vectors (floquet.mode_states).
     """
+    order = np.argsort(values, kind="stable")
+    a = np.concatenate([a, a], axis=1)[:, order]
+    b = np.concatenate([-b, b], axis=1)[:, order]
     states = np.empty((len(a), 2, a.shape[1]), dtype=complex)
-    for row, (to_a, to_b) in zip(states.transpose(1, 0, 2), orbitals):
+    for row, (to_a, to_b) in zip(states.transpose(1, 0, 2), orbitals * math.sqrt(0.5)):
         np.multiply(to_a, a, out=row)
         row += to_b * b
-    return states.reshape(2 * len(a), a.shape[1])
+    return values[order], states.reshape(2 * len(a), a.shape[1])
 
 
 def sublattice_parity(dim: int) -> np.ndarray:

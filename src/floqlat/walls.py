@@ -5,7 +5,8 @@ driven chain it is realized by rescaling the second-step bond coefficient on
 one side (the drive phase itself stays uniform); in the static models it is a
 step in the couplings (u, v) or (m, r).  The zero mode bound to a Wilson-Dirac
 wall has the closed-form profile phi(x) = (1 + m/R)^x with reciprocal decay
-factors on the two sides.
+factors on the two sides.  Bound states are fitted among the eigenpairs in
+an energy window, the only ones built (mode_states of either operator).
 """
 
 from __future__ import annotations
@@ -275,10 +276,8 @@ def numeric_bound_state(
     components_per_site: int = 1,
 ) -> BoundState:
     """Fit the wall-localized eigenstate with |E| < energy_window of a wall Hamiltonian."""
-    energies, states = op.diagonalize()
-    near = np.abs(energies) < energy_window
     return _select_bound_state(
-        energies[near], states[:, near], wall_position, energy_window, components_per_site
+        *op.mode_states(energy_window), wall_position, energy_window, components_per_site
     )
 
 

@@ -26,6 +26,7 @@ from floqlat import (
     wrap_distance,
 )
 
+from floqlat.floquet import chiral_blocks, timeframe_quasienergies
 from oracles import dense_quasienergies
 
 PBC = BoundaryCondition.PERIODIC
@@ -55,6 +56,23 @@ def test_fold_lands_in_half_open_window(x):
     folded = fold_quasienergy(x)
     assert -PI <= folded < PI
     assert abs(np.sin(folded - x)) < 1e-9  # congruent modulo 2 pi
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.floats(-PI, PI - 1e-12, exclude_max=True))
+def test_fold_leaves_values_in_the_window_bit_identical(x):
+    folded = fold_quasienergy(np.array([x, -0.0]))
+    assert folded[0].tobytes() == np.float64(x + 0.0).tobytes()
+    assert folded[1] == 0.0 and not np.signbit(folded[1])  # -0.0 is written as 0.0
+
+
+def test_open_chain_end_mode_splitting_keeps_its_relative_digits():
+    # off the line the end modes split by about 5e-15; folding every value
+    # through mod(x + pi, 2 pi) - pi would round them to multiples of ulp(pi)
+    u = build_floquet(DriveParams(0.3, 0.9, 24, OBC))
+    a, _, c, _ = chiral_blocks(u)
+    unfolded = np.abs(timeframe_quasienergies(a, c)).min()
+    np.testing.assert_allclose(np.abs(quasienergies(u).values).min(), unfolded, rtol=1e-12)
 
 
 # ---------------------------------------------------------------- one-period operator

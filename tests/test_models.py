@@ -28,6 +28,7 @@ from floqlat import (
     wd_dispersion,
     wd_momentum_grid,
 )
+from floqlat.floquet import localizing_rotation
 from floqlat.models import hopping_block
 from floqlat.walls import h1_step_profile
 
@@ -367,15 +368,26 @@ def test_counts_accept_numpy_integers(count):
 ORACLE_TOL = 1e-10
 
 
+def assert_eigenpairs(op, energies, states):
+    assert np.abs(op.matrix @ states - states * energies).max(initial=0.0) < ORACLE_TOL
+    assert np.abs(states.conj().T @ states - np.eye(len(energies))).max(initial=0.0) < ORACLE_TOL
+    assert np.all(np.diff(energies) >= 0)
+
+
 def assert_matches_dense_eigh(op):
-    """eigenvalues() and diagonalize() of a block-built chain against eigh of its matrix."""
+    """eigenvalues() and mode_states() of a block-built chain against eigh of its matrix:
+    all eigenpairs, and the count within a window in the widest gap of |E|."""
     oracle = np.linalg.eigvalsh(op.matrix)
-    energies, states = op.diagonalize()
+    energies, states = op.mode_states(np.inf)
     np.testing.assert_allclose(op.eigenvalues(), oracle, rtol=0, atol=ORACLE_TOL)
     np.testing.assert_allclose(energies, oracle, rtol=0, atol=ORACLE_TOL)
-    assert np.abs(op.matrix @ states - states * energies).max() < ORACLE_TOL
-    assert np.abs(states.conj().T @ states - np.eye(op.dim)).max() < ORACLE_TOL
-    assert np.all(np.diff(energies) >= 0)
+    assert_eigenpairs(op, energies, states)
+    magnitudes = np.sort(np.abs(oracle))
+    widest = int(np.argmax(np.diff(magnitudes)))
+    if magnitudes[widest + 1] - magnitudes[widest] > 2 * ORACLE_TOL:
+        energies, states = op.mode_states(0.5 * (magnitudes[widest] + magnitudes[widest + 1]))
+        assert len(energies) == widest + 1
+        assert_eigenpairs(op, energies, states)
 
 
 # Exact zeros or magnitudes >= 1e-12: the oracle, LAPACK's dense eigh, goes
@@ -441,13 +453,14 @@ def test_gap_closings_and_zero_couplings_match_dense_oracle(bc, u, v):
 @pytest.mark.parametrize("n_cells", [24, 40, 100])
 def test_nearly_degenerate_end_modes_match_dense_oracle(n_cells):
     # the two end modes of a long topological chain split by (v/u)^N, far
-    # below roundoff; the pair comes out sublattice-polarized, one state per end
+    # below roundoff; localizing_rotation puts the pair one state per end
     op = build_ssh(SSHParams(u=0.9, v=0.1, n_cells=n_cells, bc=OBC))
     assert_matches_dense_eigh(op)
     assert_matches_dense_eigh(build_ssh(SSHParams(u=0.9, v=0.1, n_cells=n_cells // 3, bc=OBC)))
-    energies, states = op.diagonalize()
-    ends = sorted(int(np.argmax(np.abs(states[:, i]))) for i in np.argsort(np.abs(energies))[:2])
-    assert ends == [0, 2 * n_cells - 1]
+    energies, states = op.mode_states(0.4)
+    assert len(energies) == 2
+    localized = states @ localizing_rotation(states)
+    assert sorted(np.argmax(np.abs(localized), axis=0)) == [0, 2 * n_cells - 1]
 
 
 def test_block_spectrum_survives_an_underflowing_coupling():
@@ -455,7 +468,7 @@ def test_block_spectrum_survives_an_underflowing_coupling():
     # (the square of the 4.5e-160 bond underflows); the singular values do not
     op = build_ssh_profile([0.0] * 10 + [2.0], [0.0] * 9 + [4.4905010034278886e-160], OBC)
     assert abs(op.eigenvalues()[-1] - 2.0) < 1e-15
-    energies, states = op.diagonalize()
+    energies, states = op.mode_states(np.inf)
     assert np.abs(op.matrix @ states - states * energies).max() < 1e-15
 
 

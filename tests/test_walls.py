@@ -22,7 +22,9 @@ from floqlat import (
     solve_wd_params,
     wall_decay_factors,
 )
+import floqlat.models
 from floqlat.floquet import localizing_rotation
+from floqlat.models import cell_states
 from floqlat.walls import _select_bound_state, h1_step_profile
 
 PI = np.pi
@@ -106,10 +108,9 @@ def test_ssh_wall_hosts_wall_and_edge_state():
     n_cells = 100
     op = build_ssh_wall(wall(WallModel.SSH, -ETA, ETA), n_cells)
     u, v = solve_ssh_params(ETA)
-    energies, states = op.diagonalize()
-    midgap = np.nonzero(np.abs(energies) < 0.5 * abs(u - v))[0]
-    assert len(midgap) == 2
-    peaks = sorted(int(np.argmax(np.abs(states[:, i]) ** 2)) for i in midgap)
+    _, states = op.mode_states(0.5 * abs(u - v))
+    assert states.shape[1] == 2
+    peaks = sorted(np.argmax(np.abs(states @ localizing_rotation(states)), axis=0))
     assert abs(peaks[0] - n_cells) <= 2  # bound to the wall (site N of 2N)
     assert peaks[1] >= 2 * n_cells - 3  # edge state at the topological end
 
@@ -216,11 +217,11 @@ def test_analytic_state_overlaps_numeric_wall_mode():
     n_sites = 120
     op = build_wd_wall(wall(WallModel.WD, -ETA, ETA), n_sites)
     m, _ = solve_wd_params(ETA)
-    energies, states = op.diagonalize()
+    _, states = op.mode_states(0.5 * abs(m))
+    assert states.shape[1] == 2  # the wall mode and the one at the topological end
+    localized = states @ localizing_rotation(states, components_per_site=2)
     psi = analytic_wall_state(ETA, n_sites)
-    midgap = np.nonzero(np.abs(energies) < 0.5 * abs(m))[0]
-    overlap = max(abs(states[:, i].conj() @ psi) for i in midgap)
-    assert overlap > 0.85
+    assert np.abs(localized.conj().T @ psi).max() > 0.85
 
 
 # ---------------------------------------------------------------- localization fits
@@ -244,6 +245,26 @@ def test_fitted_wd_wall_length_matches_closed_form():
     state = numeric_bound_state(op, 100, energy_window=0.5 * abs(m), components_per_site=2)
     np.testing.assert_allclose(state.xi_right, XI_CLOSED_FORM, rtol=0.05)
     np.testing.assert_allclose(state.xi_left, XI_CLOSED_FORM, rtol=0.05)
+
+
+@pytest.mark.parametrize("wd", [False, True])
+def test_static_bound_state_builds_only_the_window_states(wd, monkeypatch):
+    n_cells = 100
+    model = WallModel.WD if wd else WallModel.SSH
+    op = (build_wd_wall if wd else build_ssh_wall)(wall(model, -ETA, ETA), n_cells)
+    window = 0.5 * abs(solve_wd_params(ETA).m)  # |m| = |u - v| = sin(2 eta)
+    built = []
+
+    def spy(*args):
+        values, states = cell_states(*args)
+        built.append(states.shape)
+        return values, states
+
+    monkeypatch.setattr(floqlat.models, "cell_states", spy)
+    # the wall sits mid-chain: site N of the 2N dimerized sites, N/2 of the N spinor sites
+    numeric_bound_state(op, n_cells // 2 if wd else n_cells, window, 2 if wd else 1)
+    in_window = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(op.matrix)) < window))
+    assert built == [(op.dim, in_window)] and in_window == 2
 
 
 def test_fitted_ssh_wall_lengths_symmetric():
