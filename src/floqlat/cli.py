@@ -180,14 +180,14 @@ def write_output(
 def dense_bytes(command: str, cells: int) -> int:
     """Estimated peak bytes of the dense arrays of one subcommand at N = cells.
 
-    Per N^2 it is the peak of the largest solve, measured at N = 800: spectra
-    and phase counts (spectrum, map, scaling, phase-diagram) keep a few real
-    N x N blocks, 32 N^2; domainwall, the largest of its three models (the
-    floquet wall: four real N x N chiral blocks and the singular vectors of
-    one; the static walls, one block and its singular vectors, peak at
-    75 N^2), 96 N^2.
+    Per N^2 it is the peak of the largest solve, measured at N = 800 with one
+    BLAS thread: spectra and phase counts (spectrum, map, scaling,
+    phase-diagram) keep a few real N x N blocks, 32 N^2; domainwall, the
+    largest of its three models, 76 N^2.  That is the static walls: one real
+    N x N block and its singular vectors, 75.8 N^2.  The floquet wall, two
+    half-size blocks and the singular vectors of one, peaks at 22.7 N^2.
     """
-    return (96 if command == "domainwall" else 32) * cells**2
+    return (76 if command == "domainwall" else 32) * cells**2
 
 
 def _check_dense_bytes(args) -> None:

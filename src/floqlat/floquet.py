@@ -6,11 +6,13 @@ lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 [-pi, pi); values within 1e-12 of +pi fold to -pi.
 
 The one-period operator is kept as the drive's bond data and solved in the
-chiral timeframe: the spectrum from two N x N singular-value problems, or, on
-pi-paired drives (theta0 = pi/4 on an open or even periodic chain), from two
-ceil(N/2) x ceil(N/2) ones of the half-size drive that U^2 restricts to, and
-the 0 (pi) modes with their eigenvectors from the singular vectors of block
-c (a) alone.  The dense 2N x 2N matrix is formed only when it is read.
+chiral timeframe: the spectrum from two N x N singular-value problems, and the
+0 (pi) modes with their eigenvectors from the singular vectors of block c (a)
+alone.  On pi-paired drives (theta0 = pi/4 on an open or even periodic chain)
+the half-size drive that U^2 restricts to does both at ceil(N/2) x ceil(N/2):
+two values-only SVDs for the spectrum, and one SVD of its block a for the 0
+and the pi modes together.  The dense 2N x 2N matrix is formed only when it
+is read.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from .errors import GaplessPointError, NumericalError, ValidationError
 from .models import (
+    SITE_ORBITALS,
     BoundaryCondition,
     DriveParams,
     bond_coefficients,
@@ -41,6 +44,9 @@ ARCCOS_CLAMP = 1e-12
 
 DEFAULT_TOL_MODE = 0.05
 MIN_EDGE_WEIGHT = 0.5
+# Rotation weights this close to the largest count as a tie in giving a
+# localized state its quasienergy.
+WEIGHT_TIE_ATOL = 1e-9
 
 
 def fold_quasienergy(x):
@@ -124,7 +130,7 @@ def _dimer_evolution_apply(sites_a, sites_b, phases, matrix) -> np.ndarray:
     On each 2x2 bond block the spectral decomposition closes: cos(phase) on
     the diagonal and -i sin(phase) off it; uncoupled sites stay at 1.  So the
     factor has at most two entries per row and is applied row-wise in
-    O(N^2), with no eigensolve.
+    O(N k) to k columns, with no eigensolve.
     """
     off = (-1.0j * np.sin(phases))[:, None]
     diag = np.ones(len(matrix))
@@ -135,21 +141,27 @@ def _dimer_evolution_apply(sites_a, sites_b, phases, matrix) -> np.ndarray:
     return out
 
 
-def composed_drive_evolution(u: UnitaryOperator) -> np.ndarray:
-    """exp(-i H1 theta1) exp(-i H0 theta0) assembled from exact 2x2 bond blocks.
+def _apply_drive(u: UnitaryOperator, matrix: np.ndarray) -> np.ndarray:
+    """U @ matrix, for any matrix with 2N rows, as exp(-i H1 theta1) exp(-i H0 theta0)
+    applied from exact 2x2 bond blocks.
 
     Both drive steps are disjoint-dimer Hamiltonians, on the intra-cell bonds
     and on the bonds of h1_bond_cells, so each factor is the spectral
     decomposition of its bond blocks (identical to a dense eigensolve of the
-    factor), applied row-wise to the identity in O(N^2).
+    factor), applied row-wise in O(N k) to k columns.
     """
     params = u.params
     cells = np.arange(params.n_cells)
     b_cell, a_cell = h1_bond_cells(params.n_cells, params.bc).T
     phases0 = np.full(params.n_cells, 2.0 * params.theta0)
-    e0 = np.eye(params.n_sites, dtype=complex)
-    e0 = _dimer_evolution_apply(2 * cells, 2 * cells + 1, phases0, e0)
-    return _dimer_evolution_apply(2 * b_cell + 1, 2 * a_cell, params.theta1 * u.h1_coeffs, e0)
+    first = _dimer_evolution_apply(2 * cells, 2 * cells + 1, phases0, matrix)
+    return _dimer_evolution_apply(2 * b_cell + 1, 2 * a_cell, params.theta1 * u.h1_coeffs, first)
+
+
+def composed_drive_evolution(u: UnitaryOperator) -> np.ndarray:
+    """The dense one-period matrix exp(-i H1 theta1) exp(-i H0 theta0):
+    _apply_drive on the identity."""
+    return _apply_drive(u, np.eye(u.dim, dtype=complex))
 
 
 def build_floquet(params: DriveParams) -> UnitaryOperator:
@@ -179,8 +191,10 @@ def is_pi_paired(params: DriveParams) -> bool:
     U maps one sector onto the other, so U^2 has the same spectrum on both,
     and each of its eigenvalues mu on one sector gives U the pair +-sqrt(mu).
     On the +1 sector U^2 is minus a two-step drive on N/2 cells; an open
-    chain with odd N is padded with one decoupled cell first.  quasienergies
-    solves that drive (_squared_drive_quasienergies).
+    chain with odd N is padded with one decoupled cell first (_squared_drive).
+    quasienergies solves that drive for the spectrum, and mode_states for the
+    eigenvectors: an eigenvector phi of U^2 on the +1 sector gives U the two
+    eigenvectors phi + U phi / lambda, one for each root lambda.
 
     A theta0 that is within LINE_ATOL of pi/4 but not on it does not count:
     read as paired, its quasienergies would move by a few times the offset,
@@ -204,9 +218,7 @@ def chiral_blocks(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarra
     bond list: a and b carry their bond entry at [a_cell, b_cell], as the
     static chains' hopping_block does, c and d at [b_cell, a_cell].
     """
-    bc = u.params.bc
-    a, b, c, d = (hopping_block(*entries, bc) for entries in _chiral_entries(*_drive_phases(u), bc))
-    return a, b, c.T, d.T
+    return tuple(_blocks(*_drive_phases(u), u.params.bc, "abcd"))
 
 
 def _drive_phases(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -277,37 +289,50 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.concatenate([-eps, eps])
 
 
-def _blocks_a_c(
-    half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition
-) -> tuple[np.ndarray, np.ndarray]:
-    """The chiral blocks a and c alone (see chiral_blocks and _chiral_entries)."""
-    a, _, c, _ = _chiral_entries(half0, half1, bc)
-    return hopping_block(*a, bc), hopping_block(*c, bc).T
+def _blocks(
+    half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition, names: str
+) -> list[np.ndarray]:
+    """The chiral blocks named by the letters of `names` (see chiral_blocks),
+    each built from _chiral_entries alone, so a solve holds only the blocks it reads."""
+    entries = dict(zip("abcd", _chiral_entries(half0, half1, bc)))
+    blocks = [hopping_block(*entries[name], bc) for name in names]
+    return [block if name in "ab" else block.T for name, block in zip(names, blocks)]
 
 
-def _squared_drive_quasienergies(u: UnitaryOperator) -> np.ndarray:
-    """Unsorted quasienergies in [-pi, pi) of a pi-paired drive (is_pi_paired),
-    from the half-size drive that U^2 restricts to (see is_pi_paired).
+def _squared_drive(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, bool]:
+    """First- and second-step half-phases of the half-size drive that U^2 of a
+    pi-paired drive restricts to, and whether an odd open chain was padded.
 
     Bond i of the drive, with coefficient c_i, is bond i of the sector chain
-    {A_0, B_1, A_2, ...}, so that chain is a two-step drive on ceil(N/2)
-    cells: first-step half-phase theta1 c_(2k) / 2 on cell k, second-step
-    half-phase theta1 c_(2k+1) / 2 on its bonds, with the periodic wrap when
-    N is even.  An open chain with odd N gets one more cell, joined by a bond
-    with c = 0: its first step -i X adds eps = +-pi/2 to the spectrum, and
-    the values nearest +pi/2 and -pi/2 are dropped again.  U^2 is minus the
-    sector drive, so timeframe_quasienergies with the blocks swapped gives
-    the spectrum 2 eps of U^2, and U has both square roots, eps and eps + pi.
-    The CS check runs on the half-size blocks.  The half-angles eps lie in
-    the fold window, which leaves them as they are, so the 0 modes keep the
-    relative precision of a^T's singular values.
+    {A_0, B_1, A_2, ...} (see is_pi_paired), so that chain is a two-step
+    drive on ceil(N/2) cells: first-step half-phase theta1 c_(2k) / 2 on cell
+    k, second-step half-phase theta1 c_(2k+1) / 2 on its bonds, with the
+    periodic wrap when N is even.  An open chain with odd N gets one more
+    cell, joined by a bond with c = 0, whose second site is decoupled.
     """
     params = u.params
     _, phases = _drive_phases(u)
     padded = params.bc is BoundaryCondition.OPEN and params.n_cells % 2 == 1
     if padded:
         phases = np.append(phases, 0.0)
-    a, c = _blocks_a_c(phases[0::2], phases[1::2], params.bc)
+    return phases[0::2], phases[1::2], padded
+
+
+def _squared_drive_quasienergies(u: UnitaryOperator) -> np.ndarray:
+    """Unsorted quasienergies in [-pi, pi) of a pi-paired drive (is_pi_paired),
+    from the half-size drive that U^2 restricts to (_squared_drive).
+
+    The padding cell of an odd open chain has first step -i X, which adds
+    eps = +-pi/2 to the spectrum; the values nearest +pi/2 and -pi/2 are
+    dropped again.  U^2 is minus the sector drive, so
+    timeframe_quasienergies with the blocks swapped gives the spectrum 2 eps
+    of U^2, and U has both square roots, eps and eps + pi.  The CS check runs
+    on the half-size blocks.  The half-angles eps lie in the fold window,
+    which leaves them as they are, so the 0 modes keep the relative precision
+    of a^T's singular values.
+    """
+    half0, half1, padded = _squared_drive(u)
+    a, c = _blocks(half0, half1, u.params.bc, "ac")
     half = 0.5 * timeframe_quasienergies(c, a.T)
     eps = fold_quasienergy(np.concatenate([half, half + np.pi]))
     if padded:
@@ -323,7 +348,7 @@ def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
     restricts to."""
     if is_pi_paired(u.params):
         return QuasienergySpectrum(np.sort(_squared_drive_quasienergies(u)))
-    eps = timeframe_quasienergies(*_blocks_a_c(*_drive_phases(u), u.params.bc))
+    eps = timeframe_quasienergies(*_blocks(*_drive_phases(u), u.params.bc, "ac"))
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 
@@ -333,9 +358,61 @@ def _check_mode_window(window: float) -> None:
         raise ValidationError(f"mode window {window} outside (0, pi/2]")
 
 
-def mode_states(u: UnitaryOperator, kind: str, window: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 0 modes (kind "zero": |eps| < window) or pi modes (kind "pi":
-    pi - |eps| < window), quasienergies ascending with orthonormal eigenvector columns.
+def _timeframe_states(eps, v1, v2, half0) -> tuple[np.ndarray, np.ndarray]:
+    """eps ascending with the states exp(+i theta0 H0 / 2) (v1; -+v2) / sqrt(2)
+    at eps[:k] and eps[k:], k = v1.shape[1], for the first-step half-phase
+    half0[j] on cell j: the timeframe eigenvectors (see mode_states) moved back
+    to the drive's frame, cell by cell."""
+    eps, phi = cell_states(eps, v1, v2, SITE_ORBITALS)
+    cells = np.arange(len(half0))
+    return eps, _dimer_evolution_apply(2 * cells, 2 * cells + 1, -half0, phi)
+
+
+def _block_mode_states(
+    u: UnitaryOperator, names: str, window: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 0 modes (names "cd") or the pi modes ("ab") of the full-size blocks."""
+    half0, half1 = _drive_phases(u)
+    block, partner = _blocks(half0, half1, u.params.bc, names)
+    left, sigma, right_t = np.linalg.svd(block)
+    keep = sigma < math.sin(0.5 * window)
+    v2 = partner.T @ left[:, keep]
+    norm = np.linalg.norm(v2, axis=0)
+    theta = _cs_angles(norm, sigma[keep]) if names == "cd" else _cs_angles(sigma[keep], norm)
+    eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
+    return _timeframe_states(eps, right_t[keep].T, v2 / norm, half0)
+
+
+def _squared_drive_mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]:
+    """Both kinds of modes of a pi-paired drive from one SVD of the half-size
+    block a (see mode_states)."""
+    half0, half1, padded = _squared_drive(u)
+    a, b = _blocks(half0, half1, u.params.bc, "ab")
+    right, s, left_t = np.linalg.svd(a.T)
+    keep = s < math.sin(window)
+    v2 = b.T @ left_t[keep].T
+    norm = np.linalg.norm(v2, axis=0)
+    delta = _cs_angles(norm, s[keep])
+    # (v1; +-v2) gives U^2 the eigenvalue exp(+-2 i delta), so the 0 mode -+delta
+    eps = fold_quasienergy(np.concatenate([-delta, delta]))
+    eps, phi = _timeframe_states(eps, right[:, keep], -v2 / norm, half0)
+    # site m of the sector chain is site 2m + (m mod 2) of the drive
+    sector = np.arange(len(phi) - padded)
+    states = np.zeros((u.dim, phi.shape[1]), dtype=complex)
+    states[2 * sector + sector % 2] = phi[: len(sector)]
+    image = _apply_drive(u, states)
+    modes = []
+    for values in (eps, fold_quasienergy(eps + np.pi)):
+        order = np.argsort(values, kind="stable")
+        psi = (states + image * np.exp(1.0j * values)) * math.sqrt(0.5)
+        modes.append((values[order], psi[:, order]))
+    return tuple(modes)
+
+
+def mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]:
+    """The 0 modes (|eps| < window) and the pi modes (pi - |eps| < window),
+    ((eps_zero, states_zero), (eps_pi, states_pi)), each with quasienergies
+    ascending and orthonormal eigenvector columns.
 
     The orthogonal real form [[a, -b], [c, d]] of G has the CS decomposition
     a = U1 C V1^T, b = U1 S V2^T, c = U2 S V1^T, d = U2 C V2^T with C = cos
@@ -345,28 +422,29 @@ def mode_states(u: UnitaryOperator, kind: str, window: float) -> tuple[np.ndarra
     v2 = d^T u2 / |d^T u2|, or u1, s, v1 from svd(a) and v2 = b^T u1 / |b^T u1|.
     The pairs with s < sin(window / 2) are kept; their norm, at least
     cos(pi/4), is the other CS value, and s^2 + norm^2 = 1 is checked on them
-    in place of the dense U^dag U test.
+    in place of the dense U^dag U test.  In the CS basis the timeframe
+    operator Gamma G^dag Gamma G rotates each pair (v1, v2) by 2 theta, so
+    phi = (v1; -+v2) / sqrt(2) is its eigenvector with quasienergy -+2 theta,
+    and psi = exp(+i theta0 H0 / 2) phi that of U.
 
-    In the CS basis the timeframe operator Gamma G^dag Gamma G rotates each
-    pair (v1, v2) by 2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector
-    with quasienergy -+2 theta, and psi = exp(+i theta0 H0 / 2) phi that of U.
-    That factor acts within each cell as exp(i theta0 sigma_x), so cell_states
-    assembles psi with those orbitals.
+    On a pi-paired drive (is_pi_paired) with window <= pi/4 both kinds come
+    from one SVD of the half-size drive's block a.  Its pi modes are the
+    eigenvectors phi of U^2 on the +1 sector of V, each with eigenvalue
+    mu = exp(-2 i eps) near 1, and as U maps that sector onto the -1 one,
+    psi = (phi + U phi / lambda) / sqrt(2) is a unit eigenvector of U for
+    either root lambda = +-sqrt(mu): the 0 mode eps and the pi mode eps + pi.
+    A pair of a is kept when s = sin |eps| < sin(window), with the same CS
+    check; phi is assembled in the sector drive's timeframe, placed on the
+    sector sites, and the padding site of an odd open chain, which phi never
+    reaches, is dropped.  U phi costs O(N k) for k pairs (_apply_drive).
+    Past pi/4 the kept pairs would reach s = 1, where the partner norm
+    cos eps vanishes and v2 is lost to round-off, so wider windows take the
+    full-size blocks.
     """
     _check_mode_window(window)
-    if kind not in ("zero", "pi"):
-        raise ValidationError(f"mode kind {kind!r} is neither 'zero' nor 'pi'")
-    a, b, c, d = chiral_blocks(u)
-    block, partner = (c, d) if kind == "zero" else (a, b)
-    left, sigma, right_t = np.linalg.svd(block)
-    keep = sigma < math.sin(0.5 * window)
-    v2 = partner.T @ left[:, keep]
-    norm = np.linalg.norm(v2, axis=0)
-    theta = _cs_angles(norm, sigma[keep]) if kind == "zero" else _cs_angles(sigma[keep], norm)
-    eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
-    cos0, sin0 = math.cos(u.params.theta0), math.sin(u.params.theta0)
-    orbitals = np.array([[cos0, 1.0j * sin0], [1.0j * sin0, cos0]])
-    return cell_states(eps, right_t[keep].T, v2 / norm, orbitals)
+    if is_pi_paired(u.params) and window <= 0.25 * math.pi:
+        return _squared_drive_mode_states(u, window)
+    return _block_mode_states(u, "cd", window), _block_mode_states(u, "ab", window)
 
 
 def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.ndarray:
@@ -487,25 +565,20 @@ def find_edge_modes(
     """Boundary modes of the open chain: localized states near quasienergy 0 or +-pi.
 
     The 0 modes (|eps| < tol_mode) and apart from them the pi modes
-    (pi - |eps| < tol_mode), each from mode_states, are rotated by
-    localizing_rotation so that the modes at the two ends count apart; their
-    quasienergies go to the rotated states one to one, in the order of the
-    eigenvector each draws the most weight from.  A rotated state qualifies
-    when at least MIN_EDGE_WEIGHT of its probability sits on the outer 10% of
-    sites (5% per end).  Results are sorted by quasienergy.
+    (pi - |eps| < tol_mode), both from one mode_states call, are rotated by
+    localizing_rotation so that the modes at the two ends count apart, and
+    their quasienergies go to the rotated states one to one
+    (_localized_values).  A rotated state qualifies when at least
+    MIN_EDGE_WEIGHT of its probability sits on the outer 10% of sites (5% per
+    end).  Results are sorted by quasienergy.
     """
     if params.bc is not BoundaryCondition.OPEN:
         raise ValidationError("edge-mode search requires open boundary conditions")
-    u = build_floquet(params)
     n_edge = max(1, math.ceil(0.05 * params.n_sites))
     reports = []
-    for kind in ("zero", "pi"):
-        eps, states = mode_states(u, kind, tol_mode)
-        if eps.size == 0:
-            continue
-        rotation = localizing_rotation(states)
-        order = np.argsort(np.argmax(np.abs(rotation), axis=0), kind="stable")
-        for value, state in zip(eps, (states @ rotation[:, order]).T):
+    for kind, (eps, states) in zip(("zero", "pi"), mode_states(build_floquet(params), tol_mode)):
+        values, localized = _localized_values(eps, states)
+        for value, state in zip(values, localized.T):
             weight = np.abs(state) ** 2
             edge_weight = float(weight[:n_edge].sum() + weight[-n_edge:].sum())
             if edge_weight < MIN_EDGE_WEIGHT:
@@ -519,6 +592,26 @@ def find_edge_modes(
                 )
             )
     return sorted(reports, key=lambda report: report.quasienergy)
+
+
+def _localized_values(eps: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eps ascending, and the states rotated by localizing_rotation (in ascending
+    mean position) that take them, one to one.
+
+    Each rotated state is keyed by the smallest value among the eigenvectors
+    it draws the most weight from, within WEIGHT_TIE_ATOL.  The values go out
+    in ascending order to the states in ascending order of key, and of mean
+    position among equal keys.  So a state that draws mostly from one
+    eigenvector takes its value, and the two states of an evenly mixed +-eps
+    pair take -eps and +eps in the order of their positions, whatever the
+    eigenbasis and its phases.
+    """
+    rotation = localizing_rotation(states)
+    drawn = np.abs(rotation) ** 2
+    tied = drawn >= drawn.max(axis=0, initial=0.0) - WEIGHT_TIE_ATOL
+    key = np.where(tied, eps[:, None], np.inf).min(axis=0, initial=np.inf)
+    order = np.argsort(key, kind="stable")
+    return np.sort(eps), states @ rotation[:, order]
 
 
 def classify_phase(params: DriveParams, tol_mode: float = DEFAULT_TOL_MODE) -> PhaseLabel:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .floquet import UnitaryOperator, localizing_rotation, mode_states
+from .floquet import WEIGHT_TIE_ATOL, UnitaryOperator, localizing_rotation, mode_states
 from .models import (
     BoundaryCondition,
     DriveParams,
@@ -33,9 +33,6 @@ QUARTER_PI = math.pi / 4.0
 # Amplitudes below this fraction of a state's peak are left out of the decay
 # fits: 1e4 ulp, above the roundoff of the eigenvector components.
 AMP_REL_FLOOR = 1e4 * np.finfo(float).eps
-# Rotation weights this close to the largest count as a tie in picking the
-# bound state's energy.
-WEIGHT_TIE_ATOL = 1e-9
 
 
 class WallModel(enum.Enum):
@@ -285,7 +282,10 @@ def floquet_bound_states(
     unitary: UnitaryOperator, wall_position: int, energy_window: float
 ) -> tuple[BoundState, BoundState]:
     """The wall-localized zero mode (|eps| < energy_window) and pi mode
-    (pi - |eps| < energy_window) of a driven-chain wall, each from the one
-    chiral block that holds it (mode_states)."""
-    modes = (mode_states(unitary, kind, energy_window) for kind in ("zero", "pi"))
-    return tuple(_select_bound_state(*mode, wall_position, energy_window) for mode in modes)
+    (pi - |eps| < energy_window) of a driven-chain wall, from one mode_states
+    call.  build_floquet_wall puts every wall on the line, so for windows up
+    to pi/4 one SVD of the half-size drive's block a holds both."""
+    return tuple(
+        _select_bound_state(*modes, wall_position, energy_window)
+        for modes in mode_states(unitary, energy_window)
+    )

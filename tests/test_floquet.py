@@ -26,7 +26,8 @@ from floqlat import (
     wrap_distance,
 )
 
-from floqlat.floquet import chiral_blocks, timeframe_quasienergies
+from floqlat import floquet
+from floqlat.floquet import DEFAULT_TOL_MODE, chiral_blocks, localizing_rotation, timeframe_quasienergies
 from oracles import dense_quasienergies
 
 PBC = BoundaryCondition.PERIODIC
@@ -301,6 +302,46 @@ def test_edge_modes_require_open_chain():
         find_edge_modes(DriveParams(PI / 4, 3 * PI / 8, 64, PBC))
 
 
+def _value_positions(eps, states):
+    """(value, mean site position) of each localized state, as find_edge_modes pairs them."""
+    values, localized = floquet._localized_values(eps, states)
+    positions = np.arange(len(localized)) @ (np.abs(localized) ** 2)
+    return list(zip(values, np.round(positions, 6)))
+
+
+@pytest.mark.parametrize("theta1, n_cells", [(1.1, 16), (1.2, 12), (3 * PI / 8, 32)])
+def test_edge_mode_values_do_not_depend_on_the_eigenbasis(theta1, n_cells, monkeypatch):
+    # on these chains localizing_rotation mixes each +-eps end-mode pair evenly
+    # (weights 0.5 within 1e-15), so which end takes -eps must not be read
+    # off round-off in the eigenbasis
+    params = DriveParams(PI / 4, theta1, n_cells, OBC)
+    modes = mode_states(build_floquet(params), DEFAULT_TOL_MODE)
+    for _, states in modes:
+        assert np.abs(np.abs(localizing_rotation(states)) ** 2 - 0.5).max() < 1e-12
+    pairings = [_value_positions(*mode) for mode in modes]
+    reports = find_edge_modes(params)
+    assert len(reports) == 4
+    rng = np.random.default_rng(0)
+
+    def reordered_mode_states(u, window):
+        shuffled = []
+        for eps, states in modes:
+            order = rng.permutation(len(eps))
+            phases = np.exp(2j * PI * rng.random(len(eps)))
+            shuffled.append((eps[order], states[:, order] * phases))
+        return tuple(shuffled)
+
+    monkeypatch.setattr(floquet, "mode_states", reordered_mode_states)
+    for _ in range(16):
+        assert [_value_positions(*mode) for mode in reordered_mode_states(None, None)] == pairings
+        shuffled_reports = find_edge_modes(params)
+        assert [r.quasienergy for r in shuffled_reports] == [r.quasienergy for r in reports]
+        assert [r.kind for r in shuffled_reports] == [r.kind for r in reports]
+        for shuffled, report in zip(shuffled_reports, reports):
+            assert shuffled.ipr == pytest.approx(report.ipr, rel=1e-12)
+            assert shuffled.edge_weight == pytest.approx(report.edge_weight, rel=1e-12)
+
+
 # ---------------------------------------------------------------- classification
 
 
@@ -341,14 +382,9 @@ def test_mode_window_outside_zero_to_half_pi_is_refused(window):
     calls = [
         lambda: classify_phase(params, tol_mode=window),
         lambda: find_edge_modes(params, tol_mode=window),
-        lambda: mode_states(drive, "zero", window),
+        lambda: mode_states(drive, window),
         lambda: floquet_bound_states(drive, 32, window),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match=r"mode window .* outside \(0, pi/2\]"):
             call()
-
-
-def test_mode_kind_is_checked():
-    with pytest.raises(ValidationError, match="neither 'zero' nor 'pi'"):
-        mode_states(build_floquet(DriveParams(0.3, 1.2, 8, OBC)), "half", 0.1)

@@ -1,5 +1,7 @@
 """The chiral-timeframe quasienergy, mode and phase-count solvers against the dense oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from floqlat import (
     classify_phase,
     compare_spectra,
     find_edge_modes,
+    floquet_bound_states,
     mode_states,
     quasienergies,
     wrap_distance,
@@ -230,10 +233,40 @@ def test_phase_counts_need_singular_values_only(params, svd_size, svd_calls):
     assert svd_calls == [((svd_size,) * 2, False)] * 2
 
 
-def test_each_mode_kind_needs_one_svd_with_vectors(svd_calls):
+PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, eta, -eta), n_cells)
+                for eta, n_cells in ((PI / 8, 100), (0.3, 63), (-0.2, 24))]
+
+
+@pytest.mark.parametrize("drive", PAIRED_WALLS, ids=lambda drive: f"{drive.params.n_cells}cells")
+def test_pi_paired_modes_need_one_half_size_svd(drive, svd_calls):
+    n_cells = drive.params.n_cells
+    floquet_bound_states(drive, n_cells, 0.05)
+    assert svd_calls == [(((n_cells + 1) // 2,) * 2, True)]
+    svd_calls.clear()
+    find_edge_modes(drive.params)
+    assert svd_calls == [(((n_cells + 1) // 2,) * 2, True)]
+    assert "matrix" not in vars(drive)
+
+
+@pytest.mark.parametrize("offset", [1e-9, 0.5 * LINE_ATOL])  # near the line is not on it
+def test_modes_off_the_line_need_two_full_size_svds(offset, svd_calls):
+    wall = PAIRED_WALLS[0]
+    drive = UnitaryOperator(dataclasses.replace(wall.params, theta0=PI / 4 + offset), wall.h1_coeffs)
+    n_cells = drive.params.n_cells
+    floquet_bound_states(drive, n_cells, 0.05)
+    assert svd_calls == [((n_cells, n_cells), True)] * 2
+    svd_calls.clear()
+    find_edge_modes(drive.params)
+    assert svd_calls == [((n_cells, n_cells), True)] * 2
+
+
+def test_wide_windows_on_the_line_take_the_full_size_blocks(svd_calls):
+    # past pi/4 the half-size pairs would reach s = 1, where v2 is lost
     drive = _random_drive(PI / 4, 12, OBC)
-    for kind in ("zero", "pi"):
-        mode_states(drive, kind, 0.5)
+    mode_states(drive, PI / 4)
+    assert svd_calls == [((6, 6), True)]
+    svd_calls.clear()
+    mode_states(drive, np.nextafter(PI / 4, PI))
     assert svd_calls == [((12, 12), True)] * 2
 
 
@@ -262,8 +295,8 @@ def test_near_line_drive_read_as_paired_misses_by_more_than_1e_12():
 
 
 def test_half_size_blocks_are_checked_for_the_cs_identity(monkeypatch):
-    blocks = floquet._blocks_a_c
-    monkeypatch.setattr(floquet, "_blocks_a_c", lambda *args: [1.01 * m for m in blocks(*args)])
+    blocks = floquet._blocks
+    monkeypatch.setattr(floquet, "_blocks", lambda *args: [1.01 * m for m in blocks(*args)])
     with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
         quasienergies(_random_drive(PI / 4, 12, OBC))
 
@@ -410,8 +443,9 @@ def assert_states_match_oracle(op, windows=WINDOWS):
     dense_eps = dense_quasienergy_states(u)[0]
     spectrum = quasienergies(op).values
     for window in windows:
-        for kind, dense_distance in (("zero", np.abs(dense_eps)), ("pi", PI - np.abs(dense_eps))):
-            eps, states = mode_states(op, kind, window)
+        modes = mode_states(op, window)
+        for (eps, states), dense_distance in zip(modes, (np.abs(dense_eps), PI - np.abs(dense_eps))):
+            assert (np.diff(eps) >= 0.0).all()
             assert "matrix" not in vars(op)  # the eigenvectors never form the matrix
             assert states.shape == (op.params.n_sites, len(eps))
             assert np.count_nonzero(dense_distance < window - ORACLE_TOL) <= len(eps)
@@ -427,6 +461,15 @@ def assert_states_match_oracle(op, windows=WINDOWS):
 @settings(max_examples=150, deadline=None)
 @given(drive=drives(), window=st.floats(0.0, PI / 2, exclude_min=True))
 def test_mode_states_match_dense_oracle(drive, window):
+    assert_states_match_oracle(drive, (window,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(drive=pi_paired_drives(), window=st.floats(0.0, PI / 2, exclude_min=True))
+@example(drive=UnitaryOperator(DriveParams(PI / 4, 0.9, 2, PBC), [1.3, -0.4]), window=PI / 4)
+@example(drive=UnitaryOperator(DriveParams(PI / 4, PI / 8, 8, PBC)), window=PI / 2)
+@example(drive=UnitaryOperator(DriveParams(PI / 4, 1.1, 13, OBC)), window=PI / 4)
+def test_pi_paired_mode_states_match_dense_oracle(drive, window):
     assert_states_match_oracle(drive, (window,))
 
 
@@ -449,6 +492,14 @@ def test_mode_states_match_dense_oracle(drive, window):
         (PI / 2, 0.3, 12, PBC),
         (0.0, 0.0, 4, PBC),
         (PI / 2, PI / 2, 4, OBC),
+        # pi-paired: open chains of odd and even length, even rings down to 2 cells
+        (PI / 4, 0.6, 13, OBC),
+        (PI / 4, 0.6, 12, OBC),
+        (PI / 4, 1.1, 63, OBC),
+        (PI / 4, 0.6, 12, PBC),
+        (PI / 4, 0.9, 2, PBC),
+        (PI / 4, 0.6, 2, OBC),
+        (PI / 4, 0.6, 3, OBC),
     ],
 )
 def test_mode_states_at_degeneracies_and_window_ends(theta0, theta1, n_cells, bc):
@@ -471,13 +522,40 @@ def test_mode_states_on_random_wall_profiles(seed):
         )
 
 
-@pytest.mark.parametrize("kind", ["zero", "pi"])
-def test_mode_states_check_the_cs_identity(kind, monkeypatch):
-    blocks = chiral_blocks
-    monkeypatch.setattr(floquet, "chiral_blocks", lambda u: [1.01 * m for m in blocks(u)])
-    drive = UnitaryOperator(DriveParams(0.3, 1.4, 16, OBC))  # a 0 and a pi mode at each end
+@pytest.mark.parametrize("seed", range(4))
+def test_pi_paired_mode_states_on_random_wall_profiles(seed):
+    # windows up to pi/4, which the half-size path solves
+    rng = np.random.default_rng(seed)
+    for n_cells, bc in ((40 + seed % 2, OBC), (40, PBC)):  # open chains of even and odd length
+        n_bonds = len(h1_bond_cells(n_cells, bc))
+        wall = rng.integers(1, n_bonds)
+        left, right = rng.uniform(0.01, 4.0, size=2)
+        coeffs = np.where(np.arange(n_bonds) < wall, left, right)
+        theta1, window = rng.uniform(0.0, PI / 2), rng.uniform(0.0, PI / 4)
+        drive = UnitaryOperator(DriveParams(PI / 4, theta1, n_cells, bc), coeffs)
+        assert is_pi_paired(drive.params)
+        assert_states_match_oracle(drive, (window,))
+
+
+@pytest.mark.parametrize(
+    "drive, tampered",
+    [
+        (UnitaryOperator(DriveParams(0.3, 1.4, 16, OBC)), "cd"),  # a 0 and a pi mode at each end
+        (UnitaryOperator(DriveParams(0.3, 1.4, 16, OBC)), "ab"),
+        (UnitaryOperator(DriveParams(PI / 4, 1.2, 17, OBC)), "ab"),  # the half-size blocks
+    ],
+    ids=["zero", "pi", "pi-paired"],
+)
+def test_mode_states_check_the_cs_identity(drive, tampered, monkeypatch):
+    blocks = floquet._blocks
+
+    def tampering_blocks(half0, half1, bc, names):
+        built = blocks(half0, half1, bc, names)
+        return [1.01 * m for m in built] if names == tampered else built
+
+    monkeypatch.setattr(floquet, "_blocks", tampering_blocks)
     with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
-        mode_states(drive, kind, 0.5)
+        mode_states(drive, 0.5)
 
 
 def test_degenerate_wall_and_end_modes_come_out_localized():
@@ -487,8 +565,8 @@ def test_degenerate_wall_and_end_modes_come_out_localized():
     eta, n_cells = PI / 8, 100
     profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
     drive = build_floquet_wall(profile, n_cells)
-    for kind in ("zero", "pi"):
-        _, block = mode_states(drive, kind, 0.05)
+    assert_states_match_oracle(drive, (1e-3, DEFAULT_TOL_MODE, PI / 4))
+    for _, block in mode_states(drive, 0.05):
         assert block.shape[1] == 2
         weights = np.abs(block @ localizing_rotation(block)) ** 2
         at_end = weights[:20].sum(axis=0)

@@ -56,8 +56,7 @@ def test_uniform_wall_reduces_to_plain_drive():
 def test_floquet_wall_binds_midgap_states():
     # eta > 0 on the left: both-mode region left of the wall, trivial right of it
     unitary = build_floquet_wall(wall(WallModel.FLOQUET, ETA, -ETA), 100)
-    for kind in ("zero", "pi"):
-        _, states = mode_states(unitary, kind, 0.05)
+    for _, states in mode_states(unitary, 0.05):
         assert states.shape[1] == 2  # wall plus left chain end
         weights = np.abs(states @ localizing_rotation(states)) ** 2
         positions = [int(np.argmax(column)) for column in weights.T]
@@ -65,13 +64,13 @@ def test_floquet_wall_binds_midgap_states():
         assert any(abs(p - 100) < 10 for p in positions)  # one pinned at the wall
 
 
-@pytest.mark.parametrize("kind", ["zero", "pi"])
+@pytest.mark.parametrize("kind", [0, 1], ids=["zero", "pi"])
 def test_bound_state_energy_does_not_depend_on_the_eigenbasis(kind):
     # at this detuning the wall state draws evenly from a split +-E pair, so
     # the eigenvector it draws the most from is picked by round-off
     n_cells = 41
     values, states = mode_states(build_floquet_wall(wall(WallModel.FLOQUET, -0.10070634684340969,
-                                                         0.10070634684340969), n_cells), kind, 0.05)
+                                                         0.10070634684340969), n_cells), 0.05)[kind]
     drawn = np.abs(localizing_rotation(states)) ** 2
     assert np.abs(drawn - 0.5).max() < 1e-6
     reported = _select_bound_state(values, states, n_cells, 0.05).energy
