@@ -19,7 +19,6 @@ from .models import (
     build_wd_profile,
     ssh_dispersion,
     ssh_momentum_grid,
-    sublattice_parity,
     wd_dispersion,
     wd_momentum_grid,
 )

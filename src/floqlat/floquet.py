@@ -11,15 +11,14 @@ chiral timeframe: the spectrum from two N x N singular-value problems, and the
 alone.  On pi-paired drives (theta0 = pi/4 on an open or even periodic chain)
 the half-size drive that U^2 restricts to does both at ceil(N/2) x ceil(N/2):
 two values-only SVDs for the spectrum, and one SVD of its block a for the 0
-and the pi modes together.  The dense 2N x 2N matrix is formed only when it
-is read.
+and the pi modes together.  No solve forms the dense 2N x 2N matrix; the
+tests build it as an oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -73,9 +72,9 @@ class UnitaryOperator:
     parameters and one coefficient per second-step bond (in h1_bond_cells
     order; None means the native 2 on every bond).
 
-    `quasienergies` and `mode_states` work from the bond data alone;
-    the dense matrix is formed, and checked for unitarity, only when `matrix`
-    is first read.
+    `quasienergies` and `mode_states` work from the bond data alone, and no
+    dense matrix is kept; `shape` is (dim, dim), the operator's shape as a
+    linear map on the 2N sites.
     """
 
     params: DriveParams
@@ -88,18 +87,13 @@ class UnitaryOperator:
         coeffs.flags.writeable = False
         object.__setattr__(self, "h1_coeffs", coeffs)
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        m = composed_drive_evolution(self)
-        deviation = float(np.abs(m.conj().T @ m - np.eye(self.dim)).max())
-        if not deviation < UNITARITY_ATOL:
-            raise NumericalError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
-        m.flags.writeable = False
-        return m
-
     @property
     def dim(self) -> int:
         return self.params.n_sites
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim, self.dim
 
 
 @dataclass(frozen=True)
@@ -156,12 +150,6 @@ def _apply_drive(u: UnitaryOperator, matrix: np.ndarray) -> np.ndarray:
     phases0 = np.full(params.n_cells, 2.0 * params.theta0)
     first = _dimer_evolution_apply(2 * cells, 2 * cells + 1, phases0, matrix)
     return _dimer_evolution_apply(2 * b_cell + 1, 2 * a_cell, params.theta1 * u.h1_coeffs, first)
-
-
-def composed_drive_evolution(u: UnitaryOperator) -> np.ndarray:
-    """The dense one-period matrix exp(-i H1 theta1) exp(-i H0 theta0):
-    _apply_drive on the identity."""
-    return _apply_drive(u, np.eye(u.dim, dtype=complex))
 
 
 def build_floquet(params: DriveParams) -> UnitaryOperator:

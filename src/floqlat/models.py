@@ -5,7 +5,7 @@ spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 0 .. 2N-1, with sublattice A on even and B on odd sites.  Every built chain is
 chiral and is kept as its real N x N hopping block h, from which the spectrum
 is +-svd(h) and the eigenpairs in an energy window come from the singular
-triplets inside it; the dense complex matrix is formed only on demand.
+triplets inside it; no dense complex matrix is formed.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
@@ -13,7 +13,6 @@ used to assemble matrices.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -111,7 +110,10 @@ class HermitianOperator:
 
     H = sum_ij h[i, j] (|a_i><b_j| + |b_j><a_i|), where a_i and b_i are the
     columns of `orbitals` placed on rows 2i and 2i + 1.  The spectrum is
-    +-svd(h); the dense matrix is formed only when `matrix` is first read.
+    +-svd(h), and no dense matrix is kept.  An open chain's h is lower
+    bidiagonal, so `eigenvalues` takes the singular values of h^T: LAPACK
+    reaches bidiagonal form from an upper-bidiagonal block without rounding,
+    and the small values keep their relative digits.
     """
 
     h: np.ndarray
@@ -130,19 +132,12 @@ class HermitianOperator:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "orbitals", orbitals)
 
-    @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        half = np.kron(self.h, np.outer(self.orbitals[:, 0], self.orbitals[:, 1].conj()))
-        m = half + half.conj().T
-        m.flags.writeable = False
-        return m
-
     @property
     def dim(self) -> int:
         return 2 * len(self.h)
 
     def eigenvalues(self) -> np.ndarray:
-        sigma = np.linalg.svd(self.h, compute_uv=False)
+        sigma = np.linalg.svd(self.h.T, compute_uv=False)
         return np.concatenate([-sigma, sigma[::-1]])
 
     def mode_states(self, window: float) -> tuple[np.ndarray, np.ndarray]:
@@ -173,11 +168,6 @@ def cell_states(values, a, b, orbitals) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(to_a, a, out=row)
         row += to_b * b
     return values[order], states.reshape(2 * len(a), a.shape[1])
-
-
-def sublattice_parity(dim: int) -> np.ndarray:
-    """diag(+1, -1, +1, ...): the chiral operator of the bipartite chains."""
-    return np.diag(np.where(np.arange(dim) % 2 == 0, 1.0, -1.0))
 
 
 def h1_bond_cells(n_cells: int, bc: BoundaryCondition) -> np.ndarray:

@@ -152,8 +152,9 @@ def build_wd_wall(profile: DomainWallProfile, n_sites: int) -> HermitianOperator
     wall = profile.wall_site(n_sites)
     left = solve_wd_params(profile.eta_left)
     right = solve_wd_params(profile.eta_right)
-    mass = [left.m if x < wall else right.m for x in range(n_sites)]
-    wilson = [left.r if x < wall else right.r for x in range(n_sites)]
+    below = np.arange(n_sites) < wall
+    mass = np.where(below, left.m, right.m)
+    wilson = np.where(below, left.r, right.r)
     return build_wd_profile(mass, wilson, BoundaryCondition.OPEN)
 
 

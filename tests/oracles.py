@@ -4,14 +4,42 @@ from __future__ import annotations
 
 import numpy as np
 
-from floqlat import HermitianOperator, NumericalError, QuasienergySpectrum, fold_quasienergy
+from floqlat import (
+    HermitianOperator,
+    NumericalError,
+    QuasienergySpectrum,
+    UnitaryOperator,
+    fold_quasienergy,
+)
+from floqlat.floquet import UNITARITY_ATOL, _apply_drive
 
 EIGENVALUE_UNIT_TOL = 1e-6
 
 
+def dense_matrix(op: HermitianOperator | UnitaryOperator) -> np.ndarray:
+    """The dense 2N x 2N matrix of an operator kept as bond data.
+
+    A drive is _apply_drive on the identity, checked for unitarity; a chiral
+    chain is sum_ij h[i, j] (|a_i><b_j| + |b_j><a_i|) in its orbitals.
+    """
+    if isinstance(op, UnitaryOperator):
+        m = _apply_drive(op, np.eye(op.dim, dtype=complex))
+        deviation = float(np.abs(m.conj().T @ m - np.eye(op.dim)).max())
+        if not deviation < UNITARITY_ATOL:
+            raise NumericalError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
+        return m
+    half = np.kron(op.h, np.outer(op.orbitals[:, 0], op.orbitals[:, 1].conj()))
+    return half + half.conj().T
+
+
+def sublattice_parity(dim: int) -> np.ndarray:
+    """diag(+1, -1, +1, ...): the chiral operator of the bipartite chains."""
+    return np.diag(np.where(np.arange(dim) % 2 == 0, 1.0, -1.0))
+
+
 def hermitian_exponential(h: HermitianOperator, angle: float) -> np.ndarray:
     """exp(-i * angle * h) by spectral decomposition of the Hermitian matrix of h."""
-    w, v = np.linalg.eigh(h.matrix)
+    w, v = np.linalg.eigh(dense_matrix(h))
     return (v * np.exp(-1.0j * angle * w)) @ v.conj().T
 
 

@@ -28,7 +28,7 @@ from floqlat import (
 
 from floqlat import floquet
 from floqlat.floquet import DEFAULT_TOL_MODE, chiral_blocks, localizing_rotation, timeframe_quasienergies
-from oracles import dense_quasienergies
+from oracles import dense_matrix, dense_quasienergies
 
 PBC = BoundaryCondition.PERIODIC
 OBC = BoundaryCondition.OPEN
@@ -81,7 +81,7 @@ def test_open_chain_end_mode_splitting_keeps_its_relative_digits():
 
 def test_zero_drive_gives_identity():
     u = build_floquet(DriveParams(0.0, 0.0, 4, PBC))
-    np.testing.assert_allclose(u.matrix, np.eye(8), atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(u), np.eye(8), atol=1e-14)
     assert np.abs(quasienergies(u).values).max() == 0.0
 
 
@@ -104,20 +104,20 @@ def test_block_composition_matches_generic_spectral_path():
         generic = floquet_operator(
             build_h0(params), build_h1(params), params.theta0, params.theta1
         )
-        assert np.abs(build_floquet(params).matrix - generic).max() < 1e-13
+        assert np.abs(dense_matrix(build_floquet(params)) - generic).max() < 1e-13
         coeffs = step if bc is OBC else np.append(step, step[-1])  # PBC adds the wrap bond
         generic = floquet_operator(
             build_h0(params), build_h1_scaled(params, coeffs), params.theta0, params.theta1
         )
         from_drive = UnitaryOperator(params, coeffs)
-        assert np.abs(from_drive.matrix - generic).max() < 1e-13
+        assert np.abs(dense_matrix(from_drive) - generic).max() < 1e-13
 
 
 def test_unitarity_over_phase_grid():
     grid = np.linspace(0.0, PI / 2, 10)
     for theta0 in grid:
         for theta1 in grid:
-            u = build_floquet(DriveParams(theta0, theta1, 4, PBC)).matrix
+            u = dense_matrix(build_floquet(DriveParams(theta0, theta1, 4, PBC)))
             assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-10
 
 

@@ -24,13 +24,14 @@ from floqlat import (
     ssh_dispersion,
     ssh_momentum_grid,
     solve_ssh_params,
-    sublattice_parity,
+    solve_wd_params,
     wd_dispersion,
     wd_momentum_grid,
 )
 from floqlat.floquet import localizing_rotation
 from floqlat.models import hopping_block
 from floqlat.walls import h1_step_profile
+from oracles import dense_matrix, sublattice_parity
 
 PBC = BoundaryCondition.PERIODIC
 OBC = BoundaryCondition.OPEN
@@ -45,7 +46,7 @@ def drive(n_cells, bc=PBC):
 
 @pytest.mark.parametrize("bc", [PBC, OBC])
 def test_h0_two_cells_matrix(bc):
-    m = build_h0(drive(2, bc)).matrix
+    m = dense_matrix(build_h0(drive(2, bc)))
     expected = np.zeros((4, 4))
     expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 2.0
     np.testing.assert_allclose(m, expected, atol=0)
@@ -59,7 +60,7 @@ def test_h0_eigenvalues_are_dimer_pair(n_cells):
 
 def test_h0_commutes_with_two_site_translation():
     n_cells = 6
-    m = build_h0(drive(n_cells)).matrix
+    m = dense_matrix(build_h0(drive(n_cells)))
     t2 = np.roll(np.eye(2 * n_cells), 2, axis=0)  # site i -> i + 2 mod 2N
     assert np.abs(t2 @ m - m @ t2).max() < 1e-12
 
@@ -68,14 +69,14 @@ def test_h0_commutes_with_two_site_translation():
 
 
 def test_h1_two_cells_open():
-    m = build_h1(drive(2, OBC)).matrix
+    m = dense_matrix(build_h1(drive(2, OBC)))
     expected = np.zeros((4, 4))
     expected[1, 2] = expected[2, 1] = 2.0
     np.testing.assert_allclose(m, expected, atol=0)
 
 
 def test_h1_two_cells_periodic_wraps():
-    m = build_h1(drive(2, PBC)).matrix
+    m = dense_matrix(build_h1(drive(2, PBC)))
     expected = np.zeros((4, 4))
     expected[1, 2] = expected[2, 1] = 2.0
     expected[3, 0] = expected[0, 3] = 2.0
@@ -93,12 +94,12 @@ def test_h1_open_has_two_decoupled_end_sites():
 def test_h1_scaled_uniform_profile_matches_h1():
     params = drive(5, OBC)
     uniform = build_h1_scaled(params, [2.0] * 4)
-    assert np.abs(uniform.matrix - build_h1(params).matrix).max() < 1e-15
+    assert np.abs(dense_matrix(uniform) - dense_matrix(build_h1(params))).max() < 1e-15
 
 
 def test_h1_scaled_zero_profile_is_zero():
     params = drive(4, PBC)
-    assert np.abs(build_h1_scaled(params, [0.0] * 4).matrix).max() == 0.0
+    assert np.abs(dense_matrix(build_h1_scaled(params, [0.0] * 4))).max() == 0.0
 
 
 def test_h1_scaled_step_profile():
@@ -106,7 +107,7 @@ def test_h1_scaled_step_profile():
     right = 2.0 * (np.pi / 8) / (3 * np.pi / 8)
     np.testing.assert_allclose(right, 0.66667, atol=5e-6)
     params = drive(4, OBC)
-    m = build_h1_scaled(params, [2.0, 2.0, right]).matrix
+    m = dense_matrix(build_h1_scaled(params, [2.0, 2.0, right]))
     values = sorted(set(np.round(m[np.nonzero(m)].real, 12)))
     assert values == [np.round(right, 12), 2.0]
 
@@ -146,11 +147,11 @@ def symmetric_matrix(n_sites, bonds, values):
 def test_bond_layout_of_the_drive_steps(n_cells, bc):
     params = drive(n_cells, bc)
     expected_h0 = symmetric_matrix(2 * n_cells, intra_cell_sites(n_cells), [2.0] * n_cells)
-    np.testing.assert_array_equal(build_h0(params).matrix, expected_h0)
+    np.testing.assert_array_equal(dense_matrix(build_h0(params)), expected_h0)
     bonds = inter_cell_sites(n_cells, bc)
     coeffs = np.random.default_rng(n_cells).uniform(0.5, 3.0, len(bonds))
     expected_h1 = symmetric_matrix(2 * n_cells, bonds, coeffs)
-    np.testing.assert_array_equal(build_h1_scaled(params, coeffs).matrix, expected_h1)
+    np.testing.assert_array_equal(dense_matrix(build_h1_scaled(params, coeffs)), expected_h1)
 
 
 @pytest.mark.parametrize("n_cells", range(2, 10))
@@ -168,7 +169,7 @@ def test_bond_layout_of_the_walls(n_cells):
         v = [left.v if x < wall_site else right.v for x, _ in intra]
         u = [left.u if side else right.u for side in on_left]
         expected = symmetric_matrix(2 * n_cells, intra + inter, v + u)
-        np.testing.assert_array_equal(build_ssh_wall(profile, n_cells).matrix, expected)
+        np.testing.assert_array_equal(dense_matrix(build_ssh_wall(profile, n_cells)), expected)
 
 
 def test_hopping_block_of_the_one_cell_ring_adds_the_bond_to_the_diagonal():
@@ -225,7 +226,7 @@ def test_ssh_profile_builder():
 
     uniform = build_ssh_profile([0.3] * 4, [0.7] * 4, PBC)
     reference = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=4, bc=PBC))
-    assert np.abs(uniform.matrix - reference.matrix).max() == 0.0
+    assert np.abs(dense_matrix(uniform) - dense_matrix(reference)).max() == 0.0
     with pytest.raises(ValidationError, match="expected 2 bond coefficients for bc=obc"):
         build_ssh_profile([0.5, 0.5, 0.5], [0.5], OBC)  # OBC expects n_cells - 1
     with pytest.raises(ValidationError, match="need at least 2 cells"):
@@ -300,7 +301,8 @@ def test_builders_are_hermitian(bc):
         build_wd(WDParams(m=-0.2, r=0.6, n_sites=6, bc=bc)),
     ]
     for op in ops:
-        assert np.abs(op.matrix - op.matrix.conj().T).max() < 1e-12
+        m = dense_matrix(op)
+        assert np.abs(m - m.conj().T).max() < 1e-12
 
 
 @pytest.mark.parametrize("bc", [PBC, OBC])
@@ -312,7 +314,8 @@ def test_chiral_symmetry_of_bipartite_chains(bc):
         build_h1(params),
         build_ssh(SSHParams(u=0.7, v=0.3, n_cells=6, bc=bc)),
     ):
-        assert np.abs(gamma @ op.matrix @ gamma + op.matrix).max() < 1e-12
+        m = dense_matrix(op)
+        assert np.abs(gamma @ m @ gamma + m).max() < 1e-12
         eig = op.eigenvalues()
         np.testing.assert_allclose(eig, -eig[::-1], atol=1e-12)
 
@@ -327,8 +330,8 @@ def test_chiral_symmetry_of_bipartite_chains(bc):
 def test_ssh_is_coupling_combination_of_drive_steps(u, v, n_cells, periodic):
     bc = PBC if periodic else OBC
     params = DriveParams(theta0=0.1, theta1=0.1, n_cells=n_cells, bc=bc)
-    combined = 0.5 * u * build_h1(params).matrix + 0.5 * v * build_h0(params).matrix
-    ssh = build_ssh(SSHParams(u=u, v=v, n_cells=n_cells, bc=bc)).matrix
+    combined = 0.5 * u * dense_matrix(build_h1(params)) + 0.5 * v * dense_matrix(build_h0(params))
+    ssh = dense_matrix(build_ssh(SSHParams(u=u, v=v, n_cells=n_cells, bc=bc)))
     assert np.abs(combined - ssh).max() < 1e-15
 
 
@@ -369,7 +372,7 @@ ORACLE_TOL = 1e-10
 
 
 def assert_eigenpairs(op, energies, states):
-    assert np.abs(op.matrix @ states - states * energies).max(initial=0.0) < ORACLE_TOL
+    assert np.abs(dense_matrix(op) @ states - states * energies).max(initial=0.0) < ORACLE_TOL
     assert np.abs(states.conj().T @ states - np.eye(len(energies))).max(initial=0.0) < ORACLE_TOL
     assert np.all(np.diff(energies) >= 0)
 
@@ -377,7 +380,7 @@ def assert_eigenpairs(op, energies, states):
 def assert_matches_dense_eigh(op):
     """eigenvalues() and mode_states() of a block-built chain against eigh of its matrix:
     all eigenpairs, and the count within a window in the widest gap of |E|."""
-    oracle = np.linalg.eigvalsh(op.matrix)
+    oracle = np.linalg.eigvalsh(dense_matrix(op))
     energies, states = op.mode_states(np.inf)
     np.testing.assert_allclose(op.eigenvalues(), oracle, rtol=0, atol=ORACLE_TOL)
     np.testing.assert_allclose(energies, oracle, rtol=0, atol=ORACLE_TOL)
@@ -469,13 +472,32 @@ def test_block_spectrum_survives_an_underflowing_coupling():
     op = build_ssh_profile([0.0] * 10 + [2.0], [0.0] * 9 + [4.4905010034278886e-160], OBC)
     assert abs(op.eigenvalues()[-1] - 2.0) < 1e-15
     energies, states = op.mode_states(np.inf)
-    assert np.abs(op.matrix @ states - states * energies).max() < 1e-15
+    assert np.abs(dense_matrix(op) @ states - states * energies).max() < 1e-15
 
 
 def test_block_spectrum_is_plus_minus_singular_values():
     op = build_wd(WDParams(m=-0.3, r=0.65, n_sites=12, bc=OBC))
-    sigma = np.linalg.svd(op.h, compute_uv=False)
+    sigma = np.linalg.svd(op.h.T, compute_uv=False)
     np.testing.assert_array_equal(op.eigenvalues(), np.concatenate([-sigma, sigma[::-1]]))
+
+
+@pytest.mark.parametrize("n_cells", [8, 50, 200])
+@pytest.mark.parametrize("eta", [0.1, 0.26, 0.37, 0.6])
+def test_open_chain_singular_values_keep_relative_precision(n_cells, eta):
+    # an open chain's block is lower bidiagonal, so |det h| is the product of
+    # its diagonal; the singular values multiply to it only when the small
+    # ones keep their relative digits (svd of h itself returns exact zeros
+    # or misses by up to 25% here)
+    ssh, wd = solve_ssh_params(eta), solve_wd_params(eta)
+    for op in (
+        build_ssh(SSHParams(u=ssh.u, v=ssh.v, n_cells=n_cells, bc=OBC)),
+        build_wd(WDParams(m=wd.m, r=wd.r, n_sites=n_cells, bc=OBC)),
+        build_ssh_wall(DomainWallProfile(WallModel.SSH, eta, -eta), n_cells),
+        build_wd_wall(DomainWallProfile(WallModel.WD, eta, -eta), n_cells),
+    ):
+        log_det = np.log(np.abs(np.diag(op.h))).sum()
+        sigma = op.eigenvalues()[n_cells:]
+        assert abs(np.log(sigma).sum() - log_det) <= 1e-14 * abs(log_det)
 
 
 def test_open_wd_block_is_the_ssh_block_up_to_bond_signs():
@@ -483,14 +505,6 @@ def test_open_wd_block_is_the_ssh_block_up_to_bond_signs():
     ssh = build_ssh(SSHParams(u=u, v=v, n_cells=6, bc=OBC)).h
     wd = build_wd(WDParams(m=v - u, r=u, n_sites=6, bc=OBC)).h
     np.testing.assert_allclose(np.abs(wd), ssh, rtol=0, atol=1e-15)
-
-
-def test_block_operator_forms_its_matrix_on_demand():
-    op = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=4, bc=PBC))
-    assert "matrix" not in vars(op)
-    matrix = op.matrix
-    assert op.matrix is matrix and not matrix.flags.writeable
-    assert not op.h.flags.writeable
 
 
 def test_hermitian_operator_checks_block_and_orbital_shapes():

@@ -12,13 +12,19 @@ from floqlat import (
     DomainWallProfile,
     DriveParams,
     NumericalError,
+    SSHParams,
     UnitaryOperator,
     ValidationError,
     WallModel,
+    WDParams,
     build_floquet,
     build_floquet_wall,
     build_h0,
     build_h1_scaled,
+    build_ssh,
+    build_ssh_wall,
+    build_wd,
+    build_wd_wall,
     classify_phase,
     compare_spectra,
     find_edge_modes,
@@ -33,14 +39,13 @@ from floqlat.floquet import (
     LINE_ATOL,
     bulk_gaps,
     chiral_blocks,
-    composed_drive_evolution,
     fold_quasienergy,
     is_pi_paired,
     localizing_rotation,
     timeframe_quasienergies,
 )
 from floqlat.models import h1_bond_cells, hopping_block
-from oracles import dense_quasienergies, dense_quasienergy_states, floquet_operator
+from oracles import dense_matrix, dense_quasienergies, dense_quasienergy_states, floquet_operator
 
 PI = np.pi
 PBC = BoundaryCondition.PERIODIC
@@ -174,7 +179,8 @@ def test_pi_paired_end_mode_splitting_to_full_relative_precision(n_cells, theta1
 
 def _sector_coupling(drive):
     """Largest |U^2| entry between the sites {0, 3, 4, 7, 8, ...} and the rest."""
-    square = drive.matrix @ drive.matrix
+    u = dense_matrix(drive)
+    square = u @ u
     sector = (np.arange(drive.dim) + 1) // 2 % 2 == 0
     return np.abs(square[np.ix_(sector, ~sector)]).max()
 
@@ -216,7 +222,7 @@ def test_pi_paired_drives_need_two_half_size_svds(drive, svd_size, svd_calls):
     assert is_pi_paired(drive.params) is (svd_size < drive.params.n_cells)
     fast = quasienergies(drive).values
     assert svd_calls == [((svd_size,) * 2, False)] * 2
-    assert compare_spectra(fast, dense_quasienergies(drive.matrix).values) < ORACLE_TOL
+    assert compare_spectra(fast, dense_quasienergies(dense_matrix(drive)).values) < ORACLE_TOL
 
 
 @pytest.mark.parametrize(
@@ -245,7 +251,6 @@ def test_pi_paired_modes_need_one_half_size_svd(drive, svd_calls):
     svd_calls.clear()
     find_edge_modes(drive.params)
     assert svd_calls == [(((n_cells + 1) // 2,) * 2, True)]
-    assert "matrix" not in vars(drive)
 
 
 @pytest.mark.parametrize("offset", [1e-9, 0.5 * LINE_ATOL])  # near the line is not on it
@@ -341,7 +346,7 @@ def test_blocks_are_the_half_period_factor():
         params = DriveParams(0.37, 1.12, 7, bc)
         coeffs = np.linspace(0.5, 3.0, len(h1_bond_cells(7, bc)))
         half = DriveParams(params.theta0 / 2, params.theta1 / 2, 7, bc)
-        g = composed_drive_evolution(UnitaryOperator(half, coeffs))
+        g = dense_matrix(UnitaryOperator(half, coeffs))
         a, b, c, d = chiral_blocks(UnitaryOperator(params, coeffs))
         np.testing.assert_allclose(a, g[0::2, 0::2], atol=1e-15)
         np.testing.assert_allclose(b, 1j * g[0::2, 1::2], atol=1e-15)
@@ -375,18 +380,34 @@ def test_wall_and_open_chain_match_oracle_at_sweep_sizes(n_cells):
     params = DriveParams(PI / 4, PI / 4 + eta, n_cells, OBC)
     for u in (build_floquet_wall(profile, n_cells), build_floquet(params)):
         fast = quasienergies(u).values
-        assert compare_spectra(fast, dense_quasienergies(u.matrix).values) < 1e-12
+        assert compare_spectra(fast, dense_quasienergies(dense_matrix(u)).values) < 1e-12
 
 
-def test_dense_matrix_is_formed_on_demand():
-    params = DriveParams(0.3, 0.7, 6, PBC)
-    u = build_floquet(params)
-    assert u.dim == 12
-    quasienergies(u)
-    assert "matrix" not in vars(u)  # the spectrum never forms the matrix
-    np.testing.assert_array_equal(u.matrix, composed_drive_evolution(u))
-    assert u.matrix is u.matrix  # formed once, then cached
-    assert not u.matrix.flags.writeable
+def test_operators_are_kept_as_bond_data():
+    wall = DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8)
+    drives = [
+        build_floquet(DriveParams(PI / 4, 0.7, 6, OBC)),
+        build_floquet(DriveParams(PI / 4, 0.7, 6, PBC)),
+        build_floquet(DriveParams(0.3, 0.7, 6, OBC)),
+        build_floquet(DriveParams(0.3, 0.7, 6, PBC)),
+        build_floquet_wall(wall, 7),
+    ]
+    chains = [
+        build_ssh(SSHParams(0.4, 1.0, 6, OBC)),
+        build_wd(WDParams(-0.5, 1.0, 6, PBC)),
+        build_ssh_wall(DomainWallProfile(WallModel.SSH, 0.3, -0.3), 6),
+        build_wd_wall(DomainWallProfile(WallModel.WD, 0.3, -0.3), 12),
+    ]
+    for u in drives:
+        quasienergies(u)
+        mode_states(u, DEFAULT_TOL_MODE)
+        assert not hasattr(u, "matrix")
+        assert u.shape == (u.dim, u.dim) == (u.params.n_sites,) * 2
+    for op in chains:
+        op.eigenvalues()
+        op.mode_states(1.0)
+        assert not hasattr(op, "matrix")
+        assert not op.h.flags.writeable
 
 
 def test_drive_checks_profile_length():
@@ -446,7 +467,6 @@ def assert_states_match_oracle(op, windows=WINDOWS):
         modes = mode_states(op, window)
         for (eps, states), dense_distance in zip(modes, (np.abs(dense_eps), PI - np.abs(dense_eps))):
             assert (np.diff(eps) >= 0.0).all()
-            assert "matrix" not in vars(op)  # the eigenvectors never form the matrix
             assert states.shape == (op.params.n_sites, len(eps))
             assert np.count_nonzero(dense_distance < window - ORACLE_TOL) <= len(eps)
             assert len(eps) <= np.count_nonzero(dense_distance < window + ORACLE_TOL)
@@ -577,15 +597,21 @@ def test_degenerate_wall_and_end_modes_come_out_localized():
 
 
 def test_edge_mode_search_never_forms_the_dense_matrix(monkeypatch):
-    built = []
+    built, applied = [], []
+    dimer_apply = floquet._dimer_evolution_apply
 
     def recording_build(params):
         op = build_floquet(params)
         built.append(op)
         return op
 
+    def recording_apply(sites_a, sites_b, phases, matrix):
+        applied.append(matrix.shape)
+        return dimer_apply(sites_a, sites_b, phases, matrix)
+
     monkeypatch.setattr(floquet, "build_floquet", recording_build)
+    monkeypatch.setattr(floquet, "_dimer_evolution_apply", recording_apply)
     find_edge_modes(DriveParams(PI / 4, 3 * PI / 8, 32, OBC))
     classify_phase(DriveParams(PI / 4, PI / 8, 32, PBC))
     assert len(built) == 2
-    assert all("matrix" not in vars(op) for op in built)
+    assert applied and all(columns < 64 for _, columns in applied)

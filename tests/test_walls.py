@@ -26,6 +26,7 @@ import floqlat.models
 from floqlat.floquet import localizing_rotation
 from floqlat.models import cell_states
 from floqlat.walls import _select_bound_state, h1_step_profile
+from oracles import dense_matrix
 
 PI = np.pi
 ETA = PI / 8
@@ -50,7 +51,7 @@ def test_step_profile_coefficients():
 def test_uniform_wall_reduces_to_plain_drive():
     u_wall = build_floquet_wall(wall(WallModel.FLOQUET, 0.0, 0.0), 8)
     params = DriveParams(PI / 4, PI / 4, 8, BoundaryCondition.OPEN)
-    np.testing.assert_allclose(u_wall.matrix, build_floquet(params).matrix, atol=1e-14)
+    np.testing.assert_allclose(dense_matrix(u_wall), dense_matrix(build_floquet(params)), atol=1e-14)
 
 
 def test_floquet_wall_binds_midgap_states():
@@ -99,7 +100,8 @@ def test_wall_profile_rejects_nan_detuning():
 def test_ssh_wall_uniform_profile():
     op = build_ssh_wall(wall(WallModel.SSH, ETA, ETA), 8)
     u, v = solve_ssh_params(ETA)
-    values = sorted(set(np.round(op.matrix[np.nonzero(op.matrix)].real, 10)))
+    m = dense_matrix(op)
+    values = sorted(set(np.round(m[np.nonzero(m)].real, 10)))
     np.testing.assert_allclose(values, sorted({np.round(v, 10), np.round(u, 10)}), atol=0)
 
 
@@ -202,7 +204,7 @@ def test_analytic_state_solves_discrete_equation_of_motion():
     n_sites = 60
     op = build_wd_wall(wall(WallModel.WD, -ETA, ETA), n_sites)
     psi = analytic_wall_state(ETA, n_sites)
-    residual = (op.matrix @ psi).reshape(n_sites, 2)
+    residual = (dense_matrix(op) @ psi).reshape(n_sites, 2)
     per_site = np.sqrt((np.abs(residual) ** 2).sum(axis=1))
     interior = np.ones(n_sites, dtype=bool)
     interior[[0, n_sites - 1]] = False  # open ends
@@ -262,7 +264,7 @@ def test_static_bound_state_builds_only_the_window_states(wd, monkeypatch):
     monkeypatch.setattr(floqlat.models, "cell_states", spy)
     # the wall sits mid-chain: site N of the 2N dimerized sites, N/2 of the N spinor sites
     numeric_bound_state(op, n_cells // 2 if wd else n_cells, window, 2 if wd else 1)
-    in_window = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(op.matrix)) < window))
+    in_window = int(np.count_nonzero(np.abs(np.linalg.eigvalsh(dense_matrix(op))) < window))
     assert built == [(op.dim, in_window)] and in_window == 2
 
 
