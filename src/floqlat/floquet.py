@@ -6,13 +6,14 @@ lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 [-pi, pi); values within 1e-12 of +pi fold to -pi.
 
 The one-period operator is kept as the drive's bond data and solved in the
-chiral timeframe: the spectrum from two N x N singular-value problems, and the
-0 (pi) modes with their eigenvectors from the singular vectors of block c (a)
-alone.  On pi-paired drives (theta0 = pi/4 on an open or even periodic chain)
-the half-size drive that U^2 restricts to does both at ceil(N/2) x ceil(N/2):
-two values-only SVDs for the spectrum, and one SVD of its block a for the 0
-and the pi modes together.  No solve forms the dense 2N x 2N matrix; the
-tests build it as an oracle.
+chiral timeframe from its N x N chiral blocks, Bidiagonal values: the spectrum
+from the singular values of a and c, and the 0 (pi) modes with their
+eigenvectors from the singular vectors of block c (a) alone.  On pi-paired
+drives (theta0 = pi/4 on an open or even periodic chain) the half-size drive
+that U^2 restricts to does both at ceil(N/2) x ceil(N/2): two values-only SVDs
+for the spectrum, and one SVD of its block a for the 0 and the pi modes
+together.  No solve forms the dense 2N x 2N matrix; the tests build it as an
+oracle.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import numpy as np
 from .errors import GaplessPointError, NumericalError, ValidationError
 from .models import (
     SITE_ORBITALS,
+    Bidiagonal,
     BoundaryCondition,
     DriveParams,
     bond_coefficients,
+    bond_count,
     cell_states,
     h1_bond_cells,
-    hopping_block,
     ssh_momentum_grid,
 )
 
@@ -81,7 +83,7 @@ class UnitaryOperator:
     h1_coeffs: np.ndarray | None = None
 
     def __post_init__(self):
-        n_bonds = len(h1_bond_cells(self.params.n_cells, self.params.bc))
+        n_bonds = bond_count(self.params.n_cells, self.params.bc)
         values = np.full(n_bonds, 2.0) if self.h1_coeffs is None else self.h1_coeffs
         coeffs = bond_coefficients(values, n_bonds, self.params.bc)
         coeffs.flags.writeable = False
@@ -191,24 +193,6 @@ def is_pi_paired(params: DriveParams) -> bool:
     return params.theta0 == math.pi / 4.0 and (params.bc is BoundaryCondition.OPEN or params.n_cells % 2 == 0)
 
 
-def chiral_blocks(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Real N x N blocks a, b, c, d of the half-period factor G in the real form
-    S G S^-1 = [[a, -b], [c, d]], S = diag(1_A, i 1_B).
-
-    Here G = exp(-i theta1 H1 / 2) exp(-i theta0 H0 / 2), a = G_AA,
-    b = i G_AB, c = i G_BA and d = G_BB.  Both factors of G are real
-    orthogonal in this form, and so is G.  With phi(x) the half-step phase theta1 * coeff / 2 of
-    the second-step bond at site x (0 where there is none), G sends the A site
-    of cell j to cos(theta0) [cos phi(A_j) A_j - i sin phi(A_j) B'] - i
-    sin(theta0) [cos phi(B_j) B_j - i sin phi(B_j) A'], where B' and A' are
-    the bond partners of A_j and B_j, and the B site alike.  So all four
-    blocks are bidiagonal (cyclic for periodic chains), read straight off the
-    bond list: a and b carry their bond entry at [a_cell, b_cell], as the
-    static chains' hopping_block does, c and d at [b_cell, a_cell].
-    """
-    return tuple(_blocks(*_drive_phases(u), u.params.bc, "abcd"))
-
-
 def _drive_phases(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
     """First-step half-phases theta0, one per cell, and second-step half-phases
     theta1 * coeff / 2, one per bond."""
@@ -218,13 +202,23 @@ def _drive_phases(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
 
 def _chiral_entries(
     half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition
-) -> tuple[tuple, tuple, tuple, tuple]:
-    """(diagonal, bond entries) of a, b, c^T and d^T for hopping_block (see
-    chiral_blocks) of a two-step drive with first-step half-phase half0[j] on
-    cell j and second-step half-phase half1[i] on bond i of h1_bond_cells.
+) -> tuple[Bidiagonal, Bidiagonal, Bidiagonal, Bidiagonal]:
+    """The chiral blocks a, b, c^T and d^T, as Bidiagonal values, of a
+    two-step drive with first-step half-phase half0[j] on cell j and
+    second-step half-phase half1[i] on bond i of h1_bond_cells.
 
-    A bond entry takes the first-step phase of the cell whose column it sits
-    in: the B cell in a and b, the A cell in c^T and d^T.
+    They are the real blocks of the half-period factor
+    G = exp(-i theta1 H1 / 2) exp(-i theta0 H0 / 2) in the real orthogonal
+    form S G S^-1 = [[a, -b], [c, d]], S = diag(1_A, i 1_B): a = G_AA,
+    b = i G_AB, c = i G_BA and d = G_BB.  With phi(x) the second-step
+    half-phase of the bond at site x (0 where there is none), G sends the A
+    site of cell j to cos(theta0) [cos phi(A_j) A_j - i sin phi(A_j) B'] - i
+    sin(theta0) [cos phi(B_j) B_j - i sin phi(B_j) A'], where B' and A' are
+    the bond partners of A_j and B_j, and the B site alike.  So a and b carry
+    their bond entry at [A cell, B cell], as a static chain's block does, and
+    c and d at [B cell, A cell].  A bond entry takes the first-step phase of
+    the cell whose column it sits in: the B cell in a and b, the A cell in
+    c^T and d^T.
     """
     n = len(half0)
     b_cell, a_cell = h1_bond_cells(n, bc).T
@@ -233,10 +227,10 @@ def _chiral_entries(
     cos_a, cos_b = np.ones(n), np.ones(n)
     cos_a[a_cell] = cos_b[b_cell] = np.cos(half1)
     return (
-        (cos0 * cos_a, -sin0[b_cell] * sin_phi),
-        (sin0 * cos_a, cos0[b_cell] * sin_phi),
-        (sin0 * cos_b, cos0[a_cell] * sin_phi),
-        (cos0 * cos_b, -sin0[a_cell] * sin_phi),
+        Bidiagonal(cos0 * cos_a, -sin0[b_cell] * sin_phi, bc),
+        Bidiagonal(sin0 * cos_a, cos0[b_cell] * sin_phi, bc),
+        Bidiagonal(sin0 * cos_b, cos0[a_cell] * sin_phi, bc),
+        Bidiagonal(cos0 * cos_b, -sin0[a_cell] * sin_phi, bc),
     )
 
 
@@ -254,8 +248,9 @@ def _cs_angles(sigma_a: np.ndarray, sigma_c: np.ndarray) -> np.ndarray:
     return np.arctan2(sigma_c, sigma_a)
 
 
-def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Unsorted, unfolded quasienergies +-2 atan2(sigma_c, sigma_a) of the chiral blocks.
+def timeframe_quasienergies(a: Bidiagonal, c: Bidiagonal) -> np.ndarray:
+    """Unsorted, unfolded quasienergies +-2 atan2(sigma_c, sigma_a) of the
+    chiral blocks a and c (or c^T, which has the same singular values).
 
     Both drive steps flip sign under the sublattice operator Gamma, so U is
     similar to Gamma G^dag Gamma G, a product of two reflections (the
@@ -267,24 +262,10 @@ def timeframe_quasienergies(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     Swapping the blocks, (a, c) -> (c, a), maps theta_k to pi/2 - theta_k,
     so it gives the spectrum of -U: on the half-size drive of a pi-paired
     drive, that of U^2 (is_pi_paired).  Small theta come from small singular
-    values, which are accurate in absolute terms, and in relative terms when
-    the block is upper bidiagonal (as c and a^T are on open chains): LAPACK
-    then reaches bidiagonal form without rounding.
+    values, which keep their relative digits (Bidiagonal.singular_values).
     """
-    sigma_a = np.linalg.svd(a, compute_uv=False)
-    sigma_c = np.linalg.svd(c, compute_uv=False)
-    eps = 2.0 * _cs_angles(sigma_a, sigma_c[::-1])
+    eps = 2.0 * _cs_angles(a.singular_values(), c.singular_values()[::-1])
     return np.concatenate([-eps, eps])
-
-
-def _blocks(
-    half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition, names: str
-) -> list[np.ndarray]:
-    """The chiral blocks named by the letters of `names` (see chiral_blocks),
-    each built from _chiral_entries alone, so a solve holds only the blocks it reads."""
-    entries = dict(zip("abcd", _chiral_entries(half0, half1, bc)))
-    blocks = [hopping_block(*entries[name], bc) for name in names]
-    return [block if name in "ab" else block.T for name, block in zip(names, blocks)]
 
 
 def _squared_drive(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -317,11 +298,11 @@ def _squared_drive_quasienergies(u: UnitaryOperator) -> np.ndarray:
     of U^2, and U has both square roots, eps and eps + pi.  The CS check runs
     on the half-size blocks.  The half-angles eps lie in the fold window,
     which leaves them as they are, so the 0 modes keep the relative precision
-    of a^T's singular values.
+    of a's singular values.
     """
     half0, half1, padded = _squared_drive(u)
-    a, c = _blocks(half0, half1, u.params.bc, "ac")
-    half = 0.5 * timeframe_quasienergies(c, a.T)
+    a, _, c_t, _ = _chiral_entries(half0, half1, u.params.bc)
+    half = 0.5 * timeframe_quasienergies(c_t, a)
     eps = fold_quasienergy(np.concatenate([half, half + np.pi]))
     if padded:
         eps = np.delete(eps, [np.argmin(np.abs(eps - side)) for side in (0.5 * np.pi, -0.5 * np.pi)])
@@ -336,7 +317,8 @@ def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
     restricts to."""
     if is_pi_paired(u.params):
         return QuasienergySpectrum(np.sort(_squared_drive_quasienergies(u)))
-    eps = timeframe_quasienergies(*_blocks(*_drive_phases(u), u.params.bc, "ac"))
+    a, _, c_t, _ = _chiral_entries(*_drive_phases(u), u.params.bc)
+    eps = timeframe_quasienergies(a, c_t)
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 
 
@@ -361,10 +343,11 @@ def _block_mode_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The 0 modes (names "cd") or the pi modes ("ab") of the full-size blocks."""
     half0, half1 = _drive_phases(u)
-    block, partner = _blocks(half0, half1, u.params.bc, names)
+    a, b, c_t, d_t = _chiral_entries(half0, half1, u.params.bc)
+    block, partner_t = (c_t.dense().T, d_t.dense()) if names == "cd" else (a.dense(), b.dense().T)
     left, sigma, right_t = np.linalg.svd(block)
     keep = sigma < math.sin(0.5 * window)
-    v2 = partner.T @ left[:, keep]
+    v2 = partner_t @ left[:, keep]
     norm = np.linalg.norm(v2, axis=0)
     theta = _cs_angles(norm, sigma[keep]) if names == "cd" else _cs_angles(sigma[keep], norm)
     eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
@@ -375,10 +358,10 @@ def _squared_drive_mode_states(u: UnitaryOperator, window: float) -> tuple[tuple
     """Both kinds of modes of a pi-paired drive from one SVD of the half-size
     block a (see mode_states)."""
     half0, half1, padded = _squared_drive(u)
-    a, b = _blocks(half0, half1, u.params.bc, "ab")
-    right, s, left_t = np.linalg.svd(a.T)
+    a, b, _, _ = _chiral_entries(half0, half1, u.params.bc)
+    right, s, left_t = np.linalg.svd(a.dense().T)
     keep = s < math.sin(window)
-    v2 = b.T @ left_t[keep].T
+    v2 = b.dense().T @ left_t[keep].T
     norm = np.linalg.norm(v2, axis=0)
     delta = _cs_angles(norm, s[keep])
     # (v1; +-v2) gives U^2 the eigenvalue exp(+-2 i delta), so the 0 mode -+delta

@@ -3,9 +3,9 @@
 All couplings are stored in units of the inverse driving period (T = 1) and the
 spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 0 .. 2N-1, with sublattice A on even and B on odd sites.  Every built chain is
-chiral and is kept as its real N x N hopping block h, from which the spectrum
-is +-svd(h) and the eigenpairs in an energy window come from the singular
-triplets inside it; no dense complex matrix is formed.
+chiral and is kept as its real hopping block h, a Bidiagonal of O(N) entries:
+the spectrum is +-svd(h), the eigenpairs in an energy window come from the
+singular triplets inside it, and no N x N array is kept.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
@@ -105,39 +105,66 @@ class WDParams:
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """Chiral chain with two orbitals per cell, kept as its real hopping block h.
-
-    H = sum_ij h[i, j] (|a_i><b_j| + |b_j><a_i|), where a_i and b_i are the
-    columns of `orbitals` placed on rows 2i and 2i + 1.  The spectrum is
-    +-svd(h), and no dense matrix is kept.  An open chain's h is lower
-    bidiagonal, so `eigenvalues` takes the singular values of h^T: LAPACK
-    reaches bidiagonal form from an upper-bidiagonal block without rounding,
-    and the small values keep their relative digits.
+class Bidiagonal:
+    """Real N x N block h with diagonal[j] at h[j, j] and bonds[i] on bond i
+    of h1_bond_cells, at h[A cell, B cell]: h[j + 1, j], and h[0, N - 1] for
+    the periodic wrap.  So h is lower bidiagonal, cyclic for periodic chains.
+    A bond entry is added, so the one bond of a 1-cell ring, which joins B_0
+    back to A_0, lands on the diagonal.  Only dense() forms h.
     """
 
-    h: np.ndarray
+    diagonal: np.ndarray
+    bonds: np.ndarray
+    bc: BoundaryCondition
+
+    def __post_init__(self):
+        diagonal = np.array(self.diagonal, dtype=float)
+        if diagonal.ndim != 1 or not np.isfinite(diagonal).all():
+            raise ValidationError(f"diagonal must be 1-D and finite, got shape {diagonal.shape}")
+        bonds = bond_coefficients(self.bonds, bond_count(len(diagonal), self.bc), self.bc)
+        diagonal.flags.writeable = bonds.flags.writeable = False
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "bonds", bonds)
+
+    def dense(self) -> np.ndarray:
+        h = np.diag(self.diagonal)
+        b_cell, a_cell = h1_bond_cells(len(h), self.bc).T
+        h[a_cell, b_cell] += self.bonds
+        return h
+
+    def singular_values(self) -> np.ndarray:
+        """Singular values of h, descending: the program's one values-only SVD.
+
+        It always runs on h^T, upper bidiagonal on an open chain, from which
+        LAPACK reaches bidiagonal form without rounding: the small values keep
+        their relative digits, which from h they can lose entirely.  The SVDs
+        with vectors keep the orientation their vectors are read in.
+        """
+        return np.linalg.svd(self.dense().T, compute_uv=False)
+
+
+@dataclass(frozen=True, eq=False)
+class HermitianOperator:
+    """Chiral chain with two orbitals per cell, kept as its Bidiagonal hopping
+    block h: H = sum_ij h[i, j] (|a_i><b_j| + |b_j><a_i|), where a_i and b_i
+    are the columns of `orbitals` placed on rows 2i and 2i + 1."""
+
+    block: Bidiagonal
     orbitals: np.ndarray
 
     def __post_init__(self):
-        h = np.array(self.h, dtype=float)
         orbitals = np.array(self.orbitals, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or orbitals.shape != (2, 2):
-            raise ValidationError(
-                f"expected a square block and 2 x 2 orbitals, got {h.shape} and {orbitals.shape}"
-            )
-        if not np.isfinite(h).all():
-            raise ValidationError("hopping block entries must be finite")
-        h.flags.writeable = orbitals.flags.writeable = False
-        object.__setattr__(self, "h", h)
+        if orbitals.shape != (2, 2):
+            raise ValidationError(f"expected 2 x 2 orbitals, got {orbitals.shape}")
+        orbitals.flags.writeable = False
         object.__setattr__(self, "orbitals", orbitals)
 
     @property
     def dim(self) -> int:
-        return 2 * len(self.h)
+        return 2 * len(self.block.diagonal)
 
     def eigenvalues(self) -> np.ndarray:
-        sigma = np.linalg.svd(self.h.T, compute_uv=False)
+        sigma = self.block.singular_values()
         return np.concatenate([-sigma, sigma[::-1]])
 
     def mode_states(self, window: float) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +173,7 @@ class HermitianOperator:
         For a block h = U S V^T the chiral chain has (u_k; -+v_k) / sqrt(2) in
         the (a, b) orbitals at energy -+s_k; only the triplets with s_k < window are built.
         """
-        u, sigma, vt = np.linalg.svd(self.h)
+        u, sigma, vt = np.linalg.svd(self.block.dense())
         keep = sigma < window
         values = np.concatenate([-sigma[keep], sigma[keep]])
         return cell_states(values, u[:, keep], vt[keep].T, self.orbitals)
@@ -179,8 +206,13 @@ def h1_bond_cells(n_cells: int, bc: BoundaryCondition) -> np.ndarray:
     wrap-around bond j = N - 1.  The first-step bonds are the intra-cell
     pairs (A_j, B_j) on both boundary conditions.
     """
-    b_cell = np.arange(n_cells if bc is BoundaryCondition.PERIODIC else n_cells - 1)
+    b_cell = np.arange(bond_count(n_cells, bc))
     return np.stack([b_cell, (b_cell + 1) % n_cells], axis=1)
+
+
+def bond_count(n_cells: int, bc: BoundaryCondition) -> int:
+    """The number of second-step bonds: N on periodic chains, N - 1 on open ones."""
+    return n_cells if bc is BoundaryCondition.PERIODIC else n_cells - 1
 
 
 def bond_coefficients(values: Sequence[float], n_bonds: int, bc: BoundaryCondition) -> np.ndarray:
@@ -195,27 +227,15 @@ def bond_coefficients(values: Sequence[float], n_bonds: int, bc: BoundaryConditi
     return coeffs
 
 
-def hopping_block(diagonal: np.ndarray, bonds: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Real N x N block with diagonal[j] at h[j, j] and bonds[i] on bond i of
-    h1_bond_cells, at h[A cell, B cell]: h[j + 1, j], and h[0, N - 1] for the
-    periodic wrap.  So h is bidiagonal, cyclic for periodic chains.  A bond
-    entry is added, so the one bond of a 1-cell ring, which joins B_0 back to
-    A_0, lands on the diagonal."""
-    h = np.diag(diagonal)
-    b_cell, a_cell = h1_bond_cells(len(h), bc).T
-    h[a_cell, b_cell] += bonds
-    return h
-
-
 def build_h0(params: DriveParams) -> HermitianOperator:
     """Hopping Hamiltonian of the first drive step: amplitude 2 on bonds (2j, 2j+1)."""
-    n_u = len(h1_bond_cells(params.n_cells, params.bc))
+    n_u = bond_count(params.n_cells, params.bc)
     return build_ssh_profile([2.0] * params.n_cells, [0.0] * n_u, params.bc)
 
 
 def build_h1(params: DriveParams) -> HermitianOperator:
     """Hopping Hamiltonian of the second drive step: amplitude 2 on bonds (2j+1, 2j+2)."""
-    return build_h1_scaled(params, [2.0] * len(h1_bond_cells(params.n_cells, params.bc)))
+    return build_h1_scaled(params, [2.0] * bond_count(params.n_cells, params.bc))
 
 
 def build_h1_scaled(params: DriveParams, coeff_profile: Sequence[float]) -> HermitianOperator:
@@ -236,17 +256,15 @@ def build_ssh_profile(
     inter-cell bond (2j+1, 2j+2): the bonds of the two drive steps.  Periodic
     chains include the wrap-around inter-cell bond as the last entry of u_bonds.
     """
-    v = np.asarray(v_bonds, dtype=float)
-    n_cells = len(v)
-    if n_cells < 2:
-        raise ValidationError(f"need at least 2 cells, got {n_cells}")
-    u = bond_coefficients(u_bonds, len(h1_bond_cells(n_cells, bc)), bc)
-    return HermitianOperator(hopping_block(v, u, bc), SITE_ORBITALS)
+    block = Bidiagonal(v_bonds, u_bonds, bc)
+    if len(block.diagonal) < 2:
+        raise ValidationError(f"need at least 2 cells, got {len(block.diagonal)}")
+    return HermitianOperator(block, SITE_ORBITALS)
 
 
 def build_ssh(params: SSHParams) -> HermitianOperator:
     """Uniform dimerized chain; equals (u/2) H1 + (v/2) H0 on the same site count."""
-    n_u = len(h1_bond_cells(params.n_cells, params.bc))
+    n_u = bond_count(params.n_cells, params.bc)
     return build_ssh_profile([params.v] * params.n_cells, [params.u] * n_u, params.bc)
 
 
@@ -275,8 +293,8 @@ def build_wd_profile(
     if n_sites < 2:
         raise ValidationError(f"n_sites must be >= 2, got {n_sites}")
     left, right = h1_bond_cells(n_sites, bc).T
-    h = hopping_block(mass + wilson, -0.5 * (wilson[left] + wilson[right]), bc)
-    return HermitianOperator(h, SPINOR_ORBITALS)
+    block = Bidiagonal(mass + wilson, -0.5 * (wilson[left] + wilson[right]), bc)
+    return HermitianOperator(block, SPINOR_ORBITALS)
 
 
 def build_wd(params: WDParams) -> HermitianOperator:

@@ -11,7 +11,7 @@ from floqlat import (
     UnitaryOperator,
     fold_quasienergy,
 )
-from floqlat.floquet import UNITARITY_ATOL, _apply_drive
+from floqlat.floquet import UNITARITY_ATOL, _apply_drive, _chiral_entries, _drive_phases
 
 EIGENVALUE_UNIT_TOL = 1e-6
 
@@ -20,7 +20,8 @@ def dense_matrix(op: HermitianOperator | UnitaryOperator) -> np.ndarray:
     """The dense 2N x 2N matrix of an operator kept as bond data.
 
     A drive is _apply_drive on the identity, checked for unitarity; a chiral
-    chain is sum_ij h[i, j] (|a_i><b_j| + |b_j><a_i|) in its orbitals.
+    chain is sum_ij h[i, j] (|a_i><b_j| + |b_j><a_i|) in its orbitals, with
+    h its block's dense form.
     """
     if isinstance(op, UnitaryOperator):
         m = _apply_drive(op, np.eye(op.dim, dtype=complex))
@@ -28,8 +29,15 @@ def dense_matrix(op: HermitianOperator | UnitaryOperator) -> np.ndarray:
         if not deviation < UNITARITY_ATOL:
             raise NumericalError(f"matrix is not unitary: max |U^dag U - 1| = {deviation:.3e}")
         return m
-    half = np.kron(op.h, np.outer(op.orbitals[:, 0], op.orbitals[:, 1].conj()))
+    half = np.kron(op.block.dense(), np.outer(op.orbitals[:, 0], op.orbitals[:, 1].conj()))
     return half + half.conj().T
+
+
+def chiral_blocks(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The drive's real N x N chiral blocks a, b, c and d (see floquet._chiral_entries)
+    as dense arrays."""
+    a, b, c_t, d_t = _chiral_entries(*_drive_phases(u), u.params.bc)
+    return a.dense(), b.dense(), c_t.dense().T, d_t.dense().T
 
 
 def sublattice_parity(dim: int) -> np.ndarray:

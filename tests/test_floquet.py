@@ -27,7 +27,7 @@ from floqlat import (
 )
 
 from floqlat import floquet
-from floqlat.floquet import DEFAULT_TOL_MODE, chiral_blocks, localizing_rotation, timeframe_quasienergies
+from floqlat.floquet import DEFAULT_TOL_MODE, localizing_rotation, timeframe_quasienergies
 from oracles import dense_matrix, dense_quasienergies
 
 PBC = BoundaryCondition.PERIODIC
@@ -71,8 +71,8 @@ def test_open_chain_end_mode_splitting_keeps_its_relative_digits():
     # off the line the end modes split by about 5e-15; folding every value
     # through mod(x + pi, 2 pi) - pi would round them to multiples of ulp(pi)
     u = build_floquet(DriveParams(0.3, 0.9, 24, OBC))
-    a, _, c, _ = chiral_blocks(u)
-    unfolded = np.abs(timeframe_quasienergies(a, c)).min()
+    a, _, c_t, _ = floquet._chiral_entries(*floquet._drive_phases(u), OBC)
+    unfolded = np.abs(timeframe_quasienergies(a, c_t)).min()
     np.testing.assert_allclose(np.abs(quasienergies(u).values).min(), unfolded, rtol=1e-12)
 
 

@@ -29,7 +29,7 @@ from floqlat import (
     wd_momentum_grid,
 )
 from floqlat.floquet import localizing_rotation
-from floqlat.models import hopping_block
+from floqlat.models import Bidiagonal
 from floqlat.walls import h1_step_profile
 from oracles import dense_matrix, sublattice_parity
 
@@ -172,13 +172,13 @@ def test_bond_layout_of_the_walls(n_cells):
         np.testing.assert_array_equal(dense_matrix(build_ssh_wall(profile, n_cells)), expected)
 
 
-def test_hopping_block_of_the_one_cell_ring_adds_the_bond_to_the_diagonal():
+def test_bidiagonal_of_the_one_cell_ring_adds_the_bond_to_the_diagonal():
     # on one periodic cell the wrap bond joins B_0 back to A_0, the pair the
     # diagonal already couples
-    np.testing.assert_array_equal(hopping_block(np.array([0.25]), np.array([-1.5]), PBC), [[-1.25]])
-    np.testing.assert_array_equal(hopping_block(np.array([0.25]), np.array([]), OBC), [[0.25]])
+    np.testing.assert_array_equal(Bidiagonal(np.array([0.25]), np.array([-1.5]), PBC).dense(), [[-1.25]])
+    np.testing.assert_array_equal(Bidiagonal(np.array([0.25]), np.array([]), OBC).dense(), [[0.25]])
     np.testing.assert_array_equal(
-        hopping_block(np.array([1.0, 2.0]), np.array([3.0, 4.0]), PBC), [[1.0, 4.0], [3.0, 2.0]]
+        Bidiagonal(np.array([1.0, 2.0]), np.array([3.0, 4.0]), PBC).dense(), [[1.0, 4.0], [3.0, 2.0]]
     )
 
 
@@ -285,7 +285,7 @@ def test_wd_rejects_nan_couplings():
 
 def test_hermitian_operator_rejects_nan_entries():
     with pytest.raises(ValidationError):
-        HermitianOperator(np.full((2, 2), np.nan), np.eye(2))
+        HermitianOperator(Bidiagonal(np.full(2, np.nan), np.full(1, np.nan), OBC), np.eye(2))
 
 
 # ---------------------------------------------------------------- shared invariants
@@ -477,7 +477,7 @@ def test_block_spectrum_survives_an_underflowing_coupling():
 
 def test_block_spectrum_is_plus_minus_singular_values():
     op = build_wd(WDParams(m=-0.3, r=0.65, n_sites=12, bc=OBC))
-    sigma = np.linalg.svd(op.h.T, compute_uv=False)
+    sigma = np.linalg.svd(op.block.dense().T, compute_uv=False)
     np.testing.assert_array_equal(op.eigenvalues(), np.concatenate([-sigma, sigma[::-1]]))
 
 
@@ -495,25 +495,29 @@ def test_open_chain_singular_values_keep_relative_precision(n_cells, eta):
         build_ssh_wall(DomainWallProfile(WallModel.SSH, eta, -eta), n_cells),
         build_wd_wall(DomainWallProfile(WallModel.WD, eta, -eta), n_cells),
     ):
-        log_det = np.log(np.abs(np.diag(op.h))).sum()
+        log_det = np.log(np.abs(op.block.diagonal)).sum()
         sigma = op.eigenvalues()[n_cells:]
         assert abs(np.log(sigma).sum() - log_det) <= 1e-14 * abs(log_det)
 
 
 def test_open_wd_block_is_the_ssh_block_up_to_bond_signs():
     u, v = 0.7, 0.3
-    ssh = build_ssh(SSHParams(u=u, v=v, n_cells=6, bc=OBC)).h
-    wd = build_wd(WDParams(m=v - u, r=u, n_sites=6, bc=OBC)).h
+    ssh = build_ssh(SSHParams(u=u, v=v, n_cells=6, bc=OBC)).block.dense()
+    wd = build_wd(WDParams(m=v - u, r=u, n_sites=6, bc=OBC)).block.dense()
     np.testing.assert_allclose(np.abs(wd), ssh, rtol=0, atol=1e-15)
 
 
 def test_hermitian_operator_checks_block_and_orbital_shapes():
-    with pytest.raises(ValidationError, match="expected a square block and 2 x 2 orbitals"):
-        HermitianOperator(np.ones((2, 3)), np.eye(2))
-    with pytest.raises(ValidationError, match="expected a square block and 2 x 2 orbitals"):
-        HermitianOperator(np.eye(2), np.eye(3))
+    with pytest.raises(ValidationError, match="diagonal must be 1-D and finite"):
+        HermitianOperator(Bidiagonal(np.ones((2, 3)), np.ones(1), OBC), np.eye(2))
+    with pytest.raises(ValidationError, match="expected 2 x 2 orbitals"):
+        HermitianOperator(Bidiagonal(np.ones(2), np.ones(1), OBC), np.eye(3))
 
 
 def test_ssh_profile_rejects_nan_couplings():
     with pytest.raises(ValidationError):
         build_ssh_profile([0.5, float("nan")], [0.5], OBC)
+    with pytest.raises(ValidationError):
+        build_ssh_profile(0.5, [0.5], OBC)
+    with pytest.raises(ValidationError):
+        build_ssh_profile([[1.0, 2.0], [3.0, 4.0]], [5.0], OBC)

@@ -38,14 +38,19 @@ from floqlat.floquet import (
     DEFAULT_TOL_MODE,
     LINE_ATOL,
     bulk_gaps,
-    chiral_blocks,
     fold_quasienergy,
     is_pi_paired,
     localizing_rotation,
     timeframe_quasienergies,
 )
-from floqlat.models import h1_bond_cells, hopping_block
-from oracles import dense_matrix, dense_quasienergies, dense_quasienergy_states, floquet_operator
+from floqlat.models import Bidiagonal, h1_bond_cells
+from oracles import (
+    chiral_blocks,
+    dense_matrix,
+    dense_quasienergies,
+    dense_quasienergy_states,
+    floquet_operator,
+)
 
 PI = np.pi
 PBC = BoundaryCondition.PERIODIC
@@ -63,6 +68,16 @@ def dense_operator(params, coeffs):
 def dense_oracle(params, coeffs):
     """Sorted quasienergies of the dense operator from eigvals."""
     return dense_quasienergies(dense_operator(params, coeffs)).values
+
+
+def chiral_entries(drive):
+    """The drive's chiral blocks a, b, c^T and d^T as Bidiagonal values."""
+    return floquet._chiral_entries(*floquet._drive_phases(drive), drive.params.bc)
+
+
+def scaled(block, scale):
+    """The Bidiagonal block with every entry times scale."""
+    return dataclasses.replace(block, diagonal=scale * block.diagonal, bonds=scale * block.bonds)
 
 
 def _clip(theta):
@@ -127,8 +142,8 @@ def test_timeframe_matches_dense_oracle(drive):
     )
 )
 def test_half_size_drive_matches_the_full_blocks_on_pi_paired_drives(drive):
-    a, _, c, _ = chiral_blocks(drive)
-    both = fold_quasienergy(timeframe_quasienergies(a, c))
+    a, _, c_t, _ = chiral_entries(drive)
+    both = fold_quasienergy(timeframe_quasienergies(a, c_t))
     assert compare_spectra(quasienergies(drive).values, both) <= 1e-12
 
 
@@ -300,8 +315,8 @@ def test_near_line_drive_read_as_paired_misses_by_more_than_1e_12():
 
 
 def test_half_size_blocks_are_checked_for_the_cs_identity(monkeypatch):
-    blocks = floquet._blocks
-    monkeypatch.setattr(floquet, "_blocks", lambda *args: [1.01 * m for m in blocks(*args)])
+    entries = floquet._chiral_entries
+    monkeypatch.setattr(floquet, "_chiral_entries", lambda *args: [scaled(m, 1.01) for m in entries(*args)])
     with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
         quasienergies(_random_drive(PI / 4, 12, OBC))
 
@@ -309,25 +324,26 @@ def test_half_size_blocks_are_checked_for_the_cs_identity(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(drive=drives(), offset=st.floats(1e-8, 0.1), sign=st.sampled_from([-1.0, 1.0]))
 def test_blocks_off_the_cs_identity_are_refused(drive, offset, sign):
-    a, _, c, _ = chiral_blocks(drive)
+    a, _, c_t, _ = chiral_entries(drive)
     scale = 1.0 + sign * offset  # shifts sigma_a^2 + sigma_c^2 to scale^2 everywhere
     with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
-        timeframe_quasienergies(scale * a, scale * c)
+        timeframe_quasienergies(scaled(a, scale), scaled(c_t, scale))
 
 
 @settings(max_examples=50, deadline=None)
 @given(drive=drives(), data=st.data())
 def test_single_entry_perturbation_is_refused(drive, data):
-    a, _, c, _ = chiral_blocks(drive)
+    a, _, c_t, _ = chiral_entries(drive)
     n = drive.params.n_cells
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    delta = 1e-3 if a[i, j] >= 0.0 else -1e-3
-    a = a.copy()
-    a[i, j] += delta
+    entries = np.concatenate([a.diagonal, a.bonds])  # every entry a block of a can hold
+    k = data.draw(st.integers(0, len(entries) - 1))
+    delta = 1e-3 if entries[k] >= 0.0 else -1e-3
+    entries[k] += delta
+    a = Bidiagonal(entries[:n], entries[n:], a.bc)
     # sum_k (sigma_a^2 + sigma_c^2 - 1) = |a|_F^2 + |c|_F^2 - N grows by
-    # 2 delta a[i, j] + delta^2 >= 1e-6, so some pair is off by >= 1e-6 / N
+    # 2 delta a_k + delta^2 >= 1e-6, so some pair is off by >= 1e-6 / N
     with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
-        timeframe_quasienergies(a, c)
+        timeframe_quasienergies(a, c_t)
 
 
 def test_blocks_are_real_bidiagonal():
@@ -366,7 +382,7 @@ def test_blocks_with_a_first_step_phase_per_cell(n_cells, bc):
     half0, half1 = rng.uniform(-2.0, 2.0, n_cells), rng.uniform(-2.0, 2.0, len(b_cell))
     g = floquet._dimer_evolution_apply(2 * cells, 2 * cells + 1, half0, np.eye(2 * n_cells, dtype=complex))
     g = floquet._dimer_evolution_apply(2 * b_cell + 1, 2 * a_cell, half1, g)
-    a, b, c, d = (hopping_block(*entries, bc) for entries in floquet._chiral_entries(half0, half1, bc))
+    a, b, c, d = (block.dense() for block in floquet._chiral_entries(half0, half1, bc))
     np.testing.assert_allclose(a, g[0::2, 0::2], atol=1e-15)
     np.testing.assert_allclose(b, 1j * g[0::2, 1::2], atol=1e-15)
     np.testing.assert_allclose(c.T, 1j * g[1::2, 0::2], atol=1e-15)
@@ -381,6 +397,19 @@ def test_wall_and_open_chain_match_oracle_at_sweep_sizes(n_cells):
     for u in (build_floquet_wall(profile, n_cells), build_floquet(params)):
         fast = quasienergies(u).values
         assert compare_spectra(fast, dense_quasienergies(dense_matrix(u)).values) < 1e-12
+
+
+def _reachable_arrays(value):
+    """Every ndarray reachable from value through the attributes of
+    dataclass instances, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _reachable_arrays(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for item in vars(value).values():
+            yield from _reachable_arrays(item)
 
 
 def test_operators_are_kept_as_bond_data():
@@ -407,7 +436,48 @@ def test_operators_are_kept_as_bond_data():
         op.eigenvalues()
         op.mode_states(1.0)
         assert not hasattr(op, "matrix")
-        assert not op.h.flags.writeable
+    # no N x N array is kept: only the bond data and a chain's 2 x 2 orbitals
+    for op in drives + chains:
+        arrays = list(_reachable_arrays(op))
+        assert arrays
+        for array in arrays:
+            assert array.ndim <= 1 or (array is getattr(op, "orbitals", None) and array.shape == (2, 2))
+            assert not array.flags.writeable
+
+
+def test_values_only_svds_take_upper_bidiagonal_blocks(monkeypatch):
+    # an open chain's block is lower bidiagonal; from that form LAPACK's
+    # reduction rounds and the small singular values lose their relative digits
+    blocks = []
+    svd = np.linalg.svd
+
+    def recording_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
+        if not compute_uv:
+            blocks.append(np.array(matrix))
+        return svd(matrix, full_matrices, compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    drives = [
+        _random_drive(PI / 4, 12, OBC),
+        _random_drive(PI / 4, 13, OBC),
+        _random_drive(0.3, 12, OBC),
+        _random_drive(PI / 4 + 1e-9, 12, OBC),
+        build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 24),
+    ]
+    chains = [
+        build_ssh(SSHParams(0.4, 1.0, 12, OBC)),
+        build_wd(WDParams(-0.5, 1.0, 12, OBC)),
+        build_ssh_wall(DomainWallProfile(WallModel.SSH, 0.3, -0.3), 12),
+        build_wd_wall(DomainWallProfile(WallModel.WD, 0.3, -0.3), 12),
+    ]
+    for u in drives:
+        quasienergies(u)
+    for op in chains:
+        op.eigenvalues()
+    assert len(blocks) == 2 * len(drives) + len(chains)
+    for block in blocks:
+        assert block.shape[0] > 1 and np.count_nonzero(np.diag(block, 1))
+        np.testing.assert_array_equal(block, np.triu(np.tril(block, 1)))
 
 
 def test_drive_checks_profile_length():
@@ -567,13 +637,13 @@ def test_pi_paired_mode_states_on_random_wall_profiles(seed):
     ids=["zero", "pi", "pi-paired"],
 )
 def test_mode_states_check_the_cs_identity(drive, tampered, monkeypatch):
-    blocks = floquet._blocks
+    entries = floquet._chiral_entries
 
-    def tampering_blocks(half0, half1, bc, names):
-        built = blocks(half0, half1, bc, names)
-        return [1.01 * m for m in built] if names == tampered else built
+    def tampering_entries(half0, half1, bc):
+        built = entries(half0, half1, bc)
+        return [scaled(m, 1.01) if name in tampered else m for name, m in zip("abcd", built)]
 
-    monkeypatch.setattr(floquet, "_blocks", tampering_blocks)
+    monkeypatch.setattr(floquet, "_chiral_entries", tampering_entries)
     with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
         mode_states(drive, 0.5)
 
