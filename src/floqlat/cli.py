@@ -3,7 +3,7 @@
 Outputs are deterministic: a `#` metadata line echoes the tool version and all
 parameters, numeric fields use scientific notation with 12 significant digits,
 and files are written atomically (temp file then rename).  Exit codes: 0 on
-success, 2 on validation errors, 3 on numerical failures.
+success, 2 on validation errors and failed writes, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -62,6 +62,9 @@ PHASE_GRID_MARGIN = 0.05
 # Runs whose dense arrays are estimated above this (2 GiB) are refused before
 # anything is allocated.
 MAX_DENSE_BYTES = 2**31
+# Bytes a phase-diagram row holds until the output is written: the
+# tracemalloc peak per row over a 300 x 300 grid, in CSV and JSON alike.
+PHASE_ROW_BYTES = 340
 
 _ANGLE_RE = re.compile(r"^([+-]?)(\d+(?:\.\d*)?)?\*?pi(?:/(\d+(?:\.\d*)?))?$")
 
@@ -114,21 +117,25 @@ def _check_out(path: str) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     """Write text to a temp file beside path and rename it over path.  A replaced
-    file keeps its mode; a new one gets 0o666 less the umask, as from open()."""
+    file keeps its mode; a new one gets 0o666 less the umask, as from open().
+    A write that fails removes the temp file and raises ValidationError."""
     _check_out(path)
     umask = os.umask(0)  # the umask is read by setting it; restored at once
     os.umask(umask)
-    mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".floqlat-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.chmod(tmp, mode)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        mode = stat.S_IMODE(os.stat(path).st_mode) if os.path.exists(path) else 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".floqlat-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.chmod(tmp, mode)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ValidationError(f"--out {path}: {exc.strerror or exc}") from exc
 
 
 def _cell(value) -> str:
@@ -191,6 +198,8 @@ def dense_bytes(command: str, cells: int) -> int:
 
 
 def _check_dense_bytes(args) -> None:
+    """Refuse a run whose dense arrays, with a phase diagram's grid^2 rows, would
+    pass MAX_DENSE_BYTES."""
     cells = max(parse_sizes(args.sizes), default=0) if args.command == "scaling" else args.cells
     needed = dense_bytes(args.command, cells)
     if needed > MAX_DENSE_BYTES:
@@ -198,6 +207,13 @@ def _check_dense_bytes(args) -> None:
             f"{args.command} at N = {cells} needs about {needed / 2**30:.1f} GiB of dense "
             f"arrays, above the {MAX_DENSE_BYTES / 2**30:.0f} GiB limit"
         )
+    if args.command == "phase-diagram":
+        needed += PHASE_ROW_BYTES * max(args.grid, 0) ** 2
+        if needed > MAX_DENSE_BYTES:
+            raise ValidationError(
+                f"phase-diagram with --grid {args.grid} needs about {needed / 2**30:.1f} GiB "
+                f"of rows and dense arrays, above the {MAX_DENSE_BYTES / 2**30:.0f} GiB limit"
+            )
 
 
 def _indexed_rows(columns: list, n_rows: int) -> list[list]:

@@ -7,13 +7,11 @@ lambda of the one-period operator, so that U = exp(-i H_F) holds with arg in
 
 The one-period operator is kept as the drive's bond data and solved in the
 chiral timeframe from its N x N chiral blocks, Bidiagonal values: the spectrum
-from the singular values of a and c, and the 0 (pi) modes with their
-eigenvectors from the singular vectors of block c (a) alone.  On pi-paired
-drives (theta0 = pi/4 on an open or even periodic chain) the half-size drive
-that U^2 restricts to does both at ceil(N/2) x ceil(N/2): two values-only SVDs
-for the spectrum, and one SVD of its block a for the 0 and the pi modes
-together.  No solve forms the dense 2N x 2N matrix; the tests build it as an
-oracle.
+from the singular values of a and c, the 0 and the pi modes from the triplets
+of c and of a.  On pi-paired drives (theta0 = pi/4 on an open or even periodic
+chain) the half-size drive that U^2 restricts to does both at ceil(N/2) cells:
+two values-only SVDs for the spectrum, the triplets of its block a for both
+kinds of mode.  No solve forms the dense 2N x 2N matrix; the tests build it.
 """
 
 from __future__ import annotations
@@ -338,35 +336,34 @@ def _timeframe_states(eps, v1, v2, half0) -> tuple[np.ndarray, np.ndarray]:
     return eps, _dimer_evolution_apply(2 * cells, 2 * cells + 1, -half0, phi)
 
 
-def _block_mode_states(
-    u: UnitaryOperator, names: str, window: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The 0 modes (names "cd") or the pi modes ("ab") of the full-size blocks."""
+def _block_mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]:
+    """The 0 modes and the pi modes of the full-size blocks (see mode_states):
+    c^T's triplets are c's (v1, s, u2), and a's reversed are (v1, s, u1)."""
     half0, half1 = _drive_phases(u)
     a, b, c_t, d_t = _chiral_entries(half0, half1, u.params.bc)
-    block, partner_t = (c_t.dense().T, d_t.dense()) if names == "cd" else (a.dense(), b.dense().T)
-    left, sigma, right_t = np.linalg.svd(block)
-    keep = sigma < math.sin(0.5 * window)
-    v2 = partner_t @ left[:, keep]
-    norm = np.linalg.norm(v2, axis=0)
-    theta = _cs_angles(norm, sigma[keep]) if names == "cd" else _cs_angles(sigma[keep], norm)
-    eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
-    return _timeframe_states(eps, right_t[keep].T, v2 / norm, half0)
+    below = math.sin(0.5 * window)
+    modes = []
+    for zero, (v1, s, left), partner_t in ((True, c_t.triplets(below), d_t.dense()),
+                                           (False, a.triplets(below)[::-1], b.dense().T)):
+        v2 = partner_t @ left
+        norm = np.linalg.norm(v2, axis=0)
+        theta = _cs_angles(norm, s) if zero else _cs_angles(s, norm)
+        eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
+        modes.append(_timeframe_states(eps, v1, v2 / norm, half0))
+    return tuple(modes)
 
 
 def _squared_drive_mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]:
-    """Both kinds of modes of a pi-paired drive from one SVD of the half-size
-    block a (see mode_states)."""
+    """Both kinds of modes of a pi-paired drive from the half-size block a (see mode_states)."""
     half0, half1, padded = _squared_drive(u)
     a, b, _, _ = _chiral_entries(half0, half1, u.params.bc)
-    right, s, left_t = np.linalg.svd(a.dense().T)
-    keep = s < math.sin(window)
-    v2 = b.dense().T @ left_t[keep].T
+    u1, s, v1 = a.triplets(math.sin(window))
+    v2 = b.dense().T @ u1
     norm = np.linalg.norm(v2, axis=0)
-    delta = _cs_angles(norm, s[keep])
+    delta = _cs_angles(norm, s)
     # (v1; +-v2) gives U^2 the eigenvalue exp(+-2 i delta), so the 0 mode -+delta
     eps = fold_quasienergy(np.concatenate([-delta, delta]))
-    eps, phi = _timeframe_states(eps, right[:, keep], -v2 / norm, half0)
+    eps, phi = _timeframe_states(eps, v1, -v2 / norm, half0)
     # site m of the sector chain is site 2m + (m mod 2) of the drive
     sector = np.arange(len(phi) - padded)
     states = np.zeros((u.dim, phi.shape[1]), dtype=complex)
@@ -389,17 +386,17 @@ def mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]:
     a = U1 C V1^T, b = U1 S V2^T, c = U2 S V1^T, d = U2 C V2^T with C = cos
     theta, S = sin theta (Van Loan, Numer. Math. 46, 479 (1985)).  A 0 mode
     is a small singular value s = sin theta of c, a pi mode one s = cos theta
-    of a, so one SVD holds each kind: u2, s, v1 from svd(c) and
-    v2 = d^T u2 / |d^T u2|, or u1, s, v1 from svd(a) and v2 = b^T u1 / |b^T u1|.
-    The pairs with s < sin(window / 2) are kept; their norm, at least
-    cos(pi/4), is the other CS value, and s^2 + norm^2 = 1 is checked on them
-    in place of the dense U^dag U test.  In the CS basis the timeframe
-    operator Gamma G^dag Gamma G rotates each pair (v1, v2) by 2 theta, so
-    phi = (v1; -+v2) / sqrt(2) is its eigenvector with quasienergy -+2 theta,
-    and psi = exp(+i theta0 H0 / 2) phi that of U.
+    of a, so the triplets (Bidiagonal.triplets) of one block hold each kind:
+    v1, s, u2 of c (from c^T) and v2 = d^T u2 / |d^T u2|, or u1, s, v1 of a and
+    v2 = b^T u1 / |b^T u1|.  The pairs with s < sin(window / 2) are kept; their
+    norm, at least cos(pi/4), is the other CS value, and s^2 + norm^2 = 1 is
+    checked on them in place of the dense U^dag U test.  In the CS basis the
+    timeframe operator Gamma G^dag Gamma G rotates each pair (v1, v2) by
+    2 theta, so phi = (v1; -+v2) / sqrt(2) is its eigenvector with
+    quasienergy -+2 theta, and psi = exp(+i theta0 H0 / 2) phi that of U.
 
     On a pi-paired drive (is_pi_paired) with window <= pi/4 both kinds come
-    from one SVD of the half-size drive's block a.  Its pi modes are the
+    from the triplets of the half-size drive's block a.  Its pi modes are the
     eigenvectors phi of U^2 on the +1 sector of V, each with eigenvalue
     mu = exp(-2 i eps) near 1, and as U maps that sector onto the -1 one,
     psi = (phi + U phi / lambda) / sqrt(2) is a unit eigenvector of U for
@@ -415,7 +412,7 @@ def mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]:
     _check_mode_window(window)
     if is_pi_paired(u.params) and window <= 0.25 * math.pi:
         return _squared_drive_mode_states(u, window)
-    return _block_mode_states(u, "cd", window), _block_mode_states(u, "ab", window)
+    return _block_mode_states(u, window)
 
 
 def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.ndarray:

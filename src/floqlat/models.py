@@ -5,7 +5,7 @@ spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 0 .. 2N-1, with sublattice A on even and B on odd sites.  Every built chain is
 chiral and is kept as its real hopping block h, a Bidiagonal of O(N) entries:
 the spectrum is +-svd(h), the eigenpairs in an energy window come from the
-singular triplets inside it, and no N x N array is kept.
+singular triplets inside it, both from SVDs of h^T, and no N x N array is kept.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
@@ -111,6 +111,11 @@ class Bidiagonal:
     the periodic wrap.  So h is lower bidiagonal, cyclic for periodic chains.
     A bond entry is added, so the one bond of a 1-cell ring, which joins B_0
     back to A_0, lands on the diagonal.  Only dense() forms h.
+
+    Every SVD runs on h^T, upper bidiagonal on an open chain, which LAPACK
+    reduces without rounding (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11,
+    873 (1990)): small values keep the relative digits that h can lose, all of
+    them in singular_values, those above about 1e-13 in triplets.
     """
 
     diagonal: np.ndarray
@@ -133,14 +138,15 @@ class Bidiagonal:
         return h
 
     def singular_values(self) -> np.ndarray:
-        """Singular values of h, descending: the program's one values-only SVD.
-
-        It always runs on h^T, upper bidiagonal on an open chain, from which
-        LAPACK reaches bidiagonal form without rounding: the small values keep
-        their relative digits, which from h they can lose entirely.  The SVDs
-        with vectors keep the orientation their vectors are read in.
-        """
+        """Singular values of h, descending: the program's one values-only SVD."""
         return np.linalg.svd(self.dense().T, compute_uv=False)
+
+    def triplets(self, below: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """h's left vectors, singular values and right vectors (as columns) of
+        the values below `below`, descending: the program's one SVD with vectors."""
+        right, sigma, left_t = np.linalg.svd(self.dense().T)
+        keep = sigma < below
+        return left_t[keep].T, sigma[keep], right[:, keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,13 +176,11 @@ class HermitianOperator:
     def mode_states(self, window: float) -> tuple[np.ndarray, np.ndarray]:
         """The eigenpairs with |E| < window: energies ascending, orthonormal state columns.
 
-        For a block h = U S V^T the chiral chain has (u_k; -+v_k) / sqrt(2) in
-        the (a, b) orbitals at energy -+s_k; only the triplets with s_k < window are built.
+        For a block h = U S V^T the chiral chain has (u_k; -+v_k) / sqrt(2) in the
+        (a, b) orbitals at energy -+s_k: the block's triplets with s_k < window.
         """
-        u, sigma, vt = np.linalg.svd(self.block.dense())
-        keep = sigma < window
-        values = np.concatenate([-sigma[keep], sigma[keep]])
-        return cell_states(values, u[:, keep], vt[keep].T, self.orbitals)
+        left, sigma, right = self.block.triplets(window)
+        return cell_states(np.concatenate([-sigma, sigma]), left, right, self.orbitals)
 
 
 def cell_states(values, a, b, orbitals) -> tuple[np.ndarray, np.ndarray]:

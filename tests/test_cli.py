@@ -48,6 +48,8 @@ def test_parse_angle(text, expected):
 def test_parse_angle_rejects_junk():
     with pytest.raises(ValidationError):
         parse_angle("two pies")
+    with pytest.raises(ValidationError, match="zero denominator in angle literal 'pi/0'"):
+        parse_angle("pi/0")
 
 
 def test_parse_sizes():
@@ -404,6 +406,15 @@ def test_dense_estimate_admits_the_usual_sizes_and_grows_as_n_squared():
     assert dense_bytes("domainwall", 5315) < MAX_DENSE_BYTES < dense_bytes("domainwall", 5316)
 
 
+def test_phase_diagram_rows_count_in_the_estimate():
+    # at 64 cells the dense arrays are 128 KiB; 340-byte rows reach 2 GiB past a grid of 2513
+    args = cli.build_parser().parse_args(["phase-diagram", "--grid", "2500", "--out", "x.csv"])
+    cli._check_dense_bytes(args)
+    args.grid = 2520
+    with pytest.raises(ValidationError, match="phase-diagram with --grid 2520 needs about 2.0 GiB"):
+        cli._check_dense_bytes(args)
+
+
 def test_shared_parser_calls_the_current_command_function(tmp_path, monkeypatch):
     argv = ["map", "--eta", "0.3", "--cells", "16", "--target", "ssh", "--out", str(tmp_path / "x")]
     assert main(argv) == 0  # the parser is built and cached
@@ -414,8 +425,9 @@ def test_shared_parser_calls_the_current_command_function(tmp_path, monkeypatch)
 
 
 def _refuse_every_run(monkeypatch):
-    for name in ("cmd_spectrum", "cmd_map", "cmd_phase_diagram", "cmd_domainwall", "cmd_scaling"):
-        monkeypatch.setattr(cli, name, lambda args: pytest.fail("the run was not refused"))
+    for name in ("cmd_spectrum", "cmd_map", "cmd_phase_diagram", "cmd_domainwall", "cmd_scaling",
+                 "classify_phase"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("the run was not refused"))
 
 
 @pytest.mark.parametrize(
@@ -424,6 +436,7 @@ def _refuse_every_run(monkeypatch):
         ["spectrum", "--theta0", "0.3", "--theta1", "0.7", "--cells", "100000"],
         ["map", "--eta", "0.3", "--cells", "100000", "--target", "ssh"],
         ["phase-diagram", "--grid", "4", "--cells", "100000"],
+        ["phase-diagram", "--grid", "100000", "--cells", "8"],  # 10^10 rows of 340 bytes
         ["domainwall", "--eta", "0.3", "--cells", "100000", "--model", "wd"],
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
          "--sizes", "100,200,300,100000"],
@@ -451,6 +464,13 @@ def test_out_fifo_is_refused_and_left_alone(tmp_path, capsys, monkeypatch):
     assert "not a regular file" in capsys.readouterr().err
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fifo"]
+
+
+def test_failed_out_write_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / ("x" * 300 + ".csv")  # the rename fails: the name is too long
+    assert main(["map", "--eta", "0.3", "--cells", "16", "--target", "ssh", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {out}: File name too long\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("error", [NumericalError, GaplessPointError])

@@ -16,6 +16,7 @@ from floqlat import (
     build_wd,
     compare_spectra,
     double_poles,
+    doubled_static_poles,
     fold_quasienergy,
     partition_quasienergies,
     quasienergies,
@@ -157,6 +158,8 @@ def test_static_spectrum_requires_multiple_of_four():
         static_spectrum(0.1, 6)
     with pytest.raises(ValidationError, match="n_cells must be a positive multiple of 4"):
         static_spectrum(0.1, 10)
+    with pytest.raises(ValidationError, match="unknown mapping target 'bogus'"):
+        doubled_static_poles(0.1, 8, "bogus")
 
 
 def test_reduced_lattice_sizes():
@@ -219,6 +222,7 @@ def test_band_edge_detuning_spectrum():
 def test_compare_identical_spectra():
     values = np.array([-1.0, 0.0, 2.0])
     assert compare_spectra(values, values) == 0.0
+    assert compare_spectra([], []) == 0.0
 
 
 def test_compare_rejects_length_mismatch():

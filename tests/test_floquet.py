@@ -9,6 +9,7 @@ from floqlat import (
     GaplessPointError,
     NumericalError,
     Phase,
+    QuasienergySpectrum,
     UnitaryOperator,
     ValidationError,
     analytic_dispersion_general,
@@ -44,6 +45,11 @@ def test_fold_half_open_window():
     assert fold_quasienergy(PI - 1e-13) == -PI  # within 1e-12 of +pi
     np.testing.assert_allclose(fold_quasienergy(3 * PI / 2), -PI / 2, atol=1e-14)
     np.testing.assert_allclose(fold_quasienergy(-3 * PI / 2), PI / 2, atol=1e-14)
+    # a spectrum holds folded values only, sorted, in one list
+    for values, message in (([[0.0]], "expected a 1D value list"), ([0.1, 0.0], "sorted ascending"),
+                            ([0.0, PI], r"must lie in \[-pi, pi\)")):
+        with pytest.raises(ValidationError, match=message):
+            QuasienergySpectrum(values)
 
 
 def test_wrap_distance():
@@ -269,11 +275,13 @@ def test_pairing_on_second_line_pbc_but_not_obc():
 
 
 def test_edge_modes_in_both_mode_phase():
-    modes = find_edge_modes(DriveParams(PI / 4, 3 * PI / 8, 64, OBC))
-    kinds = sorted(m.kind for m in modes)
-    assert kinds == ["pi", "pi", "zero", "zero"]
-    assert all(m.edge_weight >= 0.5 for m in modes)
-    assert all(m.ipr > 0.2 for m in modes)
+    # at 32 cells with tol_mode 1.2, 44 states lie in the window, 40 of them in the bulk
+    for theta1, n_cells, tol_mode in ((3 * PI / 8, 64, DEFAULT_TOL_MODE), (PI / 4 + 0.3, 32, 1.2)):
+        modes = find_edge_modes(DriveParams(PI / 4, theta1, n_cells, OBC), tol_mode)
+        kinds = sorted(m.kind for m in modes)
+        assert kinds == ["pi", "pi", "zero", "zero"]
+        assert all(m.edge_weight >= 0.5 for m in modes)
+        assert all(m.ipr > 0.2 for m in modes)
 
 
 def test_edge_modes_at_the_two_ends_count_apart():
@@ -290,6 +298,8 @@ def test_edge_modes_at_the_two_ends_count_apart():
 
 def test_no_edge_modes_on_trivial_side():
     assert find_edge_modes(DriveParams(PI / 4, PI / 8, 64, OBC)) == []
+    # next to the gap closing the 12 states in the window all lie in the bulk
+    assert find_edge_modes(DriveParams(PI / 4, PI / 4 + 0.02, 32, OBC), 0.3) == []
 
 
 def test_pi_modes_only_at_full_first_step():

@@ -281,6 +281,8 @@ def test_wd_rejects_nan_couplings():
         WDParams(m=float("nan"), r=float("nan"), n_sites=4)
     with pytest.raises(ValidationError):
         WDParams(m=float("nan"), r=0.5, n_sites=4)
+    with pytest.raises(ValidationError, match="Wilson parameter must be finite and non-negative"):
+        WDParams(m=0.5, r=-0.5, n_sites=4)
 
 
 def test_hermitian_operator_rejects_nan_entries():

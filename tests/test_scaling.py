@@ -47,6 +47,10 @@ def test_fit_recovers_inverse_square_law():
     sizes = (100, 200, 300, 400)
     fit = fit_power_law(synthetic_run(sizes, [5.0 / n**2 for n in sizes]))
     np.testing.assert_allclose(fit.exponent, 2.0, atol=1e-6)
+    # a constant metric has no spread to explain: R^2 is set, not divided by 0
+    flat = fit_power_law(synthetic_run(sizes, [0.5] * 4))
+    np.testing.assert_allclose([flat.exponent, flat.prefactor], [0.0, 0.5], atol=1e-12)
+    assert flat.r_squared in (0.0, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -79,6 +83,13 @@ def test_run_validates_sizes():
         run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, [10, 20, 30, 40])
     with pytest.raises(ValidationError):
         run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, [16, 16, 32, 48])
+    for sizes, metrics, message in (
+        ((16, 32, 48), (0.1, 0.05), "sizes and metric values must have equal length"),
+        ((32, 16, 48), (0.1, 0.05, 0.03), "sizes must be strictly increasing"),
+        ((16, 30, 48), (0.1, 0.05, 0.03), "all sizes must be multiples of 4"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            synthetic_run(sizes, metrics)
 
 
 def test_wall_sweep_is_ssh_only():

@@ -215,6 +215,21 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def entries_calls(monkeypatch):
+    """The floquet._chiral_entries calls made while the test runs: one per
+    build of a drive's four chiral blocks."""
+    calls = []
+    entries = floquet._chiral_entries
+
+    def counting_entries(*args):
+        calls.append(args)
+        return entries(*args)
+
+    monkeypatch.setattr(floquet, "_chiral_entries", counting_entries)
+    return calls
+
+
 def _random_drive(theta0, n_cells, bc, seed=0):
     coeffs = np.random.default_rng(seed).uniform(0.01, 4.0, len(h1_bond_cells(n_cells, bc)))
     return UnitaryOperator(DriveParams(theta0, 0.6, n_cells, bc), coeffs)
@@ -269,25 +284,29 @@ def test_pi_paired_modes_need_one_half_size_svd(drive, svd_calls):
 
 
 @pytest.mark.parametrize("offset", [1e-9, 0.5 * LINE_ATOL])  # near the line is not on it
-def test_modes_off_the_line_need_two_full_size_svds(offset, svd_calls):
+def test_modes_off_the_line_need_two_full_size_svds(offset, svd_calls, entries_calls):
     wall = PAIRED_WALLS[0]
     drive = UnitaryOperator(dataclasses.replace(wall.params, theta0=PI / 4 + offset), wall.h1_coeffs)
     n_cells = drive.params.n_cells
     floquet_bound_states(drive, n_cells, 0.05)
     assert svd_calls == [((n_cells, n_cells), True)] * 2
+    assert len(entries_calls) == 1  # both kinds from one build of the blocks
     svd_calls.clear()
     find_edge_modes(drive.params)
     assert svd_calls == [((n_cells, n_cells), True)] * 2
+    assert len(entries_calls) == 2
 
 
-def test_wide_windows_on_the_line_take_the_full_size_blocks(svd_calls):
+def test_wide_windows_on_the_line_take_the_full_size_blocks(svd_calls, entries_calls):
     # past pi/4 the half-size pairs would reach s = 1, where v2 is lost
     drive = _random_drive(PI / 4, 12, OBC)
     mode_states(drive, PI / 4)
     assert svd_calls == [((6, 6), True)]
+    assert len(entries_calls) == 1
     svd_calls.clear()
     mode_states(drive, np.nextafter(PI / 4, PI))
     assert svd_calls == [((12, 12), True)] * 2
+    assert len(entries_calls) == 2
 
 
 @pytest.mark.parametrize("n_cells, bc", [(12, PBC), (12, OBC), (13, OBC), (2, PBC)])
@@ -445,15 +464,14 @@ def test_operators_are_kept_as_bond_data():
             assert not array.flags.writeable
 
 
-def test_values_only_svds_take_upper_bidiagonal_blocks(monkeypatch):
+def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     # an open chain's block is lower bidiagonal; from that form LAPACK's
     # reduction rounds and the small singular values lose their relative digits
-    blocks = []
+    calls = []
     svd = np.linalg.svd
 
     def recording_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
-        if not compute_uv:
-            blocks.append(np.array(matrix))
+        calls.append((np.array(matrix), compute_uv))
         return svd(matrix, full_matrices, compute_uv, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
@@ -472,10 +490,17 @@ def test_values_only_svds_take_upper_bidiagonal_blocks(monkeypatch):
     ]
     for u in drives:
         quasienergies(u)
+        mode_states(u, 0.3)
+    mode_states(drives[0], 1.2)  # past pi/4: the full-size blocks on the line
+    find_edge_modes(drives[2].params)
     for op in chains:
         op.eigenvalues()
-    assert len(blocks) == 2 * len(drives) + len(chains)
-    for block in blocks:
+        op.mode_states(1.0)
+    with_vectors = [compute_uv for _, compute_uv in calls]
+    assert with_vectors.count(False) == 2 * len(drives) + len(chains)
+    # one half-size SVD per mode solve on the line, two full-size ones off it
+    assert with_vectors.count(True) == 3 + 2 * 2 + 2 + 2 + len(chains)
+    for block, _ in calls:
         assert block.shape[0] > 1 and np.count_nonzero(np.diag(block, 1))
         np.testing.assert_array_equal(block, np.triu(np.tril(block, 1)))
 

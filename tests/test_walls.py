@@ -46,6 +46,8 @@ def test_step_profile_coefficients():
     assert set(np.round(coeffs, 5)) == {2.0, 0.66667}
     # the wall bond (sites 7, 8) keeps the left coefficient
     assert coeffs[3] == 2.0 and coeffs[4] != 2.0
+    with pytest.raises(ValidationError, match="eta_left = -pi/4 freezes the second drive step"):
+        h1_step_profile(8, -PI / 4, ETA, wall_site=8)
 
 
 def test_uniform_wall_reduces_to_plain_drive():
@@ -87,11 +89,17 @@ def test_bound_state_energy_does_not_depend_on_the_eigenbasis(kind):
 def test_floquet_wall_model_check():
     with pytest.raises(ValidationError):
         build_floquet_wall(wall(WallModel.SSH, ETA, -ETA), 8)
+    with pytest.raises(ValidationError, match="profile is for model wd, expected ssh"):
+        build_ssh_wall(wall(WallModel.WD, ETA, -ETA), 8)
+    with pytest.raises(ValidationError, match="profile is for model floquet, expected wd"):
+        build_wd_wall(wall(WallModel.FLOQUET, ETA, -ETA), 8)
 
 
 def test_wall_profile_rejects_nan_detuning():
     with pytest.raises(ValidationError, match=r"eta_left=nan outside \[-pi/4, pi/4\]"):
         wall(WallModel.SSH, np.nan, 0.1)
+    with pytest.raises(ValidationError, match="wall_position=16 outside the chain of 16 sites"):
+        wall(WallModel.SSH, -ETA, ETA, position=16).wall_site(16)
 
 
 # ---------------------------------------------------------------- static walls
@@ -163,6 +171,24 @@ def test_wd_wall_energy_decreases_with_size():
     assert energies[400] < energies[200]
 
 
+@pytest.mark.parametrize("model", [WallModel.SSH, WallModel.WD])
+@pytest.mark.parametrize("eta, n_cells", [(-0.2, 64), (0.325, 40), (-0.325, 40)])
+def test_static_wall_energies_keep_their_digits(model, eta, n_cells):
+    # the walls of `domainwall --model ssh|wd`: their energies, from the SVD
+    # with vectors, keep the relative digits of the values-only SVD above 1e-13
+    profile = wall(model, -eta, eta)
+    op = (build_ssh_wall if model is WallModel.SSH else build_wd_wall)(profile, n_cells)
+    window = 0.5 * abs(np.sin(2.0 * eta))
+    n_sites, components = (2 * n_cells, 1) if model is WallModel.SSH else (n_cells, 2)
+    energies, _ = op.mode_states(window)
+    state = numeric_bound_state(op, profile.wall_site(n_sites), window, components)
+    sigma = op.block.singular_values()
+    resolved = [energy for energy in [*energies, state.energy] if abs(energy) > 1e-13]
+    assert len(resolved) == len(energies) + 1 == 3
+    for energy in resolved:
+        assert np.abs(sigma - abs(energy)).min() <= 1e-12 * abs(energy)
+
+
 # ---------------------------------------------------------------- analytic solution
 
 
@@ -193,6 +219,8 @@ def test_analytic_zero_mode_eta_range():
         analytic_wd_zero_mode(-0.1, (-5, 5))
     with pytest.raises(ValidationError, match=r"outside \(0, pi/4\)"):
         analytic_wd_zero_mode(PI / 4 + 0.01, (-5, 5))
+    with pytest.raises(ValidationError, match=r"empty position window \(5, -5\)"):
+        analytic_wd_zero_mode(ETA, (5, -5))
 
 
 def test_delocalization_near_transition():
