@@ -41,9 +41,7 @@ from .floquet import (
     wrap_distance,
 )
 from .doubling import (
-    EnergySpectrum,
     PiPairingCheck,
-    PoleSpectrum,
     SSHCouplings,
     WDCouplings,
     check_pi_pairing,
@@ -59,7 +57,6 @@ from .doubling import (
 from .walls import (
     BoundState,
     DomainWallProfile,
-    WallModel,
     analytic_wall_state,
     analytic_wd_zero_mode,
     build_floquet_wall,

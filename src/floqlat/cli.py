@@ -33,6 +33,7 @@ from .doubling import (
 )
 from .floquet import (
     LINE_ATOL,
+    QUARTER_PI,
     analytic_pbc_spectrum,
     build_floquet,
     classify_phase,
@@ -48,7 +49,6 @@ from .scaling import (
 )
 from .walls import (
     DomainWallProfile,
-    WallModel,
     analytic_wd_zero_mode,
     build_floquet_wall,
     build_ssh_wall,
@@ -57,7 +57,6 @@ from .walls import (
     numeric_bound_state,
 )
 
-QUARTER_PI = math.pi / 4.0
 PHASE_GRID_MARGIN = 0.05
 # Runs whose dense arrays are estimated above this (2 GiB) are refused before
 # anything is allocated.
@@ -316,7 +315,7 @@ def cmd_map(args) -> None:
         m, r = solve_wd_params(args.eta)
         meta.update({"branch": "-", "m": m, "r": r})
     meta["metric"] = metric
-    columns = [kept.values, energies.values, poles.values, full.values]
+    columns = [kept.values, energies, poles.values, full.values]
     rows = _indexed_rows(columns, len(full))
     header = ["index", "kept_quasienergy", "energy", "pole", "quasienergy"]
     write_output(args.out, args.format, meta, header, rows)
@@ -330,7 +329,7 @@ def cmd_domainwall(args) -> None:
     header = ["state", "energy", "xi_left", "xi_right", "analytic_xi"]
     window = 0.5 * abs(math.sin(2.0 * eta))  # half of every model's gap: |u - v| = |m|
     if args.model == "floquet":
-        profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
+        profile = DomainWallProfile(eta_left=eta, eta_right=-eta)
         states = floquet_bound_states(
             build_floquet_wall(profile, args.cells), profile.wall_site(2 * args.cells), window
         )
@@ -339,12 +338,12 @@ def cmd_domainwall(args) -> None:
             for kind, state in zip(("zero", "pi"), states)
         ]
     elif args.model == "ssh":
-        profile = DomainWallProfile(model=WallModel.SSH, eta_left=-eta, eta_right=eta)
+        profile = DomainWallProfile(eta_left=-eta, eta_right=eta)
         op = build_ssh_wall(profile, args.cells)
         state = numeric_bound_state(op, profile.wall_site(2 * args.cells), window)
         rows = [["wall", state.energy, state.xi_left, state.xi_right, None]]
     else:
-        profile = DomainWallProfile(model=WallModel.WD, eta_left=-eta, eta_right=eta)
+        profile = DomainWallProfile(eta_left=-eta, eta_right=eta)
         op = build_wd_wall(profile, args.cells)
         state = numeric_bound_state(
             op, profile.wall_site(args.cells), window, components_per_site=2

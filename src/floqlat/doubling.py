@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .floquet import (
     LINE_ATOL,
+    QUARTER_PI,
     QuasienergySpectrum,
     analytic_dispersion_line,
     fold_quasienergy,
@@ -39,18 +40,6 @@ class WDCouplings(NamedTuple):
     r: float
 
 
-class EnergySpectrum(NamedTuple):
-    """Sorted static-model energies (units 1/T); |E| <= 1 up to roundoff."""
-
-    values: np.ndarray
-
-
-class PoleSpectrum(NamedTuple):
-    """Sorted discrete-time pole frequencies in [-pi, pi)."""
-
-    values: np.ndarray
-
-
 def partition_quasienergies(params: DriveParams) -> QuasienergySpectrum:
     """The half of the periodic spectrum carried by the central momentum window.
 
@@ -60,12 +49,12 @@ def partition_quasienergies(params: DriveParams) -> QuasienergySpectrum:
     """
     if params.bc is not BoundaryCondition.PERIODIC:
         raise ValidationError("the spectrum partition is defined for periodic chains")
-    if abs(params.theta0 - math.pi / 4.0) > LINE_ATOL:
+    if abs(params.theta0 - QUARTER_PI) > LINE_ATOL:
         raise ValidationError(f"theta0={params.theta0} is not pi/4")
     n = params.n_cells
     if n % 4 != 0:
         raise ValidationError(f"n_cells must be a multiple of 4, got {n}")
-    return QuasienergySpectrum(np.sort(_central_branches(params.theta1 - math.pi / 4.0, n)))
+    return QuasienergySpectrum(np.sort(_central_branches(params.theta1 - QUARTER_PI, n)))
 
 
 def _central_branches(eta: float, n_cells: int) -> np.ndarray:
@@ -74,10 +63,10 @@ def _central_branches(eta: float, n_cells: int) -> np.ndarray:
     return analytic_dispersion_line(eta, k).ravel()
 
 
-def sine_transform(spectrum: QuasienergySpectrum) -> EnergySpectrum:
+def sine_transform(spectrum: QuasienergySpectrum) -> np.ndarray:
     """Static energies E = sin(eps) of the kept quasienergies, sorted."""
     values = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
-    return EnergySpectrum(np.sort(np.sin(values)))
+    return np.sort(np.sin(values))
 
 
 def solve_ssh_params(eta: float) -> SSHCouplings:
@@ -100,7 +89,7 @@ def solve_wd_params(eta: float) -> WDCouplings:
     return WDCouplings(m=m, r=0.5 * (1.0 - m))
 
 
-def static_spectrum(eta: float, floquet_cells: int) -> EnergySpectrum:
+def static_spectrum(eta: float, floquet_cells: int) -> np.ndarray:
     """Periodic spectrum of both mapped static chains for N drive cells.
 
     The dimerized chain on N sites (couplings solve_ssh_params(eta)) and the
@@ -113,22 +102,23 @@ def static_spectrum(eta: float, floquet_cells: int) -> EnergySpectrum:
     """
     if floquet_cells % 4 != 0 or floquet_cells < 4:
         raise ValidationError(f"n_cells must be a positive multiple of 4, got {floquet_cells}")
-    return EnergySpectrum(np.sort(np.sin(_central_branches(eta, floquet_cells))))
+    return np.sort(np.sin(_central_branches(eta, floquet_cells)))
 
 
-def double_poles(spectrum: EnergySpectrum) -> PoleSpectrum:
+def double_poles(energies: np.ndarray) -> QuasienergySpectrum:
     """Pole pair {asin(E), fold(pi - asin(E))} of each energy on a time lattice.
 
     Every energy yields two poles, so the output is twice as long as the input;
-    a zero mode acquires a partner at -pi (the fold of +pi).
+    a zero mode acquires a partner at -pi (the fold of +pi).  The poles are
+    quasienergies of the time step, sorted in [-pi, pi).
     """
-    values = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
+    values = np.asarray(energies, dtype=float)
     overshoot = float(np.abs(values).max()) - 1.0 if values.size else 0.0
     if overshoot > ASIN_CLAMP:
         raise ValidationError(f"|E| exceeds 1 by {overshoot:.3e}")
     principal = np.arcsin(np.clip(values, -1.0, 1.0))
     doubled = np.concatenate([principal, fold_quasienergy(np.pi - principal)])
-    return PoleSpectrum(np.sort(doubled))
+    return QuasienergySpectrum(np.sort(doubled))
 
 
 def compare_spectra(a, b) -> float:
@@ -157,7 +147,7 @@ def compare_spectra(a, b) -> float:
     return min(sorted_match, float(wrap_distance(from_cut(av), from_cut(bv)).max()))
 
 
-def doubled_static_poles(eta: float, floquet_cells: int, target: str) -> PoleSpectrum:
+def doubled_static_poles(eta: float, floquet_cells: int, target: str) -> QuasienergySpectrum:
     """Doubled poles of the mapped periodic static model ("ssh" or "wd")."""
     if target not in ("ssh", "wd"):
         raise ValidationError(f"unknown mapping target {target!r}")

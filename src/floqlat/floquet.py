@@ -38,6 +38,7 @@ from .models import (
 
 FOLD_ATOL = 1e-12
 LINE_ATOL = 1e-12
+QUARTER_PI = math.pi / 4.0
 UNITARITY_ATOL = 1e-10
 ARCCOS_CLAMP = 1e-12
 
@@ -188,7 +189,7 @@ def is_pi_paired(params: DriveParams) -> bool:
     read as paired, its quasienergies would move by a few times the offset,
     more than the 1e-12 to which quasienergies and mode_states agree.
     """
-    return params.theta0 == math.pi / 4.0 and (params.bc is BoundaryCondition.OPEN or params.n_cells % 2 == 0)
+    return params.theta0 == QUARTER_PI and (params.bc is BoundaryCondition.OPEN or params.n_cells % 2 == 0)
 
 
 def _drive_phases(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -410,7 +411,7 @@ def mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]:
     full-size blocks.
     """
     _check_mode_window(window)
-    if is_pi_paired(u.params) and window <= 0.25 * math.pi:
+    if is_pi_paired(u.params) and window <= QUARTER_PI:
         return _squared_drive_mode_states(u, window)
     return _block_mode_states(u, window)
 
@@ -426,6 +427,23 @@ def localizing_rotation(states: np.ndarray, components_per_site: int = 1) -> np.
     position = np.arange(states.shape[0]) // components_per_site
     _, rotation = np.linalg.eigh(states.conj().T @ (position[:, None] * states))
     return rotation
+
+
+def localized_modes(
+    values: np.ndarray, states: np.ndarray, components_per_site: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The value each state rotated by localizing_rotation takes, and those
+    states (columns in ascending mean position).
+
+    A state takes the smallest of the eigenvalues it draws the most weight
+    from, within WEIGHT_TIE_ATOL: one that draws evenly from a split +-eps
+    pair would otherwise take its sign from round-off in the eigenbasis.
+    """
+    rotation = localizing_rotation(states, components_per_site)
+    drawn = np.abs(rotation) ** 2
+    tied = drawn >= drawn.max(axis=0, initial=0.0) - WEIGHT_TIE_ATOL
+    taken = np.where(tied, values[:, None], np.inf).min(axis=0, initial=np.inf)
+    return taken, states @ rotation
 
 
 def _check_cos_domain(argument: np.ndarray) -> np.ndarray:
@@ -534,19 +552,20 @@ def find_edge_modes(
 
     The 0 modes (|eps| < tol_mode) and apart from them the pi modes
     (pi - |eps| < tol_mode), both from one mode_states call, are rotated by
-    localizing_rotation so that the modes at the two ends count apart, and
-    their quasienergies go to the rotated states one to one
-    (_localized_values).  A rotated state qualifies when at least
-    MIN_EDGE_WEIGHT of its probability sits on the outer 10% of sites (5% per
-    end).  Results are sorted by quasienergy.
+    localized_modes so that the modes at the two ends count apart; their
+    quasienergies go out ascending to the states in the order of the values
+    they take, and of mean position among equal ones.  A rotated state
+    qualifies when at least MIN_EDGE_WEIGHT of its probability sits on the
+    outer 10% of sites (5% per end).  Results are sorted by quasienergy.
     """
     if params.bc is not BoundaryCondition.OPEN:
         raise ValidationError("edge-mode search requires open boundary conditions")
     n_edge = max(1, math.ceil(0.05 * params.n_sites))
     reports = []
     for kind, (eps, states) in zip(("zero", "pi"), mode_states(build_floquet(params), tol_mode)):
-        values, localized = _localized_values(eps, states)
-        for value, state in zip(values, localized.T):
+        taken, localized = localized_modes(eps, states)
+        order = np.argsort(taken, kind="stable")
+        for value, state in zip(np.sort(eps), localized[:, order].T):
             weight = np.abs(state) ** 2
             edge_weight = float(weight[:n_edge].sum() + weight[-n_edge:].sum())
             if edge_weight < MIN_EDGE_WEIGHT:
@@ -560,26 +579,6 @@ def find_edge_modes(
                 )
             )
     return sorted(reports, key=lambda report: report.quasienergy)
-
-
-def _localized_values(eps: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eps ascending, and the states rotated by localizing_rotation (in ascending
-    mean position) that take them, one to one.
-
-    Each rotated state is keyed by the smallest value among the eigenvectors
-    it draws the most weight from, within WEIGHT_TIE_ATOL.  The values go out
-    in ascending order to the states in ascending order of key, and of mean
-    position among equal keys.  So a state that draws mostly from one
-    eigenvector takes its value, and the two states of an evenly mixed +-eps
-    pair take -eps and +eps in the order of their positions, whatever the
-    eigenbasis and its phases.
-    """
-    rotation = localizing_rotation(states)
-    drawn = np.abs(rotation) ** 2
-    tied = drawn >= drawn.max(axis=0, initial=0.0) - WEIGHT_TIE_ATOL
-    key = np.where(tied, eps[:, None], np.inf).min(axis=0, initial=np.inf)
-    order = np.argsort(key, kind="stable")
-    return np.sort(eps), states @ rotation[:, order]
 
 
 def classify_phase(params: DriveParams, tol_mode: float = DEFAULT_TOL_MODE) -> PhaseLabel:

@@ -10,24 +10,16 @@ spectrum exactly; open boundaries leave a mismatch that shrinks like 1/N.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .doubling import (
-    EnergySpectrum,
-    compare_spectra,
-    double_poles,
-    static_spectrum,
-)
-from .floquet import analytic_pbc_spectrum, build_floquet, quasienergies
+from .doubling import compare_spectra, double_poles, static_spectrum
+from .floquet import QUARTER_PI, analytic_pbc_spectrum, build_floquet, quasienergies
 from .models import BoundaryCondition, DriveParams
-from .walls import DomainWallProfile, WallModel, build_floquet_wall, build_ssh_wall
-
-QUARTER_PI = math.pi / 4.0
+from .walls import DomainWallProfile, build_floquet_wall, build_ssh_wall
 
 
 class ScalingConfig(enum.Enum):
@@ -83,7 +75,7 @@ def _check_wall_target(config: ScalingConfig, target: MapTarget) -> None:
 
 def mapped_static_spectrum(
     config: ScalingConfig, eta: float, target: MapTarget, n_cells: int
-) -> EnergySpectrum:
+) -> np.ndarray:
     """Sorted energies of the open static model mapped from an N-cell driven chain.
 
     The target only names the mapped chain: with open ends both targets share
@@ -99,8 +91,8 @@ def mapped_static_spectrum(
     """
     _check_wall_target(config, target)
     eta_left = eta if config is ScalingConfig.OBC else -eta
-    profile = DomainWallProfile(model=WallModel.SSH, eta_left=eta_left, eta_right=eta)
-    return EnergySpectrum(build_ssh_wall(profile, n_cells // 2).eigenvalues())
+    profile = DomainWallProfile(eta_left=eta_left, eta_right=eta)
+    return build_ssh_wall(profile, n_cells // 2).eigenvalues()
 
 
 def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells: int) -> float:
@@ -112,7 +104,7 @@ def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells
         )
         floquet_spec = quasienergies(build_floquet(params))
     else:
-        profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
+        profile = DomainWallProfile(eta_left=eta, eta_right=-eta)
         floquet_spec = quasienergies(build_floquet_wall(profile, n_cells))
     poles = double_poles(mapped_static_spectrum(config, eta, target, n_cells))
     return compare_spectra(floquet_spec.values, poles.values)
@@ -159,8 +151,10 @@ def fit_power_law(run: ScalingRun) -> PowerLawFit:
     residuals = y - (slope * x + intercept)
     ss_res = float((residuals**2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot < 1e-300:
-        r_squared = 1.0 if ss_res < 1e-300 else 0.0
+    # Sums of squares below eps |y|^2 are round-off: a flat metric fits exactly.
+    flat = np.finfo(float).eps * float((y**2).sum())
+    if ss_tot <= flat:
+        r_squared = 1.0 if ss_res <= flat else 0.0
     else:
         r_squared = 1.0 - ss_res / ss_tot
     return PowerLawFit(exponent=float(slope), prefactor=float(np.exp(intercept)), r_squared=r_squared)

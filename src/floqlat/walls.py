@@ -3,22 +3,24 @@
 A wall is a spatial step of eta = theta1 - pi/4 at a chosen bond.  In the
 driven chain it is realized by rescaling the second-step bond coefficient on
 one side (the drive phase itself stays uniform); in the static models it is a
-step in the couplings (u, v) or (m, r).  The zero mode bound to a Wilson-Dirac
-wall has the closed-form profile phi(x) = (1 + m/R)^x with reciprocal decay
+step in the couplings (u, v) or (m, r).  A DomainWallProfile holds only the
+step; the builder it is handed to (build_floquet_wall, build_ssh_wall or
+build_wd_wall) names the model.  The zero mode bound to a Wilson-Dirac wall
+has the closed-form profile phi(x) = (1 + m/R)^x with reciprocal decay
 factors on the two sides.  Bound states are fitted among the eigenpairs in
-an energy window, the only ones built (mode_states of either operator).
+an energy window, the only ones built (mode_states of either operator), and
+take their energy by the rule of floquet.localized_modes.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .floquet import WEIGHT_TIE_ATOL, UnitaryOperator, localizing_rotation, mode_states
+from .floquet import QUARTER_PI, UnitaryOperator, localized_modes, mode_states
 from .models import (
     BoundaryCondition,
     DriveParams,
@@ -29,16 +31,9 @@ from .models import (
 )
 from .doubling import solve_ssh_params, solve_wd_params
 
-QUARTER_PI = math.pi / 4.0
 # Amplitudes below this fraction of a state's peak are left out of the decay
 # fits: 1e4 ulp, above the roundoff of the eigenvector components.
 AMP_REL_FLOOR = 1e4 * np.finfo(float).eps
-
-
-class WallModel(enum.Enum):
-    FLOQUET = "floquet"
-    SSH = "ssh"
-    WD = "wd"
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,6 @@ class DomainWallProfile:
     when wall_position is None).
     """
 
-    model: WallModel
     eta_left: float
     eta_right: float
     wall_position: int | None = None
@@ -111,8 +105,6 @@ def build_floquet_wall(profile: DomainWallProfile, n_cells: int) -> UnitaryOpera
     theta0 is pi/4 and theta1 = pi/4 + eta_left; the right region enters only
     through the rescaled second-step bond coefficients.
     """
-    if profile.model is not WallModel.FLOQUET:
-        raise ValidationError(f"profile is for model {profile.model.value}, expected floquet")
     params = DriveParams(
         theta0=QUARTER_PI,
         theta1=QUARTER_PI + profile.eta_left,
@@ -130,8 +122,6 @@ def build_ssh_wall(profile: DomainWallProfile, n_cells: int) -> HermitianOperato
     Each bond takes the couplings of the side its left site belongs to, so the
     wall bond carries the left value.
     """
-    if profile.model is not WallModel.SSH:
-        raise ValidationError(f"profile is for model {profile.model.value}, expected ssh")
     wall = profile.wall_site(2 * n_cells)
     left = solve_ssh_params(profile.eta_left)
     right = solve_ssh_params(profile.eta_right)
@@ -147,8 +137,6 @@ def build_wd_wall(profile: DomainWallProfile, n_sites: int) -> HermitianOperator
     Sites below the wall take the eta_left couplings, the rest take eta_right;
     hopping terms use the bond-averaged r.
     """
-    if profile.model is not WallModel.WD:
-        raise ValidationError(f"profile is for model {profile.model.value}, expected wd")
     wall = profile.wall_site(n_sites)
     left = solve_wd_params(profile.eta_left)
     right = solve_wd_params(profile.eta_right)
@@ -240,26 +228,23 @@ def _select_bound_state(
 ) -> BoundState:
     """Fit the wall-localized state among the eigenpairs within energy_window of the mode energy.
 
-    The candidates are rotated by localizing_rotation, since a chain end can
+    The candidates are rotated by localized_modes, since a chain end can
     host a partner degenerate with the wall mode or mixed with it into a +-E
     pair.  The rotated state with the most weight within a few sites of the
-    wall is fitted; its energy is the eigenvalue it draws the most weight
-    from.  A state that draws evenly from a split +-E pair would take its sign
-    from round-off in the eigenbasis, so among the eigenvalues within
-    WEIGHT_TIE_ATOL of the largest weight the smallest is reported.
+    wall is fitted, and its energy is the value it takes by localized_modes'
+    rule, whatever the eigenbasis and its phases.
     """
     if values.size == 0:
         raise ValidationError(f"no eigenstate within {energy_window} of the mode energy")
     n_sites = states.shape[0] // components_per_site
-    rotation = localizing_rotation(states, components_per_site)
-    weights = np.abs(states @ rotation) ** 2
+    taken, localized = localized_modes(values, states, components_per_site)
+    weights = np.abs(localized) ** 2
     weights = weights.reshape(n_sites, components_per_site, -1).sum(axis=1)
     radius = max(4, min(10, n_sites // 10))
     best = np.argmax(weights[max(0, wall_position - radius) : wall_position + radius].sum(axis=0))
     xi_left, xi_right = fit_localization_length(np.sqrt(weights[:, best]), wall_position)
-    drawn = np.abs(rotation[:, best]) ** 2
     return BoundState(
-        energy=float(values[drawn >= drawn.max() - WEIGHT_TIE_ATOL].min()),
+        energy=float(taken[best]),
         amplitudes=weights[:, best] / weights[:, best].sum(),
         xi_left=xi_left,
         xi_right=xi_right,

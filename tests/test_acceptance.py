@@ -19,7 +19,6 @@ from floqlat import (
     SSHParams,
     ScalingConfig,
     WDParams,
-    WallModel,
     analytic_pbc_spectrum,
     analytic_wall_state,
     build_floquet,
@@ -198,7 +197,7 @@ def test_criterion_7_domain_wall_bound_state():
     with _Timer() as t:
         eta = PI / 8
         n_sites = 200
-        profile = DomainWallProfile(model=WallModel.WD, eta_left=-eta, eta_right=eta)
+        profile = DomainWallProfile(eta_left=-eta, eta_right=eta)
         op = build_wd_wall(profile, n_sites)
         m, _ = solve_wd_params(eta)
         state = numeric_bound_state(op, n_sites // 2, energy_window=0.5 * abs(m),

@@ -314,9 +314,10 @@ def test_edge_modes_require_open_chain():
 
 def _value_positions(eps, states):
     """(value, mean site position) of each localized state, as find_edge_modes pairs them."""
-    values, localized = floquet._localized_values(eps, states)
+    taken, localized = floquet.localized_modes(eps, states)
     positions = np.arange(len(localized)) @ (np.abs(localized) ** 2)
-    return list(zip(values, np.round(positions, 6)))
+    order = np.argsort(taken, kind="stable")
+    return list(zip(np.sort(eps), np.round(positions[order], 6)))
 
 
 @pytest.mark.parametrize("theta1, n_cells", [(1.1, 16), (1.2, 12), (3 * PI / 8, 32)])

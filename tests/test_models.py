@@ -20,7 +20,6 @@ from floqlat import (
     build_wd_profile,
     build_wd_wall,
     DomainWallProfile,
-    WallModel,
     ssh_dispersion,
     ssh_momentum_grid,
     solve_ssh_params,
@@ -165,7 +164,7 @@ def test_bond_layout_of_the_walls(n_cells):
         on_left = [x < wall_site for x, _ in inter]
         coeffs = h1_step_profile(n_cells, eta_left, eta_right, wall_site)
         np.testing.assert_array_equal(coeffs, [2.0 if side else right_coeff for side in on_left])
-        profile = DomainWallProfile(WallModel.SSH, eta_left, eta_right, wall_site)
+        profile = DomainWallProfile(eta_left, eta_right, wall_site)
         v = [left.v if x < wall_site else right.v for x, _ in intra]
         u = [left.u if side else right.u for side in on_left]
         expected = symmetric_matrix(2 * n_cells, intra + inter, v + u)
@@ -436,8 +435,7 @@ def test_wd_profile_block_matches_dense_oracle(n_sites, periodic, data):
     wd=st.booleans(),
 )
 def test_wall_blocks_match_dense_oracle(eta_left, eta_right, n_cells, wd):
-    model = WallModel.WD if wd else WallModel.SSH
-    profile = DomainWallProfile(model=model, eta_left=eta_left, eta_right=eta_right)
+    profile = DomainWallProfile(eta_left=eta_left, eta_right=eta_right)
     build = build_wd_wall if wd else build_ssh_wall
     assert_matches_dense_eigh(build(profile, n_cells))
 
@@ -494,8 +492,8 @@ def test_open_chain_singular_values_keep_relative_precision(n_cells, eta):
     for op in (
         build_ssh(SSHParams(u=ssh.u, v=ssh.v, n_cells=n_cells, bc=OBC)),
         build_wd(WDParams(m=wd.m, r=wd.r, n_sites=n_cells, bc=OBC)),
-        build_ssh_wall(DomainWallProfile(WallModel.SSH, eta, -eta), n_cells),
-        build_wd_wall(DomainWallProfile(WallModel.WD, eta, -eta), n_cells),
+        build_ssh_wall(DomainWallProfile(eta, -eta), n_cells),
+        build_wd_wall(DomainWallProfile(eta, -eta), n_cells),
     ):
         log_det = np.log(np.abs(op.block.diagonal)).sum()
         sigma = op.eigenvalues()[n_cells:]

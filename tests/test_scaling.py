@@ -50,7 +50,7 @@ def test_fit_recovers_inverse_square_law():
     # a constant metric has no spread to explain: R^2 is set, not divided by 0
     flat = fit_power_law(synthetic_run(sizes, [0.5] * 4))
     np.testing.assert_allclose([flat.exponent, flat.prefactor], [0.0, 0.5], atol=1e-12)
-    assert flat.r_squared in (0.0, 1.0)
+    assert flat.r_squared == 1.0
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,8 +143,8 @@ def test_open_chain_pi_pair_straddling_the_fold():
 @pytest.mark.parametrize("eta", [0.1, PI / 8, 0.5, -0.3])
 @pytest.mark.parametrize("n_cells", [8, 100, 900])
 def test_open_targets_share_one_block(eta, n_cells):
-    ssh = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget.SSH, n_cells).values
-    wd = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget.WD, n_cells).values
+    ssh = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget.SSH, n_cells)
+    wd = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget.WD, n_cells)
     assert np.abs(ssh - wd).max() <= 1e-14
     # the Wilson-Dirac chain built from its own couplings has the same spectrum
     m, r = solve_wd_params(eta)

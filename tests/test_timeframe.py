@@ -15,7 +15,6 @@ from floqlat import (
     SSHParams,
     UnitaryOperator,
     ValidationError,
-    WallModel,
     WDParams,
     build_floquet,
     build_floquet_wall,
@@ -238,8 +237,8 @@ def _random_drive(theta0, n_cells, bc, seed=0):
 @pytest.mark.parametrize(
     "drive, svd_size",
     [
-        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 12), 6),
-        (build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 13), 7),
+        (build_floquet_wall(DomainWallProfile(PI / 8, -PI / 8), 12), 6),
+        (build_floquet_wall(DomainWallProfile(PI / 8, -PI / 8), 13), 7),
         (_random_drive(PI / 4, 12, PBC), 6),
         (_random_drive(PI / 4, 2, PBC), 1),  # the 1-cell ring
         (_random_drive(PI / 4, 7, PBC), 7),  # the wrap bond breaks the pairing
@@ -269,7 +268,7 @@ def test_phase_counts_need_singular_values_only(params, svd_size, svd_calls):
     assert svd_calls == [((svd_size,) * 2, False)] * 2
 
 
-PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, eta, -eta), n_cells)
+PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(eta, -eta), n_cells)
                 for eta, n_cells in ((PI / 8, 100), (0.3, 63), (-0.2, 24))]
 
 
@@ -411,7 +410,7 @@ def test_blocks_with_a_first_step_phase_per_cell(n_cells, bc):
 @pytest.mark.parametrize("n_cells", [60, 100])
 def test_wall_and_open_chain_match_oracle_at_sweep_sizes(n_cells):
     eta = PI / 8
-    profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
+    profile = DomainWallProfile(eta_left=eta, eta_right=-eta)
     params = DriveParams(PI / 4, PI / 4 + eta, n_cells, OBC)
     for u in (build_floquet_wall(profile, n_cells), build_floquet(params)):
         fast = quasienergies(u).values
@@ -432,7 +431,7 @@ def _reachable_arrays(value):
 
 
 def test_operators_are_kept_as_bond_data():
-    wall = DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8)
+    wall = DomainWallProfile(PI / 8, -PI / 8)
     drives = [
         build_floquet(DriveParams(PI / 4, 0.7, 6, OBC)),
         build_floquet(DriveParams(PI / 4, 0.7, 6, PBC)),
@@ -443,8 +442,8 @@ def test_operators_are_kept_as_bond_data():
     chains = [
         build_ssh(SSHParams(0.4, 1.0, 6, OBC)),
         build_wd(WDParams(-0.5, 1.0, 6, PBC)),
-        build_ssh_wall(DomainWallProfile(WallModel.SSH, 0.3, -0.3), 6),
-        build_wd_wall(DomainWallProfile(WallModel.WD, 0.3, -0.3), 12),
+        build_ssh_wall(DomainWallProfile(0.3, -0.3), 6),
+        build_wd_wall(DomainWallProfile(0.3, -0.3), 12),
     ]
     for u in drives:
         quasienergies(u)
@@ -480,13 +479,13 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
         _random_drive(PI / 4, 13, OBC),
         _random_drive(0.3, 12, OBC),
         _random_drive(PI / 4 + 1e-9, 12, OBC),
-        build_floquet_wall(DomainWallProfile(WallModel.FLOQUET, PI / 8, -PI / 8), 24),
+        build_floquet_wall(DomainWallProfile(PI / 8, -PI / 8), 24),
     ]
     chains = [
         build_ssh(SSHParams(0.4, 1.0, 12, OBC)),
         build_wd(WDParams(-0.5, 1.0, 12, OBC)),
-        build_ssh_wall(DomainWallProfile(WallModel.SSH, 0.3, -0.3), 12),
-        build_wd_wall(DomainWallProfile(WallModel.WD, 0.3, -0.3), 12),
+        build_ssh_wall(DomainWallProfile(0.3, -0.3), 12),
+        build_wd_wall(DomainWallProfile(0.3, -0.3), 12),
     ]
     for u in drives:
         quasienergies(u)
@@ -678,7 +677,7 @@ def test_degenerate_wall_and_end_modes_come_out_localized():
     # rotated to the position eigenbasis, each sits at one of the two places,
     # not on both
     eta, n_cells = PI / 8, 100
-    profile = DomainWallProfile(model=WallModel.FLOQUET, eta_left=eta, eta_right=-eta)
+    profile = DomainWallProfile(eta_left=eta, eta_right=-eta)
     drive = build_floquet_wall(profile, n_cells)
     assert_states_match_oracle(drive, (1e-3, DEFAULT_TOL_MODE, PI / 4))
     for _, block in mode_states(drive, 0.05):

@@ -8,7 +8,6 @@ from floqlat import (
     DomainWallProfile,
     DriveParams,
     ValidationError,
-    WallModel,
     analytic_wall_state,
     analytic_wd_zero_mode,
     build_floquet,
@@ -33,9 +32,8 @@ ETA = PI / 8
 XI_CLOSED_FORM = 0.5672963553349892  # -1 / log((1 - sin 2 eta) / (1 + sin 2 eta)) at eta = pi/8
 
 
-def wall(model, eta_left, eta_right, position=None):
-    return DomainWallProfile(model=model, eta_left=eta_left, eta_right=eta_right,
-                             wall_position=position)
+def wall(eta_left, eta_right, position=None):
+    return DomainWallProfile(eta_left=eta_left, eta_right=eta_right, wall_position=position)
 
 
 # ---------------------------------------------------------------- driven wall
@@ -51,14 +49,14 @@ def test_step_profile_coefficients():
 
 
 def test_uniform_wall_reduces_to_plain_drive():
-    u_wall = build_floquet_wall(wall(WallModel.FLOQUET, 0.0, 0.0), 8)
+    u_wall = build_floquet_wall(wall(0.0, 0.0), 8)
     params = DriveParams(PI / 4, PI / 4, 8, BoundaryCondition.OPEN)
     np.testing.assert_allclose(dense_matrix(u_wall), dense_matrix(build_floquet(params)), atol=1e-14)
 
 
 def test_floquet_wall_binds_midgap_states():
     # eta > 0 on the left: both-mode region left of the wall, trivial right of it
-    unitary = build_floquet_wall(wall(WallModel.FLOQUET, ETA, -ETA), 100)
+    unitary = build_floquet_wall(wall(ETA, -ETA), 100)
     for _, states in mode_states(unitary, 0.05):
         assert states.shape[1] == 2  # wall plus left chain end
         weights = np.abs(states @ localizing_rotation(states)) ** 2
@@ -67,46 +65,54 @@ def test_floquet_wall_binds_midgap_states():
         assert any(abs(p - 100) < 10 for p in positions)  # one pinned at the wall
 
 
-@pytest.mark.parametrize("kind", [0, 1], ids=["zero", "pi"])
-def test_bound_state_energy_does_not_depend_on_the_eigenbasis(kind):
-    # at this detuning the wall state draws evenly from a split +-E pair, so
-    # the eigenvector it draws the most from is picked by round-off
-    n_cells = 41
-    values, states = mode_states(build_floquet_wall(wall(WallModel.FLOQUET, -0.10070634684340969,
-                                                         0.10070634684340969), n_cells), 0.05)[kind]
-    drawn = np.abs(localizing_rotation(states)) ** 2
-    assert np.abs(drawn - 0.5).max() < 1e-6
-    reported = _select_bound_state(values, states, n_cells, 0.05).energy
-    assert reported == values.min()
+def _wall_candidates(case):
+    """(values, states, wall site, window, orbitals per site) handed to _select_bound_state."""
+    if case in ("zero", "pi"):
+        eta, n_cells = 0.10070634684340969, 41
+        unitary = build_floquet_wall(wall(-eta, eta), n_cells)
+        return (*mode_states(unitary, 0.05)[case == "pi"], n_cells, 0.05, 1)
+    # the walls of `domainwall --eta pi/8 --model ssh|wd` on 200 cells or sites
+    window = 0.5 * abs(np.sin(2.0 * ETA))
+    if case == "ssh":
+        return (*build_ssh_wall(wall(-ETA, ETA), 200).mode_states(window), 200, window, 1)
+    return (*build_wd_wall(wall(-ETA, ETA), 200).mode_states(window), 100, window, 2)
+
+
+@pytest.mark.parametrize("case", ["zero", "pi", "ssh", "wd"])
+def test_bound_state_energy_does_not_depend_on_the_eigenbasis(case):
+    values, states, wall_site, window, components = _wall_candidates(case)
+    reported = _select_bound_state(values, states, wall_site, window, components)
+    if case in ("zero", "pi"):
+        # at this detuning the wall state draws evenly from a split +-E pair, so
+        # the eigenvector it draws the most from is picked by round-off
+        drawn = np.abs(localizing_rotation(states)) ** 2
+        assert np.abs(drawn - 0.5).max() < 1e-6
+        assert reported.energy == values.min()
     rng = np.random.default_rng(0)
     for _ in range(8):
         order = rng.permutation(len(values))
-        signs = rng.choice([-1.0, 1.0], len(values))
-        shuffled = _select_bound_state(values[order], states[:, order] * signs, n_cells, 0.05)
-        assert shuffled.energy == reported
-
-
-def test_floquet_wall_model_check():
-    with pytest.raises(ValidationError):
-        build_floquet_wall(wall(WallModel.SSH, ETA, -ETA), 8)
-    with pytest.raises(ValidationError, match="profile is for model wd, expected ssh"):
-        build_ssh_wall(wall(WallModel.WD, ETA, -ETA), 8)
-    with pytest.raises(ValidationError, match="profile is for model floquet, expected wd"):
-        build_wd_wall(wall(WallModel.FLOQUET, ETA, -ETA), 8)
+        phases = np.exp(2j * PI * rng.random(len(values)))
+        shuffled = _select_bound_state(
+            values[order], states[:, order] * phases, wall_site, window, components
+        )
+        assert shuffled.energy == reported.energy
+        np.testing.assert_allclose(
+            [shuffled.xi_left, shuffled.xi_right], [reported.xi_left, reported.xi_right], rtol=1e-9
+        )
 
 
 def test_wall_profile_rejects_nan_detuning():
     with pytest.raises(ValidationError, match=r"eta_left=nan outside \[-pi/4, pi/4\]"):
-        wall(WallModel.SSH, np.nan, 0.1)
+        wall(np.nan, 0.1)
     with pytest.raises(ValidationError, match="wall_position=16 outside the chain of 16 sites"):
-        wall(WallModel.SSH, -ETA, ETA, position=16).wall_site(16)
+        wall(-ETA, ETA, position=16).wall_site(16)
 
 
 # ---------------------------------------------------------------- static walls
 
 
 def test_ssh_wall_uniform_profile():
-    op = build_ssh_wall(wall(WallModel.SSH, ETA, ETA), 8)
+    op = build_ssh_wall(wall(ETA, ETA), 8)
     u, v = solve_ssh_params(ETA)
     m = dense_matrix(op)
     values = sorted(set(np.round(m[np.nonzero(m)].real, 10)))
@@ -115,7 +121,7 @@ def test_ssh_wall_uniform_profile():
 
 def test_ssh_wall_hosts_wall_and_edge_state():
     n_cells = 100
-    op = build_ssh_wall(wall(WallModel.SSH, -ETA, ETA), n_cells)
+    op = build_ssh_wall(wall(-ETA, ETA), n_cells)
     u, v = solve_ssh_params(ETA)
     _, states = op.mode_states(0.5 * abs(u - v))
     assert states.shape[1] == 2
@@ -125,7 +131,7 @@ def test_ssh_wall_hosts_wall_and_edge_state():
 
 
 def test_ssh_wall_state_energy_vanishes():
-    op = build_ssh_wall(wall(WallModel.SSH, -ETA, ETA), 200)
+    op = build_ssh_wall(wall(-ETA, ETA), 200)
     u, v = solve_ssh_params(ETA)
     energies = op.eigenvalues()
     midgap = energies[np.abs(energies) < 0.5 * abs(u - v)]
@@ -140,7 +146,7 @@ def test_wd_wall_couplings():
 
 
 def test_wd_wall_binds_single_zero_mode_at_wall():
-    op = build_wd_wall(wall(WallModel.WD, -ETA, ETA), 200)
+    op = build_wd_wall(wall(-ETA, ETA), 200)
     m, _ = solve_wd_params(ETA)
     state = numeric_bound_state(op, 100, energy_window=0.5 * abs(m), components_per_site=2)
     assert abs(state.energy) < 1e-6
@@ -150,7 +156,7 @@ def test_wd_wall_binds_single_zero_mode_at_wall():
 def test_asymmetric_wall_still_binds_a_zero_mode():
     # the couplings step preserves the sublattice antisymmetry, so the wall
     # mode stays pinned at zero energy even for unequal detuning magnitudes
-    op = build_wd_wall(wall(WallModel.WD, -0.1, 0.3), 120)
+    op = build_wd_wall(wall(-0.1, 0.3), 120)
     window = 0.5 * min(abs(solve_wd_params(-0.1).m), abs(solve_wd_params(0.3).m))
     state = numeric_bound_state(op, 60, energy_window=window, components_per_site=2)
     assert abs(state.energy) < 1e-6
@@ -163,7 +169,7 @@ def test_wd_wall_energy_decreases_with_size():
     m, _ = solve_wd_params(eta)
     energies = {}
     for n_sites in (200, 400):
-        op = build_wd_wall(wall(WallModel.WD, -eta, eta), n_sites)
+        op = build_wd_wall(wall(-eta, eta), n_sites)
         state = numeric_bound_state(
             op, n_sites // 2, energy_window=0.5 * abs(m), components_per_site=2
         )
@@ -171,15 +177,15 @@ def test_wd_wall_energy_decreases_with_size():
     assert energies[400] < energies[200]
 
 
-@pytest.mark.parametrize("model", [WallModel.SSH, WallModel.WD])
+@pytest.mark.parametrize("model", ["ssh", "wd"])
 @pytest.mark.parametrize("eta, n_cells", [(-0.2, 64), (0.325, 40), (-0.325, 40)])
 def test_static_wall_energies_keep_their_digits(model, eta, n_cells):
     # the walls of `domainwall --model ssh|wd`: their energies, from the SVD
     # with vectors, keep the relative digits of the values-only SVD above 1e-13
-    profile = wall(model, -eta, eta)
-    op = (build_ssh_wall if model is WallModel.SSH else build_wd_wall)(profile, n_cells)
+    profile = wall(-eta, eta)
+    op = (build_ssh_wall if model == "ssh" else build_wd_wall)(profile, n_cells)
     window = 0.5 * abs(np.sin(2.0 * eta))
-    n_sites, components = (2 * n_cells, 1) if model is WallModel.SSH else (n_cells, 2)
+    n_sites, components = (2 * n_cells, 1) if model == "ssh" else (n_cells, 2)
     energies, _ = op.mode_states(window)
     state = numeric_bound_state(op, profile.wall_site(n_sites), window, components)
     sigma = op.block.singular_values()
@@ -230,7 +236,7 @@ def test_delocalization_near_transition():
 
 def test_analytic_state_solves_discrete_equation_of_motion():
     n_sites = 60
-    op = build_wd_wall(wall(WallModel.WD, -ETA, ETA), n_sites)
+    op = build_wd_wall(wall(-ETA, ETA), n_sites)
     psi = analytic_wall_state(ETA, n_sites)
     residual = (dense_matrix(op) @ psi).reshape(n_sites, 2)
     per_site = np.sqrt((np.abs(residual) ** 2).sum(axis=1))
@@ -244,7 +250,7 @@ def test_analytic_state_overlaps_numeric_wall_mode():
     # the bond-averaged coupling at the wall bond perturbs the numeric mode
     # locally, so the overlap is large but not 1
     n_sites = 120
-    op = build_wd_wall(wall(WallModel.WD, -ETA, ETA), n_sites)
+    op = build_wd_wall(wall(-ETA, ETA), n_sites)
     m, _ = solve_wd_params(ETA)
     _, states = op.mode_states(0.5 * abs(m))
     assert states.shape[1] == 2  # the wall mode and the one at the topological end
@@ -269,7 +275,7 @@ def test_fit_needs_enough_sites():
 
 
 def test_fitted_wd_wall_length_matches_closed_form():
-    op = build_wd_wall(wall(WallModel.WD, -ETA, ETA), 200)
+    op = build_wd_wall(wall(-ETA, ETA), 200)
     m, _ = solve_wd_params(ETA)
     state = numeric_bound_state(op, 100, energy_window=0.5 * abs(m), components_per_site=2)
     np.testing.assert_allclose(state.xi_right, XI_CLOSED_FORM, rtol=0.05)
@@ -279,8 +285,7 @@ def test_fitted_wd_wall_length_matches_closed_form():
 @pytest.mark.parametrize("wd", [False, True])
 def test_static_bound_state_builds_only_the_window_states(wd, monkeypatch):
     n_cells = 100
-    model = WallModel.WD if wd else WallModel.SSH
-    op = (build_wd_wall if wd else build_ssh_wall)(wall(model, -ETA, ETA), n_cells)
+    op = (build_wd_wall if wd else build_ssh_wall)(wall(-ETA, ETA), n_cells)
     window = 0.5 * abs(solve_wd_params(ETA).m)  # |m| = |u - v| = sin(2 eta)
     built = []
 
@@ -297,7 +302,7 @@ def test_static_bound_state_builds_only_the_window_states(wd, monkeypatch):
 
 
 def test_fitted_ssh_wall_lengths_symmetric():
-    op = build_ssh_wall(wall(WallModel.SSH, -ETA, ETA), 100)
+    op = build_ssh_wall(wall(-ETA, ETA), 100)
     u, v = solve_ssh_params(ETA)
     state = numeric_bound_state(op, 100, energy_window=0.5 * abs(u - v))
     assert state.xi_left > 0 and state.xi_right > 0
