@@ -297,7 +297,7 @@ def cmd_map(args) -> None:
     if args.cells % 4 != 0:
         raise ValidationError(f"--cells must be a multiple of 4 for the mapping, got {args.cells}")
     kept = partition_quasienergies(params)
-    energies = sine_transform(kept)
+    energies = sine_transform(kept.values)
     poles = double_poles(energies)
     full = quasienergies(build_floquet(params))
     metric = compare_spectra(full.values, poles.values)

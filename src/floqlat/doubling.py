@@ -63,10 +63,9 @@ def _central_branches(eta: float, n_cells: int) -> np.ndarray:
     return analytic_dispersion_line(eta, k).ravel()
 
 
-def sine_transform(spectrum: QuasienergySpectrum) -> np.ndarray:
+def sine_transform(quasienergies: np.ndarray) -> np.ndarray:
     """Static energies E = sin(eps) of the kept quasienergies, sorted."""
-    values = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
-    return np.sort(np.sin(values))
+    return np.sort(np.sin(np.asarray(quasienergies, dtype=float)))
 
 
 def solve_ssh_params(eta: float) -> SSHCouplings:
@@ -130,8 +129,8 @@ def compare_spectra(a, b) -> float:
     when a pair at +-(pi - delta) on one side faces two values folded to -pi
     on the other; the smaller of the two matchings is returned.
     """
-    av = np.sort(np.asarray(getattr(a, "values", a), dtype=float))
-    bv = np.sort(np.asarray(getattr(b, "values", b), dtype=float))
+    av = np.sort(np.asarray(a, dtype=float))
+    bv = np.sort(np.asarray(b, dtype=float))
     if av.shape != bv.shape:
         raise ValidationError(f"spectra have different lengths: {av.shape} vs {bv.shape}")
     if av.size == 0:
@@ -159,13 +158,13 @@ class PiPairingCheck(NamedTuple):
     max_mismatch: float
 
 
-def check_pi_pairing(spectrum, tol: float) -> PiPairingCheck:
+def check_pi_pairing(quasienergies: np.ndarray, tol: float) -> PiPairingCheck:
     """Check whether the folded multiset {pi - eps} equals the multiset {eps}.
 
     The two lists are matched by compare_spectra, so a pair straddling the
     fold at -pi still meets its partner; the check passes when the largest
     matched discrepancy is at most tol.
     """
-    values = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
+    values = np.asarray(quasienergies, dtype=float)
     mismatch = compare_spectra(values, fold_quasienergy(np.pi - values))
     return PiPairingCheck(mismatch <= tol, mismatch)

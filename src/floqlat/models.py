@@ -5,13 +5,15 @@ spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 0 .. 2N-1, with sublattice A on even and B on odd sites.  Every built chain is
 chiral and is kept as its real hopping block h, a Bidiagonal of O(N) entries:
 the spectrum is +-svd(h), the eigenpairs in an energy window come from the
-singular triplets inside it, both from SVDs of h^T, and no N x N array is kept.
+singular triplets inside it, and no N x N array is kept: open chains take their
+values from dqds on h's entries in O(N^2), the rest from dense SVDs of h^T.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
 from dataclasses import dataclass
@@ -104,6 +106,24 @@ class WDParams:
         _check_count(self, "n_sites", self.n_sites)
 
 
+def _dqds_kernel():
+    """LAPACK's dlasq1(n, d, e, work, info) from the ILP64 OpenBLAS that numpy
+    bundles (the dqds step gesdd runs after its reduction), or None where the
+    build does not export it."""
+    try:
+        kernel = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dlasq1_64_
+    except (AttributeError, OSError):
+        return None
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C", "W"))
+    kernel.argtypes = [ctypes.POINTER(ctypes.c_int64), vector, vector, vector,
+                       ctypes.POINTER(ctypes.c_int64)]
+    kernel.restype = None
+    return kernel
+
+
+_DQDS = _dqds_kernel()
+
+
 @dataclass(frozen=True, eq=False)
 class Bidiagonal:
     """Real N x N block h with diagonal[j] at h[j, j] and bonds[i] on bond i
@@ -112,10 +132,13 @@ class Bidiagonal:
     A bond entry is added, so the one bond of a 1-cell ring, which joins B_0
     back to A_0, lands on the diagonal.  Only dense() forms h.
 
-    Every SVD runs on h^T, upper bidiagonal on an open chain, which LAPACK
-    reduces without rounding (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11,
-    873 (1990)): small values keep the relative digits that h can lose, all of
-    them in singular_values, those above about 1e-13 in triplets.
+    Every SVD reads h^T, upper bidiagonal on an open chain: its values are
+    dqds on diagonal and bonds (LAPACK dlasq1: Fernando and Parlett, Numer.
+    Math. 67, 191 (1994)), else np.linalg.svd(h^T), which reduces that form
+    without rounding (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 873
+    (1990)) and runs the same dqds.  Small values keep the relative digits
+    that h can lose, all of them in singular_values, those above about 1e-13
+    in triplets.
     """
 
     diagonal: np.ndarray
@@ -138,7 +161,14 @@ class Bidiagonal:
         return h
 
     def singular_values(self) -> np.ndarray:
-        """Singular values of h, descending: the program's one values-only SVD."""
+        """Singular values of h, descending: the program's one values-only SVD.
+        Cyclic blocks, numpy without dlasq1 and failed dqds runs take svd(h^T)."""
+        if _DQDS is not None and self.bc is BoundaryCondition.OPEN:
+            n = len(self.diagonal)
+            sigma, info = self.diagonal.copy(), ctypes.c_int64()
+            _DQDS(ctypes.c_int64(n), sigma, np.append(self.bonds, 0.0), np.empty(4 * n), info)
+            if info.value == 0:
+                return sigma
         return np.linalg.svd(self.dense().T, compute_uv=False)
 
     def triplets(self, below: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -96,14 +96,14 @@ def test_criterion_2_analytic_dispersion_oracle():
 def test_criterion_3_pi_pairing_and_its_boundary_sensitivity():
     with _Timer() as t:
         for eta in TEST_DETUNINGS:
-            eps = quasienergies(build_floquet(DriveParams(PI / 4, PI / 4 + eta, 64, PBC)))
+            eps = quasienergies(build_floquet(DriveParams(PI / 4, PI / 4 + eta, 64, PBC))).values
             result = check_pi_pairing(eps, tol=1e-10)
             assert result.paired, f"pairing failed at eta={eta}"
         # theta1 = pi/4 with theta0 = 0.3: zero modes only, so open
         # boundaries break the pairing
-        pbc_point = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, PBC)))
+        pbc_point = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, PBC))).values
         assert check_pi_pairing(pbc_point, tol=1e-10).paired
-        obc_point = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, OBC)))
+        obc_point = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, OBC))).values
         obc_result = check_pi_pairing(obc_point, tol=1e-10)
         assert not obc_result.paired
     _report(3, t.elapsed, f"pairing holds on the symmetric line, breaks with OBC "

@@ -238,7 +238,7 @@ def test_pi_pairing_exact_quadruple():
 
 
 def test_pi_pairing_on_symmetric_line():
-    eps = quasienergies(build_floquet(DriveParams(PI / 4, 3 * PI / 8, 8, PBC)))
+    eps = quasienergies(build_floquet(DriveParams(PI / 4, 3 * PI / 8, 8, PBC))).values
     result = check_pi_pairing(eps, tol=1e-10)
     assert result.paired and result.max_mismatch < 1e-10
 
@@ -251,21 +251,21 @@ def test_pi_pairing_across_the_fold():
 
 
 def test_no_pairing_at_generic_point():
-    eps = quasienergies(build_floquet(DriveParams(0.3, 0.2, 8, PBC)))
+    eps = quasienergies(build_floquet(DriveParams(0.3, 0.2, 8, PBC))).values
     assert not check_pi_pairing(eps, tol=1e-10).paired
 
 
 @pytest.mark.parametrize("eta", [-PI / 8, 0.05, PI / 8, 0.2])
 def test_pairing_along_line_for_all_test_detunings(eta):
-    eps = quasienergies(build_floquet(DriveParams(PI / 4, PI / 4 + eta, 8, PBC)))
+    eps = quasienergies(build_floquet(DriveParams(PI / 4, PI / 4 + eta, 8, PBC))).values
     assert check_pi_pairing(eps, tol=1e-10).paired
 
 
 def test_pairing_on_second_line_pbc_but_not_obc():
     # theta1 = pi/4 with theta0 = 0.3 lies in the phase with zero modes only
-    pbc_eps = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, PBC)))
+    pbc_eps = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, PBC))).values
     assert check_pi_pairing(pbc_eps, tol=1e-10).paired
-    obc_eps = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, OBC)))
+    obc_eps = quasienergies(build_floquet(DriveParams(0.3, PI / 4, 64, OBC))).values
     result = check_pi_pairing(obc_eps, tol=1e-10)
     assert not result.paired
     assert result.max_mismatch > 0.1
@@ -351,6 +351,22 @@ def test_edge_mode_values_do_not_depend_on_the_eigenbasis(theta1, n_cells, monke
         for shuffled, report in zip(shuffled_reports, reports):
             assert shuffled.ipr == pytest.approx(report.ipr, rel=1e-12)
             assert shuffled.edge_weight == pytest.approx(report.edge_weight, rel=1e-12)
+
+
+def test_localized_modes_count_a_site_per_component_group():
+    # two states on a 6-site two-component chain, both mostly on site 3: x
+    # with even orbitals, y with odd ones and a tail on site 4.  Per site they
+    # are already the position eigenbasis; counting each orbital row as its
+    # own site would mix them by about 40 degrees, towards orbital a and b.
+    beta = 0.3
+    x, y = np.zeros(12), np.zeros(12)
+    x[[6, 7]] = np.sqrt(0.5)
+    y[[6, 7]] = np.cos(beta) * np.sqrt(0.5) * np.array([1.0, -1.0])
+    y[[8, 9]] = np.sin(beta) * np.sqrt(0.5) * np.array([1.0, -1.0])
+    values = np.array([0.2, -0.1])
+    taken, localized = floquet.localized_modes(values, np.stack([x, y], axis=1), 2)
+    np.testing.assert_array_equal(taken, values)
+    np.testing.assert_allclose(np.abs(localized.T @ np.stack([x, y], axis=1)), np.eye(2), atol=1e-12)
 
 
 # ---------------------------------------------------------------- classification

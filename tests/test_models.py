@@ -27,6 +27,7 @@ from floqlat import (
     wd_dispersion,
     wd_momentum_grid,
 )
+from floqlat import models
 from floqlat.floquet import localizing_rotation
 from floqlat.models import Bidiagonal
 from floqlat.walls import h1_step_profile
@@ -479,6 +480,80 @@ def test_block_spectrum_is_plus_minus_singular_values():
     op = build_wd(WDParams(m=-0.3, r=0.65, n_sites=12, bc=OBC))
     sigma = np.linalg.svd(op.block.dense().T, compute_uv=False)
     np.testing.assert_array_equal(op.eigenvalues(), np.concatenate([-sigma, sigma[::-1]]))
+
+
+def _ilp64_openblas() -> bool:
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no config dicts
+        return False
+    return "openblas" in lapack.get("name", "") and "USE64BITINT" in lapack.get(
+        "openblas configuration", "")
+
+
+@pytest.mark.skipif(not _ilp64_openblas(), reason="numpy is not built on an ILP64 OpenBLAS")
+def test_dqds_kernel_resolves_on_ilp64_openblas():
+    assert models._DQDS is not None
+
+
+needs_dqds = pytest.mark.skipif(models._DQDS is None, reason="this numpy exports no dlasq1")
+
+
+def _solve_without_dqds(block: Bidiagonal) -> np.ndarray:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(models, "_DQDS", None)
+        return block.singular_values()
+
+
+@needs_dqds
+@settings(max_examples=200, deadline=None)
+@given(
+    n_cells=st.sampled_from([1, 2, 3, 5, 17, 33, 64]),
+    data=st.data(),
+)
+def test_dqds_gives_the_dense_svds_values_bit_for_bit(n_cells, data):
+    entries = st.one_of(
+        st.just(0.0),
+        st.floats(-4.0, 4.0),
+        st.builds(lambda sign, power: sign * 10.0 ** power, st.sampled_from([-1.0, 1.0]),
+                  st.integers(-150, 0)),
+    )
+    diagonal = data.draw(st.lists(entries, min_size=n_cells, max_size=n_cells))
+    bonds = data.draw(st.lists(entries, min_size=n_cells - 1, max_size=n_cells - 1))
+    block = Bidiagonal(diagonal, bonds, OBC)
+    np.testing.assert_array_equal(block.singular_values(), _solve_without_dqds(block))
+
+
+def test_a_failed_dqds_run_falls_back_to_the_dense_svd(monkeypatch):
+    block = build_ssh_wall(DomainWallProfile(0.3, -0.3), 40).block
+    runs = []
+
+    def failing_dqds(n, d, e, work, info):
+        runs.append(n.value)
+        d[:] = np.nan
+        info.value = 1
+
+    monkeypatch.setattr(models, "_DQDS", failing_dqds)
+    np.testing.assert_array_equal(
+        block.singular_values(), np.linalg.svd(block.dense().T, compute_uv=False)
+    )
+    assert runs == [40]
+
+
+def test_cyclic_blocks_take_the_dense_svd_of_the_transpose(monkeypatch):
+    block = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=8, bc=PBC)).block
+    expected = np.linalg.svd(block.dense().T, compute_uv=False)
+    svd, solved = np.linalg.svd, []
+
+    def recording_svd(matrix, *args, **kwargs):
+        solved.append(np.array(matrix))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(models, "_DQDS", lambda *args: pytest.fail("dqds ran on a cyclic block"))
+    np.testing.assert_array_equal(block.singular_values(), expected)
+    assert len(solved) == 1
+    np.testing.assert_array_equal(solved[0], block.dense().T)
 
 
 @pytest.mark.parametrize("n_cells", [8, 50, 200])

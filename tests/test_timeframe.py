@@ -32,7 +32,7 @@ from floqlat import (
     quasienergies,
     wrap_distance,
 )
-from floqlat import floquet
+from floqlat import floquet, models
 from floqlat.floquet import (
     DEFAULT_TOL_MODE,
     LINE_ATOL,
@@ -202,16 +202,30 @@ def _sector_coupling(drive):
 @pytest.fixture
 def svd_calls(monkeypatch):
     """(shape, whether singular vectors were asked for) of the np.linalg.svd
-    calls made while the test runs."""
+    calls made while the test runs, and (shape, "dqds") of the values-only
+    solves that run dqds on an open block's entries."""
     calls = []
-    svd = np.linalg.svd
+    svd, dqds = np.linalg.svd, models._DQDS
 
     def counting_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((matrix.shape, compute_uv))
         return svd(matrix, full_matrices, compute_uv, **kwargs)
 
+    def counting_dqds(n, *args):
+        calls.append(((n.value,) * 2, "dqds"))
+        return dqds(n, *args)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    if dqds is not None:
+        monkeypatch.setattr(models, "_DQDS", counting_dqds)
     return calls
+
+
+def values_only(bc):
+    """How svd_calls marks a values-only solve of a block with this boundary
+    condition: dqds where the kernel resolves and the block is open, else
+    np.linalg.svd without vectors."""
+    return "dqds" if bc is OBC and models._DQDS is not None else False
 
 
 @pytest.fixture
@@ -250,7 +264,7 @@ def _random_drive(theta0, n_cells, bc, seed=0):
 def test_pi_paired_drives_need_two_half_size_svds(drive, svd_size, svd_calls):
     assert is_pi_paired(drive.params) is (svd_size < drive.params.n_cells)
     fast = quasienergies(drive).values
-    assert svd_calls == [((svd_size,) * 2, False)] * 2
+    assert svd_calls == [((svd_size,) * 2, values_only(drive.params.bc))] * 2
     assert compare_spectra(fast, dense_quasienergies(dense_matrix(drive)).values) < ORACLE_TOL
 
 
@@ -265,7 +279,7 @@ def test_pi_paired_drives_need_two_half_size_svds(drive, svd_size, svd_calls):
 )
 def test_phase_counts_need_singular_values_only(params, svd_size, svd_calls):
     classify_phase(params)
-    assert svd_calls == [((svd_size,) * 2, False)] * 2
+    assert svd_calls == [((svd_size,) * 2, values_only(OBC))] * 2
 
 
 PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(eta, -eta), n_cells)
@@ -465,15 +479,31 @@ def test_operators_are_kept_as_bond_data():
 
 def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     # an open chain's block is lower bidiagonal; from that form LAPACK's
-    # reduction rounds and the small singular values lose their relative digits
-    calls = []
-    svd = np.linalg.svd
+    # reduction rounds and the small singular values lose their relative
+    # digits.  dqds must read h^T's own diagonal and superdiagonal.
+    calls, solved = [], []
+    svd, dqds, singular_values = np.linalg.svd, models._DQDS, Bidiagonal.singular_values
 
     def recording_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((np.array(matrix), compute_uv))
         return svd(matrix, full_matrices, compute_uv, **kwargs)
 
+    def recording_dqds(n, d, e, work, info):
+        upper = solved[-1]
+        assert len(d) == len(e) == n.value == len(upper)
+        np.testing.assert_array_equal(d, np.diag(upper))
+        np.testing.assert_array_equal(e[:-1], np.diag(upper, 1))
+        calls.append((upper, "dqds"))
+        return dqds(n, d, e, work, info)
+
+    def recording_singular_values(block):
+        solved.append(block.dense().T)
+        return singular_values(block)
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(Bidiagonal, "singular_values", recording_singular_values)
+    if dqds is not None:
+        monkeypatch.setattr(models, "_DQDS", recording_dqds)
     drives = [
         _random_drive(PI / 4, 12, OBC),
         _random_drive(PI / 4, 13, OBC),
@@ -496,9 +526,10 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
         op.eigenvalues()
         op.mode_states(1.0)
     with_vectors = [compute_uv for _, compute_uv in calls]
-    assert with_vectors.count(False) == 2 * len(drives) + len(chains)
+    assert with_vectors.count(values_only(OBC)) == 2 * len(drives) + len(chains) == len(solved)
     # one half-size SVD per mode solve on the line, two full-size ones off it
     assert with_vectors.count(True) == 3 + 2 * 2 + 2 + 2 + len(chains)
+    assert len(with_vectors) == len(solved) + with_vectors.count(True)
     for block, _ in calls:
         assert block.shape[0] > 1 and np.count_nonzero(np.diag(block, 1))
         np.testing.assert_array_equal(block, np.triu(np.tril(block, 1)))
