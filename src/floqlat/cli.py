@@ -189,11 +189,12 @@ def dense_bytes(command: str, cells: int) -> int:
     Per N^2 it is the peak of the largest solve, measured at N = 800 with one
     BLAS thread: spectra and phase counts (spectrum, map, scaling,
     phase-diagram) keep a few real N x N blocks, 32 N^2; domainwall, the
-    largest of its three models, 76 N^2.  That is the static walls: one real
-    N x N block and its singular vectors, 75.8 N^2.  The floquet wall, two
-    half-size blocks and the singular vectors of one, peaks at 22.7 N^2.
+    largest of its three models, 44 N^2.  That is the static walls: the
+    singular vectors of one real N x N block and dbdsdc's workspace of three
+    more, 43.2 N^2.  The floquet wall, the same for a half-size block and its
+    dense partner, peaks at 12.1 N^2.
     """
-    return (76 if command == "domainwall" else 32) * cells**2
+    return (44 if command == "domainwall" else 32) * cells**2
 
 
 def _check_dense_bytes(args) -> None:

@@ -6,7 +6,8 @@ spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 chiral and is kept as its real hopping block h, a Bidiagonal of O(N) entries:
 the spectrum is +-svd(h), the eigenpairs in an energy window come from the
 singular triplets inside it, and no N x N array is kept: open chains take their
-values from dqds on h's entries in O(N^2), the rest from dense SVDs of h^T.
+values from dqds on h's entries in O(N^2) and their vectors from divide and
+conquer on the same entries, the rest from dense SVDs of h^T.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
@@ -106,22 +107,28 @@ class WDParams:
         _check_count(self, "n_sites", self.n_sites)
 
 
-def _dqds_kernel():
-    """LAPACK's dlasq1(n, d, e, work, info) from the ILP64 OpenBLAS that numpy
-    bundles (the dqds step gesdd runs after its reduction), or None where the
-    build does not export it."""
+def _lapack(name: str, *argtypes):
+    """LAPACK routine `name` from the ILP64 OpenBLAS that numpy bundles, with
+    c_int64 integers, or None where the build does not export it."""
     try:
-        kernel = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dlasq1_64_
+        kernel = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), f"scipy_{name}_64_")
     except (AttributeError, OSError):
         return None
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C", "W"))
-    kernel.argtypes = [ctypes.POINTER(ctypes.c_int64), vector, vector, vector,
-                       ctypes.POINTER(ctypes.c_int64)]
+    kernel.argtypes = argtypes
     kernel.restype = None
     return kernel
 
 
-_DQDS = _dqds_kernel()
+_INT = ctypes.POINTER(ctypes.c_int64)
+_INTS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C", "W"))
+_VECTOR = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C", "W"))
+_MATRIX = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("F", "W"))
+# gesdd's steps after its reduction: dlasq1(n, d, e, work, info) and dbdsdc(uplo, compq,
+# n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info, and uplo's and compq's lengths)
+_DQDS = _lapack("dlasq1", _INT, _VECTOR, _VECTOR, _VECTOR, _INT)
+_BDSDC = _lapack("dbdsdc", ctypes.c_char_p, ctypes.c_char_p, _INT, _VECTOR, _VECTOR, _MATRIX,
+                 _INT, _MATRIX, _INT, _VECTOR, _INTS, _VECTOR, _INTS, _INT,
+                 ctypes.c_size_t, ctypes.c_size_t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +141,11 @@ class Bidiagonal:
 
     Every SVD reads h^T, upper bidiagonal on an open chain: its values are
     dqds on diagonal and bonds (LAPACK dlasq1: Fernando and Parlett, Numer.
-    Math. 67, 191 (1994)), else np.linalg.svd(h^T), which reduces that form
-    without rounding (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 873
-    (1990)) and runs the same dqds.  Small values keep the relative digits
-    that h can lose, all of them in singular_values, those above about 1e-13
-    in triplets.
+    Math. 67, 191 (1994)) and its vectors divide and conquer on them (LAPACK
+    dbdsdc: Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79 (1995)),
+    else np.linalg.svd(h^T), which reduces that form without rounding
+    (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)) and runs
+    the same steps.  Small values keep the relative digits that h can lose.
     """
 
     diagonal: np.ndarray
@@ -160,10 +167,17 @@ class Bidiagonal:
         h[a_cell, b_cell] += self.bonds
         return h
 
+    def _on_entries(self) -> bool:
+        """Whether np.linalg.svd(h^T) runs its last steps on h's own entries:
+        gesdd reduces an open block to itself, and rescales it first only when
+        its largest entry lies outside [sqrt(safmin) / eps, eps / sqrt(safmin)]."""
+        largest = max(np.abs(self.diagonal).max(), np.abs(self.bonds).max(initial=0.0))
+        return self.bc is BoundaryCondition.OPEN and 2.0**-459 <= largest <= 2.0**459
+
     def singular_values(self) -> np.ndarray:
-        """Singular values of h, descending: the program's one values-only SVD.
-        Cyclic blocks, numpy without dlasq1 and failed dqds runs take svd(h^T)."""
-        if _DQDS is not None and self.bc is BoundaryCondition.OPEN:
+        """Singular values of h, descending: the program's one values-only SVD,
+        dqds on the entries (_on_entries) unless it is missing or fails."""
+        if _DQDS is not None and self._on_entries():
             n = len(self.diagonal)
             sigma, info = self.diagonal.copy(), ctypes.c_int64()
             _DQDS(ctypes.c_int64(n), sigma, np.append(self.bonds, 0.0), np.empty(4 * n), info)
@@ -173,10 +187,27 @@ class Bidiagonal:
 
     def triplets(self, below: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """h's left vectors, singular values and right vectors (as columns) of
-        the values below `below`, descending: the program's one SVD with vectors."""
-        right, sigma, left_t = np.linalg.svd(self.dense().T)
+        the values below `below`, descending: the program's one SVD with vectors.
+        Open blocks pair the vectors by index with singular_values()."""
+        right, sigma, left_t = self._transpose_svd()
+        if self.bc is BoundaryCondition.OPEN:
+            sigma = self.singular_values()
         keep = sigma < below
         return left_t[keep].T, sigma[keep], right[:, keep]
+
+    def _transpose_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """np.linalg.svd(h^T), bit for bit: divide and conquer (LAPACK dbdsdc),
+        the step gesdd runs after its reduction, on the entries (_on_entries)."""
+        if _BDSDC is not None and self._on_entries():
+            n = len(self.diagonal)
+            size, sigma, info = ctypes.c_int64(n), self.diagonal.copy(), ctypes.c_int64()
+            right, left_t = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+            _BDSDC(b"U", b"I", size, sigma, np.append(self.bonds, 0.0), right, size, left_t, size,
+                   np.empty(1), np.empty(1, np.int64), np.empty(3 * n * n + 4 * n),
+                   np.empty(8 * n, np.int64), info, 1, 1)
+            if info.value == 0:
+                return right, sigma, left_t
+        return np.linalg.svd(self.dense().T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -403,7 +403,7 @@ def test_dense_estimate_admits_the_usual_sizes_and_grows_as_n_squared():
     assert dense_bytes("spectrum", 10**4) > MAX_DENSE_BYTES
     # phase counts need no eigenvectors: sized like a spectrum
     assert dense_bytes("phase-diagram", 4000) == dense_bytes("spectrum", 4000) < MAX_DENSE_BYTES
-    assert dense_bytes("domainwall", 5315) < MAX_DENSE_BYTES < dense_bytes("domainwall", 5316)
+    assert dense_bytes("domainwall", 6986) < MAX_DENSE_BYTES < dense_bytes("domainwall", 6987)
 
 
 def test_phase_diagram_rows_count_in_the_estimate():

@@ -556,6 +556,95 @@ def test_cyclic_blocks_take_the_dense_svd_of_the_transpose(monkeypatch):
     np.testing.assert_array_equal(solved[0], block.dense().T)
 
 
+@pytest.mark.skipif(not _ilp64_openblas(), reason="numpy is not built on an ILP64 OpenBLAS")
+def test_bdsdc_kernel_resolves_on_ilp64_openblas():
+    assert models._BDSDC is not None
+
+
+needs_bdsdc = pytest.mark.skipif(models._BDSDC is None, reason="this numpy exports no dbdsdc")
+
+
+@needs_bdsdc
+@settings(max_examples=200, deadline=None)
+@given(
+    n_cells=st.sampled_from([1, 2, 3, 5, 17, 33, 64]),
+    data=st.data(),
+)
+def test_bdsdc_gives_the_dense_svds_vectors_and_values_bit_for_bit(n_cells, data):
+    # gesdd's reduction of an upper-bidiagonal block is the identity (zero
+    # reflectors), after which it runs this same dbdsdc
+    entries = st.one_of(
+        st.just(0.0),
+        st.floats(-4.0, 4.0),
+        st.builds(lambda sign, power: sign * 10.0 ** power, st.sampled_from([-1.0, 1.0]),
+                  st.integers(-150, 0)),
+    )
+    diagonal = data.draw(st.lists(entries, min_size=n_cells, max_size=n_cells))
+    bonds = data.draw(st.lists(entries, min_size=n_cells - 1, max_size=n_cells - 1))
+    block = Bidiagonal(diagonal, bonds, OBC)
+    for fast, dense in zip(block._transpose_svd(), np.linalg.svd(block.dense().T)):
+        np.testing.assert_array_equal(fast, dense)
+
+
+@pytest.mark.parametrize("scale", [0.0, 2.0**-459, np.nextafter(2.0**-459, 0.0), 1e-307, 2.0**459,
+                                   np.nextafter(2.0**459, np.inf), 1e300])
+def test_blocks_gesdd_rescales_take_the_dense_svd(scale, monkeypatch):
+    # gesdd first scales a block whose largest entry lies outside
+    # [2**-459, 2**459]; dqds and dbdsdc on the raw entries round differently
+    # there, and at 1e-307 dbdsdc drops the bonds as below its underflow threshold
+    block = Bidiagonal(scale * np.array([0.5, 1.0, 0.25]), scale * np.array([0.75, 0.5]), OBC)
+    values, dense = np.linalg.svd(block.dense().T, compute_uv=False), np.linalg.svd(block.dense().T)
+    if not 2.0**-459 <= scale <= 2.0**459:
+        monkeypatch.setattr(models, "_DQDS", lambda *args: pytest.fail("dqds ran"))
+        monkeypatch.setattr(models, "_BDSDC", lambda *args: pytest.fail("dbdsdc ran"))
+    np.testing.assert_array_equal(block.singular_values(), values)
+    for fast, gesdd in zip(block._transpose_svd(), dense):
+        np.testing.assert_array_equal(fast, gesdd)
+
+
+@needs_bdsdc
+@pytest.mark.parametrize("below", [np.inf, 0.2])
+def test_triplets_without_bdsdc_match_the_kernels(below, monkeypatch):
+    block = build_ssh_wall(DomainWallProfile(0.3, -0.3), 40).block
+    fast = block.triplets(below)
+    monkeypatch.setattr(models, "_BDSDC", None)
+    for kernel, dense in zip(fast, block.triplets(below)):
+        np.testing.assert_array_equal(kernel, dense)
+
+
+def test_a_failed_bdsdc_run_falls_back_to_the_dense_svd(monkeypatch):
+    block = build_wd_wall(DomainWallProfile(0.3, -0.3), 40).block
+    runs = []
+
+    def failing_bdsdc(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info, *lengths):
+        runs.append(n.value)
+        d[:] = u[:] = vt[:] = np.nan
+        info.value = 1
+
+    monkeypatch.setattr(models, "_BDSDC", failing_bdsdc)
+    for fast, dense in zip(block._transpose_svd(), np.linalg.svd(block.dense().T)):
+        np.testing.assert_array_equal(fast, dense)
+    assert runs == [40]
+
+
+def test_cyclic_blocks_take_the_dense_triplets_of_the_transpose(monkeypatch):
+    block = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=8, bc=PBC)).block
+    right, sigma, left_t = np.linalg.svd(block.dense().T)
+    svd, solved = np.linalg.svd, []
+
+    def recording_svd(matrix, *args, **kwargs):
+        solved.append(np.array(matrix))
+        return svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(models, "_BDSDC", lambda *args: pytest.fail("dbdsdc ran on a cyclic block"))
+    monkeypatch.setattr(models, "_DQDS", lambda *args: pytest.fail("dqds ran on a cyclic block"))
+    for fast, dense in zip(block.triplets(np.inf), (left_t.T, sigma, right)):
+        np.testing.assert_array_equal(fast, dense)
+    assert len(solved) == 1
+    np.testing.assert_array_equal(solved[0], block.dense().T)
+
+
 @pytest.mark.parametrize("n_cells", [8, 50, 200])
 @pytest.mark.parametrize("eta", [0.1, 0.26, 0.37, 0.6])
 def test_open_chain_singular_values_keep_relative_precision(n_cells, eta):

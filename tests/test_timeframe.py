@@ -202,10 +202,11 @@ def _sector_coupling(drive):
 @pytest.fixture
 def svd_calls(monkeypatch):
     """(shape, whether singular vectors were asked for) of the np.linalg.svd
-    calls made while the test runs, and (shape, "dqds") of the values-only
-    solves that run dqds on an open block's entries."""
+    calls made while the test runs, (shape, "dqds") of the values-only solves
+    that run dqds on an open block's entries, and (shape, "dbdsdc") of the
+    solves with vectors that run divide and conquer on them."""
     calls = []
-    svd, dqds = np.linalg.svd, models._DQDS
+    svd, dqds, bdsdc = np.linalg.svd, models._DQDS, models._BDSDC
 
     def counting_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((matrix.shape, compute_uv))
@@ -215,9 +216,15 @@ def svd_calls(monkeypatch):
         calls.append(((n.value,) * 2, "dqds"))
         return dqds(n, *args)
 
+    def counting_bdsdc(uplo, compq, n, *args):
+        calls.append(((n.value,) * 2, "dbdsdc"))
+        return bdsdc(uplo, compq, n, *args)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     if dqds is not None:
         monkeypatch.setattr(models, "_DQDS", counting_dqds)
+    if bdsdc is not None:
+        monkeypatch.setattr(models, "_BDSDC", counting_bdsdc)
     return calls
 
 
@@ -226,6 +233,21 @@ def values_only(bc):
     condition: dqds where the kernel resolves and the block is open, else
     np.linalg.svd without vectors."""
     return "dqds" if bc is OBC and models._DQDS is not None else False
+
+
+def vectors_route(bc):
+    """How svd_calls marks the solve with vectors of a block with this boundary
+    condition: dbdsdc where the kernel resolves and the block is open, else
+    np.linalg.svd with vectors."""
+    return "dbdsdc" if bc is OBC and models._BDSDC is not None else True
+
+
+def with_vectors(size, bc):
+    """The svd_calls records of one Bidiagonal.triplets call on a size x size
+    block: its solve with vectors and, on an open block, the values-only solve
+    whose values it keeps."""
+    shape = (size,) * 2
+    return [(shape, vectors_route(bc))] + ([(shape, values_only(bc))] if bc is OBC else [])
 
 
 @pytest.fixture
@@ -290,10 +312,10 @@ PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(eta, -eta), n_cells)
 def test_pi_paired_modes_need_one_half_size_svd(drive, svd_calls):
     n_cells = drive.params.n_cells
     floquet_bound_states(drive, n_cells, 0.05)
-    assert svd_calls == [(((n_cells + 1) // 2,) * 2, True)]
+    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC)
     svd_calls.clear()
     find_edge_modes(drive.params)
-    assert svd_calls == [(((n_cells + 1) // 2,) * 2, True)]
+    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC)
 
 
 @pytest.mark.parametrize("offset", [1e-9, 0.5 * LINE_ATOL])  # near the line is not on it
@@ -302,11 +324,11 @@ def test_modes_off_the_line_need_two_full_size_svds(offset, svd_calls, entries_c
     drive = UnitaryOperator(dataclasses.replace(wall.params, theta0=PI / 4 + offset), wall.h1_coeffs)
     n_cells = drive.params.n_cells
     floquet_bound_states(drive, n_cells, 0.05)
-    assert svd_calls == [((n_cells, n_cells), True)] * 2
+    assert svd_calls == with_vectors(n_cells, OBC) * 2
     assert len(entries_calls) == 1  # both kinds from one build of the blocks
     svd_calls.clear()
     find_edge_modes(drive.params)
-    assert svd_calls == [((n_cells, n_cells), True)] * 2
+    assert svd_calls == with_vectors(n_cells, OBC) * 2
     assert len(entries_calls) == 2
 
 
@@ -314,11 +336,11 @@ def test_wide_windows_on_the_line_take_the_full_size_blocks(svd_calls, entries_c
     # past pi/4 the half-size pairs would reach s = 1, where v2 is lost
     drive = _random_drive(PI / 4, 12, OBC)
     mode_states(drive, PI / 4)
-    assert svd_calls == [((6, 6), True)]
+    assert svd_calls == with_vectors(6, OBC)
     assert len(entries_calls) == 1
     svd_calls.clear()
     mode_states(drive, np.nextafter(PI / 4, PI))
-    assert svd_calls == [((12, 12), True)] * 2
+    assert svd_calls == with_vectors(12, OBC) * 2
     assert len(entries_calls) == 2
 
 
@@ -480,9 +502,10 @@ def test_operators_are_kept_as_bond_data():
 def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     # an open chain's block is lower bidiagonal; from that form LAPACK's
     # reduction rounds and the small singular values lose their relative
-    # digits.  dqds must read h^T's own diagonal and superdiagonal.
-    calls, solved = [], []
-    svd, dqds, singular_values = np.linalg.svd, models._DQDS, Bidiagonal.singular_values
+    # digits.  dqds and dbdsdc must read h^T's own diagonal and superdiagonal.
+    calls, solved, solved_with_vectors = [], [], []
+    svd, dqds, bdsdc = np.linalg.svd, models._DQDS, models._BDSDC
+    singular_values, triplets = Bidiagonal.singular_values, Bidiagonal.triplets
 
     def recording_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((np.array(matrix), compute_uv))
@@ -496,14 +519,30 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
         calls.append((upper, "dqds"))
         return dqds(n, d, e, work, info)
 
+    def recording_bdsdc(uplo, compq, n, d, e, *args):
+        upper = solved_with_vectors[-1]
+        assert (uplo, compq) == (b"U", b"I")
+        assert len(d) == len(e) == n.value == len(upper)
+        np.testing.assert_array_equal(d, np.diag(upper))
+        np.testing.assert_array_equal(e[:-1], np.diag(upper, 1))
+        calls.append((upper, "dbdsdc"))
+        return bdsdc(uplo, compq, n, d, e, *args)
+
     def recording_singular_values(block):
         solved.append(block.dense().T)
         return singular_values(block)
 
+    def recording_triplets(block, below):
+        solved_with_vectors.append(block.dense().T)
+        return triplets(block, below)
+
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(Bidiagonal, "singular_values", recording_singular_values)
+    monkeypatch.setattr(Bidiagonal, "triplets", recording_triplets)
     if dqds is not None:
         monkeypatch.setattr(models, "_DQDS", recording_dqds)
+    if bdsdc is not None:
+        monkeypatch.setattr(models, "_BDSDC", recording_bdsdc)
     drives = [
         _random_drive(PI / 4, 12, OBC),
         _random_drive(PI / 4, 13, OBC),
@@ -525,11 +564,14 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     for op in chains:
         op.eigenvalues()
         op.mode_states(1.0)
-    with_vectors = [compute_uv for _, compute_uv in calls]
-    assert with_vectors.count(values_only(OBC)) == 2 * len(drives) + len(chains) == len(solved)
+    routes = [route for _, route in calls]
     # one half-size SVD per mode solve on the line, two full-size ones off it
-    assert with_vectors.count(True) == 3 + 2 * 2 + 2 + 2 + len(chains)
-    assert len(with_vectors) == len(solved) + with_vectors.count(True)
+    vector_solves = 3 + 2 * 2 + 2 + 2 + len(chains)
+    assert routes.count(vectors_route(OBC)) == vector_solves == len(solved_with_vectors)
+    # each open block's triplets keep the values of its values-only solve
+    assert routes.count(values_only(OBC)) == 2 * len(drives) + len(chains) + vector_solves
+    assert routes.count(values_only(OBC)) == len(solved)
+    assert len(routes) == len(solved) + vector_solves
     for block, _ in calls:
         assert block.shape[0] > 1 and np.count_nonzero(np.diag(block, 1))
         np.testing.assert_array_equal(block, np.triu(np.tril(block, 1)))

@@ -15,13 +15,16 @@ from floqlat import (
     build_ssh_wall,
     build_wd_wall,
     fit_localization_length,
+    floquet_bound_states,
     mode_states,
     numeric_bound_state,
+    quasienergies,
     solve_ssh_params,
     solve_wd_params,
     wall_decay_factors,
 )
 import floqlat.models
+from floqlat import floquet
 from floqlat.floquet import localizing_rotation
 from floqlat.models import cell_states
 from floqlat.walls import _select_bound_state, h1_step_profile
@@ -193,6 +196,34 @@ def test_static_wall_energies_keep_their_digits(model, eta, n_cells):
     assert len(resolved) == len(energies) + 1 == 3
     for energy in resolved:
         assert np.abs(sigma - abs(energy)).min() <= 1e-12 * abs(energy)
+
+
+@pytest.mark.parametrize("eta, n_cells", [(-0.2, 200), (0.3, 100), (0.5, 64)])
+def test_wall_triplets_below_1e_13_take_the_values_only_digits(eta, n_cells):
+    # the SVD with vectors gives values below about 1e-13 to about 1e-16
+    # absolute only, so triplets pair its vectors with singular_values()
+    window = 0.5 * abs(np.sin(2.0 * eta))
+    profile = wall(-eta, eta)
+    drive = build_floquet_wall(wall(eta, -eta), n_cells)
+    half0, half1, _ = floquet._squared_drive(drive)
+    a = floquet._chiral_entries(half0, half1, BoundaryCondition.OPEN)[0]  # half size
+    c_t = floquet._chiral_entries(*floquet._drive_phases(drive), BoundaryCondition.OPEN)[2]
+    cases = [
+        (build_ssh_wall(profile, n_cells).block, window),
+        (build_wd_wall(profile, n_cells).block, window),
+        (a, np.sin(window)),
+        (c_t, np.sin(0.5 * window)),
+    ]
+    for block, below in cases:
+        _, sigma, _ = block.triplets(below)
+        assert 0.0 < sigma.min() < 1e-13
+        tiny = sigma < 1e-13
+        values = block.singular_values()[len(block.diagonal) - len(sigma):]
+        np.testing.assert_array_equal(sigma[tiny], values[tiny])
+    # the 0 mode of `domainwall --model floquet` keeps the spectrum's digits
+    zero_mode = floquet_bound_states(drive, profile.wall_site(2 * n_cells), window)[0]
+    assert abs(zero_mode.energy) == pytest.approx(np.abs(quasienergies(drive).values).min(),
+                                                  rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------- analytic solution
