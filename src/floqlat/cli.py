@@ -58,7 +58,7 @@ from .walls import (
 )
 
 PHASE_GRID_MARGIN = 0.05
-# Runs whose dense arrays are estimated above this (2 GiB) are refused before
+# Runs whose arrays are estimated above this (2 GiB) are refused before
 # anything is allocated.
 MAX_DENSE_BYTES = 2**31
 # Bytes a phase-diagram row holds until the output is written: the
@@ -184,27 +184,27 @@ def write_output(
 
 
 def dense_bytes(command: str, cells: int) -> int:
-    """Estimated peak bytes of the dense arrays of one subcommand at N = cells.
+    """Estimated peak bytes of the arrays of one subcommand at N = cells.
 
-    Per N^2 it is the peak of the largest solve, measured at N = 800 with one
-    BLAS thread: spectra and phase counts (spectrum, map, scaling,
-    phase-diagram) keep a few real N x N blocks, 32 N^2; domainwall, the
-    largest of its three models, 44 N^2.  That is the static walls: the
+    It is the tracemalloc peak of one run, measured at N = 8000 with one BLAS
+    thread.  Spectra, maps, sweeps and phase counts (spectrum, map, scaling,
+    phase-diagram) hold no N x N array, only O(N) values, rows and text: at
+    most 950 bytes per cell (map, CSV), charged 1000 N.  domainwall holds the
     singular vectors of one real N x N block and dbdsdc's workspace of three
-    more, 43.2 N^2.  The floquet wall, the same for a half-size block and its
-    dense partner, peaks at 12.1 N^2.
+    more, 43.2 N^2, charged 44 N^2, whenever its window holds too many values
+    for bisection (Bidiagonal.triplets).
     """
-    return (44 if command == "domainwall" else 32) * cells**2
+    return 44 * cells**2 if command == "domainwall" else 1000 * cells
 
 
 def _check_dense_bytes(args) -> None:
-    """Refuse a run whose dense arrays, with a phase diagram's grid^2 rows, would
+    """Refuse a run whose arrays, with a phase diagram's grid^2 rows, would
     pass MAX_DENSE_BYTES."""
     cells = max(parse_sizes(args.sizes), default=0) if args.command == "scaling" else args.cells
     needed = dense_bytes(args.command, cells)
     if needed > MAX_DENSE_BYTES:
         raise ValidationError(
-            f"{args.command} at N = {cells} needs about {needed / 2**30:.1f} GiB of dense "
+            f"{args.command} at N = {cells} needs about {needed / 2**30:.1f} GiB of "
             f"arrays, above the {MAX_DENSE_BYTES / 2**30:.0f} GiB limit"
         )
     if args.command == "phase-diagram":
@@ -212,7 +212,7 @@ def _check_dense_bytes(args) -> None:
         if needed > MAX_DENSE_BYTES:
             raise ValidationError(
                 f"phase-diagram with --grid {args.grid} needs about {needed / 2**30:.1f} GiB "
-                f"of rows and dense arrays, above the {MAX_DENSE_BYTES / 2**30:.0f} GiB limit"
+                f"of rows and arrays, above the {MAX_DENSE_BYTES / 2**30:.0f} GiB limit"
             )
 
 

@@ -344,9 +344,9 @@ def _block_mode_states(u: UnitaryOperator, window: float) -> tuple[tuple, tuple]
     a, b, c_t, d_t = _chiral_entries(half0, half1, u.params.bc)
     below = math.sin(0.5 * window)
     modes = []
-    for zero, (v1, s, left), partner_t in ((True, c_t.triplets(below), d_t.dense()),
-                                           (False, a.triplets(below)[::-1], b.dense().T)):
-        v2 = partner_t @ left
+    for zero, (v1, s, left), partner, transpose in ((True, c_t.triplets(below), d_t, False),
+                                                    (False, a.triplets(below)[::-1], b, True)):
+        v2 = partner.product(left, transpose)
         norm = np.linalg.norm(v2, axis=0)
         theta = _cs_angles(norm, s) if zero else _cs_angles(s, norm)
         eps = fold_quasienergy(np.concatenate([-2.0 * theta, 2.0 * theta]))
@@ -359,7 +359,7 @@ def _squared_drive_mode_states(u: UnitaryOperator, window: float) -> tuple[tuple
     half0, half1, padded = _squared_drive(u)
     a, b, _, _ = _chiral_entries(half0, half1, u.params.bc)
     u1, s, v1 = a.triplets(math.sin(window))
-    v2 = b.dense().T @ u1
+    v2 = b.product(u1, transpose=True)
     norm = np.linalg.norm(v2, axis=0)
     delta = _cs_angles(norm, s)
     # (v1; +-v2) gives U^2 the eigenvalue exp(+-2 i delta), so the 0 mode -+delta

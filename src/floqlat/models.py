@@ -6,8 +6,11 @@ spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 chiral and is kept as its real hopping block h, a Bidiagonal of O(N) entries:
 the spectrum is +-svd(h), the eigenpairs in an energy window come from the
 singular triplets inside it, and no N x N array is kept: open chains take their
-values from dqds on h's entries in O(N^2) and their vectors from divide and
-conquer on the same entries, the rest from dense SVDs of h^T.
+values from dqds on h's entries in O(N^2), and the few vectors of a narrow
+window from bisection and inverse iteration on the same entries in O(N k),
+uniform rings their values from the circulant rule in O(N), and only wide
+windows (divide and conquer on the entries) and non-uniform rings (dense SVDs
+of h^T) form N x N arrays.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
@@ -129,6 +132,22 @@ _DQDS = _lapack("dlasq1", _INT, _VECTOR, _VECTOR, _VECTOR, _INT)
 _BDSDC = _lapack("dbdsdc", ctypes.c_char_p, ctypes.c_char_p, _INT, _VECTOR, _VECTOR, _MATRIX,
                  _INT, _MATRIX, _INT, _VECTOR, _INTS, _VECTOR, _INTS, _INT,
                  ctypes.c_size_t, ctypes.c_size_t)
+# Bisection and inverse iteration on a symmetric tridiagonal: dstebz(range, order, n, vl,
+# vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork, info, and range's
+# and order's lengths) and dstein(n, d, e, m, w, iblock, isplit, z, ldz, work, iwork,
+# ifail, info)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_STEBZ = _lapack("dstebz", ctypes.c_char_p, ctypes.c_char_p, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
+                 _DOUBLE, _VECTOR, _VECTOR, _INT, _INT, _VECTOR, _INTS, _INTS, _VECTOR, _INTS,
+                 _INT, ctypes.c_size_t, ctypes.c_size_t)
+_STEIN = _lapack("dstein", _INT, _VECTOR, _VECTOR, _INT, _VECTOR, _INTS, _INTS, _MATRIX, _INT,
+                 _VECTOR, _INTS, _INTS, _INT)
+# Bisection takes an open block's in-window triplets while it holds at most one
+# in-window value per this many cells; past that, dbdsdc's one O(N^2) solve costs
+# less.  Measured on random open blocks with one BLAS thread, bisection costs about
+# 0.15 + 0.0023 N ms per value and dbdsdc 0.43, 3.2, 33 and 144 ms at N = 50, 200,
+# 800 and 1600: they break even near k = N / 40.
+BISECTION_CELLS_PER_VALUE = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,11 +160,15 @@ class Bidiagonal:
 
     Every SVD reads h^T, upper bidiagonal on an open chain: its values are
     dqds on diagonal and bonds (LAPACK dlasq1: Fernando and Parlett, Numer.
-    Math. 67, 191 (1994)) and its vectors divide and conquer on them (LAPACK
-    dbdsdc: Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79 (1995)),
-    else np.linalg.svd(h^T), which reduces that form without rounding
-    (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)) and runs
-    the same steps.  Small values keep the relative digits that h can lose.
+    Math. 67, 191 (1994)) and its vectors bisection and inverse iteration on
+    them in a narrow window (_bisection_vectors), else divide and conquer
+    (LAPACK dbdsdc: Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79
+    (1995)), else np.linalg.svd(h^T), which reduces that form without
+    rounding (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990))
+    and runs the same steps.  A ring with one diagonal entry and one bond
+    takes its values from the circulant rule.  Small values keep the
+    relative digits that h can lose.  product() applies h or h^T from the
+    entries.
     """
 
     diagonal: np.ndarray
@@ -167,6 +190,14 @@ class Bidiagonal:
         h[a_cell, b_cell] += self.bonds
         return h
 
+    def product(self, columns: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """h @ columns, or h^T @ columns, from the entries: O(N k) for k columns."""
+        b_cell, a_cell = h1_bond_cells(len(self.diagonal), self.bc).T
+        rows, cols = (b_cell, a_cell) if transpose else (a_cell, b_cell)
+        out = self.diagonal[:, None] * columns
+        out[rows] += self.bonds[:, None] * columns[cols]
+        return out
+
     def _on_entries(self) -> bool:
         """Whether np.linalg.svd(h^T) runs its last steps on h's own entries:
         gesdd reduces an open block to itself, and rescales it first only when
@@ -176,24 +207,106 @@ class Bidiagonal:
 
     def singular_values(self) -> np.ndarray:
         """Singular values of h, descending: the program's one values-only SVD,
-        dqds on the entries (_on_entries) unless it is missing or fails."""
+        dqds on the entries (_on_entries) unless it is missing or fails, the
+        circulant rule on a uniform ring, else the dense SVD."""
         if _DQDS is not None and self._on_entries():
             n = len(self.diagonal)
             sigma, info = self.diagonal.copy(), ctypes.c_int64()
             _DQDS(ctypes.c_int64(n), sigma, np.append(self.bonds, 0.0), np.empty(4 * n), info)
             if info.value == 0:
                 return sigma
+        if (self.bc is BoundaryCondition.PERIODIC and (self.diagonal == self.diagonal[0]).all()
+                and (self.bonds == self.bonds[0]).all()):
+            return self._circulant_values()
         return np.linalg.svd(self.dense().T, compute_uv=False)
+
+    def _circulant_values(self) -> np.ndarray:
+        """Singular values of a ring with one diagonal entry d and one bond e,
+        descending.  h = d + e S with S the cyclic shift is circulant, so its
+        values are |d + e w^j|, w = exp(2 pi i / N): the hypotenuse of |d| - |e|
+        and 2 sqrt|de| sin(pi j / N) when de <= 0, or cos(pi j / N) when de > 0.
+        Each sine is taken of an angle in [0, pi/2], so small values keep their
+        relative digits."""
+        n, d, e = len(self.diagonal), float(self.diagonal[0]), float(self.bonds[0])
+        j = np.arange(n)
+        quarter_turns = np.abs(n - 2 * j) if (d > 0) == (e > 0) else 2 * np.minimum(j, n - j)
+        scale = 2.0 * math.sqrt(abs(d)) * math.sqrt(abs(e))
+        return -np.sort(-np.hypot(abs(d) - abs(e), scale * np.sin(0.5 * np.pi * quarter_turns / n)))
 
     def triplets(self, below: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """h's left vectors, singular values and right vectors (as columns) of
         the values below `below`, descending: the program's one SVD with vectors.
-        Open blocks pair the vectors by index with singular_values()."""
-        right, sigma, left_t = self._transpose_svd()
-        if self.bc is BoundaryCondition.OPEN:
-            sigma = self.singular_values()
-        keep = sigma < below
-        return left_t[keep].T, sigma[keep], right[:, keep]
+        Open blocks take the values of singular_values() and pair vectors with
+        them by index: by bisection (_bisection_vectors) while the k values
+        below `below` number at most one per BISECTION_CELLS_PER_VALUE cells,
+        else from dbdsdc."""
+        if self.bc is not BoundaryCondition.OPEN:
+            right, sigma, left_t = self._transpose_svd()
+            keep = sigma < below
+            return left_t[keep].T, sigma[keep], right[:, keep]
+        sigma = self.singular_values()
+        first = len(sigma) - int(np.count_nonzero(sigma < below))
+        kept = sigma[first:]
+        if math.isfinite(below) and len(kept) <= len(sigma) // BISECTION_CELLS_PER_VALUE:
+            vectors = self._bisection_vectors(below, kept)
+            if vectors is not None:
+                return vectors[0], kept, vectors[1]
+        right, _, left_t = self._transpose_svd()
+        return left_t[first:].T, kept, right[:, first:]
+
+    def _bisection_vectors(
+        self, below: float, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """h's left and right vectors of its k smallest singular values
+        `values`, all below `below`, in O(N k^2) and no N x N array; None where
+        a kernel is missing or fails, or the block is not on its entries.
+
+        They are the eigenvectors of the Golub-Kahan tridiagonal of h^T, of
+        2N rows, zero diagonal and off-diagonal d_1, e_1, ..., d_N, with the
+        eigenvalues +-sigma (Golub and Kahan, SIAM J. Numer. Anal. 2, 205
+        (1965)).  Bisection (LAPACK dstebz) counts the ones in (-below, below]
+        by Sturm sequences, exact but within a few ulps of `below` as the
+        diagonal is zero (Demmel and Kahan), and there must be 2k.  It finds
+        them to an ulp of the largest entry, all that the shifts of inverse
+        iteration (LAPACK dstein) need: their values are dqds's.  The shifts
+        are kept 1024 ulps of the largest entry from 0: closer, the two of a
+        pair +-sigma share one factorization, and dstein returns one vector
+        twice.  The even rows of the 2k vectors span h's left vectors and the
+        odd rows its right ones.  A thin SVD of each half gives a basis, and
+        the SVD of the k x k block h^T takes on them pairs them, descending, as
+        a Rayleigh-Ritz step.  The pairs must solve h v = s u and h^T u = s v
+        to those 1024 ulps.
+        """
+        n, k = len(self.diagonal), len(values)
+        if k == 0:
+            return np.empty((n, 0)), np.empty((n, 0))
+        if _STEBZ is None or _STEIN is None or not self._on_entries():
+            return None
+        size, found, splits, info = (ctypes.c_int64(2 * n), ctypes.c_int64(), ctypes.c_int64(),
+                                     ctypes.c_int64())
+        zeros, off = np.zeros(2 * n), np.zeros(2 * n)
+        off[0::2], off[1:-1:2] = self.diagonal, self.bonds
+        shifts, block, split = np.empty(2 * n), np.empty(2 * n, np.int64), np.empty(2 * n, np.int64)
+        _STEBZ(b"V", b"B", size, ctypes.c_double(-below), ctypes.c_double(below), ctypes.c_int64(0),
+               ctypes.c_int64(0), ctypes.c_double(0.0), zeros, off, found,
+               splits, shifts, block, split, np.empty(8 * n), np.empty(6 * n, np.int64), info, 1, 1)
+        if info.value != 0 or found.value != 2 * k:
+            return None
+        tolerance = 1024 * np.finfo(float).eps * np.abs(off).max()
+        found_shifts = shifts[: 2 * k]
+        found_shifts[:] = np.copysign(np.maximum(np.abs(found_shifts), tolerance), found_shifts)
+        vectors = np.empty((2 * n, 2 * k), order="F")
+        _STEIN(size, zeros, off, found, shifts, block, split, vectors, size, np.empty(10 * n),
+               np.empty(2 * n, np.int64), np.empty(2 * k, np.int64), info)
+        if info.value != 0:
+            return None
+        left, right = (np.linalg.svd(half, full_matrices=False)[0][:, :k]
+                       for half in (vectors[0::2], vectors[1::2]))
+        pair_right, _, pair_left_t = np.linalg.svd(right.T @ self.product(left, transpose=True))
+        left, right = left @ pair_left_t.T, right @ pair_right
+        residual = max(np.abs(self.product(right) - left * values).max(),
+                       np.abs(self.product(left, transpose=True) - right * values).max())
+        return (left, right) if residual <= tolerance else None
 
     def _transpose_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """np.linalg.svd(h^T), bit for bit: divide and conquer (LAPACK dbdsdc),

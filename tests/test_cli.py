@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floqlat import GaplessPointError, NumericalError, ValidationError, analytic_wd_zero_mode, cli
+from floqlat import (
+    GaplessPointError, NumericalError, ValidationError, analytic_wd_zero_mode, cli, models,
+)
 from floqlat.cli import MAX_DENSE_BYTES, dense_bytes, main, parse_angle, parse_sizes
 
 PI = np.pi
@@ -395,19 +397,30 @@ def test_domainwall_zero_detuning_exits_2(tmp_path, capsys, model):
 # ---------------------------------------------------------------- oversized inputs
 
 
-def test_dense_estimate_admits_the_usual_sizes_and_grows_as_n_squared():
-    for command in ("spectrum", "map", "scaling", "phase-diagram", "domainwall"):
-        assert dense_bytes(command, 1000) < MAX_DENSE_BYTES
-        assert dense_bytes(command, 2000) == 4 * dense_bytes(command, 1000)
-    assert dense_bytes("domainwall", 10**4) > MAX_DENSE_BYTES
-    assert dense_bytes("spectrum", 10**4) > MAX_DENSE_BYTES
-    # phase counts need no eigenvectors: sized like a spectrum
-    assert dense_bytes("phase-diagram", 4000) == dense_bytes("spectrum", 4000) < MAX_DENSE_BYTES
+def test_estimate_admits_the_usual_sizes_and_grows_linearly_but_for_walls():
+    # no N x N array on the paths of spectra, maps, sweeps and phase counts:
+    # one linear estimate for all four
+    for command in ("spectrum", "map", "scaling", "phase-diagram"):
+        assert dense_bytes(command, 10**4) < MAX_DENSE_BYTES
+        assert dense_bytes(command, 2 * 10**4) == 2 * dense_bytes(command, 10**4)
+        assert dense_bytes(command, 4000) == dense_bytes("spectrum", 4000)
+        assert dense_bytes(command, 10**7) > MAX_DENSE_BYTES
+    # domainwall falls back to dbdsdc's N x N vectors past the bisection cut-over
+    assert dense_bytes("domainwall", 1000) < MAX_DENSE_BYTES
+    assert dense_bytes("domainwall", 2000) == 4 * dense_bytes("domainwall", 1000)
     assert dense_bytes("domainwall", 6986) < MAX_DENSE_BYTES < dense_bytes("domainwall", 6987)
 
 
+def test_open_and_periodic_spectra_past_the_old_quadratic_cap_are_admitted():
+    for bc in ("obc", "pbc"):
+        args = cli.build_parser().parse_args(
+            ["spectrum", "--theta0", "0.3", "--theta1", "0.7", "--cells", "9000", "--bc", bc,
+             "--out", "x.csv"])
+        cli._check_dense_bytes(args)
+
+
 def test_phase_diagram_rows_count_in_the_estimate():
-    # at 64 cells the dense arrays are 128 KiB; 340-byte rows reach 2 GiB past a grid of 2513
+    # at 64 cells the arrays are 64 kB; 340-byte rows reach 2 GiB past a grid of 2513
     args = cli.build_parser().parse_args(["phase-diagram", "--grid", "2500", "--out", "x.csv"])
     cli._check_dense_bytes(args)
     args.grid = 2520
@@ -433,13 +446,13 @@ def _refuse_every_run(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--theta0", "0.3", "--theta1", "0.7", "--cells", "100000"],
-        ["map", "--eta", "0.3", "--cells", "100000", "--target", "ssh"],
-        ["phase-diagram", "--grid", "4", "--cells", "100000"],
+        ["spectrum", "--theta0", "0.3", "--theta1", "0.7", "--cells", "10000000"],
+        ["map", "--eta", "0.3", "--cells", "10000000", "--target", "ssh"],
+        ["phase-diagram", "--grid", "4", "--cells", "10000000"],
         ["phase-diagram", "--grid", "100000", "--cells", "8"],  # 10^10 rows of 340 bytes
         ["domainwall", "--eta", "0.3", "--cells", "100000", "--model", "wd"],
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
-         "--sizes", "100,200,300,100000"],
+         "--sizes", "100,200,300,10000000"],
     ],
 )
 def test_oversized_runs_exit_2_before_allocating(tmp_path, capsys, monkeypatch, argv):
@@ -449,6 +462,27 @@ def test_oversized_runs_exit_2_before_allocating(tmp_path, capsys, monkeypatch, 
     assert main(argv + ["--out", str(out)]) == 2
     assert "GiB" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["domainwall", "--eta", "0.3", "--cells", "200", "--model", "floquet"],
+        ["domainwall", "--eta", "-0.2", "--cells", "200", "--model", "ssh"],
+        ["domainwall", "--eta", "0.45", "--cells", "200", "--model", "wd"],
+        ["map", "--eta", "0.3", "--cells", "256", "--target", "ssh"],
+        ["map", "--eta", "-0.2", "--cells", "64", "--target", "wd"],
+        ["spectrum", "--theta0", "0.6", "--theta1", "1.0", "--cells", "63", "--bc", "pbc"],
+        ["spectrum", "--theta0", "pi/4", "--theta1", "1.0", "--cells", "64", "--bc", "pbc",
+         "--map", "ssh"],
+    ],
+    ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+)
+def test_cli_paths_form_no_dense_block(tmp_path, monkeypatch, argv):
+    # uniform rings take the circulant rule, walls bisection and the partner
+    # products the entries: no N x N block on these paths
+    monkeypatch.setattr(models.Bidiagonal, "dense", lambda block: pytest.fail("dense() ran"))
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
 
 
 # ---------------------------------------------------------------- output path

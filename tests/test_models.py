@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from floqlat import (
@@ -29,7 +31,7 @@ from floqlat import (
 )
 from floqlat import models
 from floqlat.floquet import localizing_rotation
-from floqlat.models import Bidiagonal
+from floqlat.models import Bidiagonal, bond_count
 from floqlat.walls import h1_step_profile
 from oracles import dense_matrix, sublattice_parity
 
@@ -540,8 +542,16 @@ def test_a_failed_dqds_run_falls_back_to_the_dense_svd(monkeypatch):
     assert runs == [40]
 
 
-def test_cyclic_blocks_take_the_dense_svd_of_the_transpose(monkeypatch):
+def test_uniform_rings_take_the_circulant_rule(monkeypatch):
     block = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=8, bc=PBC)).block
+    expected = np.linalg.svd(block.dense().T, compute_uv=False)
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("a ring took the SVD"))
+    monkeypatch.setattr(models, "_DQDS", lambda *args: pytest.fail("dqds ran on a cyclic block"))
+    np.testing.assert_allclose(block.singular_values(), expected, rtol=0, atol=1e-15)
+
+
+def test_non_uniform_rings_take_the_dense_svd_of_the_transpose(monkeypatch):
+    block = build_ssh_profile([0.3] * 8, [0.7] * 7 + [0.6], PBC).block
     expected = np.linalg.svd(block.dense().T, compute_uv=False)
     svd, solved = np.linalg.svd, []
 
@@ -554,6 +564,54 @@ def test_cyclic_blocks_take_the_dense_svd_of_the_transpose(monkeypatch):
     np.testing.assert_array_equal(block.singular_values(), expected)
     assert len(solved) == 1
     np.testing.assert_array_equal(solved[0], block.dense().T)
+
+
+RING_CELLS = st.sampled_from([1, 2, 3, 4, 5, 7, 16, 33, 64])
+RING_ENTRY = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), st.floats(0.01, 4.0))
+
+
+@st.composite
+def near_closing_bond(draw, diagonal):
+    """A bond of size |diagonal| (1 +- 10^p), p in [-12, -2], of either sign:
+    the ring's gap closes at |d| = |e|."""
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -2.0))
+    return draw(st.sampled_from([-1.0, 1.0])) * abs(diagonal) * (1.0 + offset)
+
+
+def _ring(n_cells, diagonal, bond):
+    return Bidiagonal(np.full(n_cells, diagonal), np.full(n_cells, bond), PBC)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_cells=RING_CELLS, diagonal=RING_ENTRY, data=st.data())
+def test_uniform_rings_match_the_dense_svd(n_cells, diagonal, data):
+    bond = data.draw(st.one_of(RING_ENTRY, st.just(0.0), near_closing_bond(diagonal)))
+    block = _ring(n_cells, diagonal, bond)
+    rule = block.singular_values()
+    assert (np.diff(rule) <= 0.0).all()
+    # the dense SVD's own error reaches about 50 ulps of |d| + |e| at 7 cells and more
+    dense = np.linalg.svd(block.dense().T, compute_uv=False)
+    atol = 128 * np.finfo(float).eps * (abs(diagonal) + abs(bond))
+    np.testing.assert_allclose(rule, dense, rtol=0, atol=atol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_cells=RING_CELLS, diagonal=RING_ENTRY, data=st.data())
+def test_uniform_ring_small_values_keep_relative_digits(n_cells, diagonal, data):
+    # near a gap closing |det h| = |d^N - (-e)^N| factors into |d + e| times a
+    # sum of terms of one sign; the values multiply to it only when the small
+    # ones keep their relative digits (the dense SVD misses them by 1e-16
+    # absolute)
+    bond = data.draw(near_closing_bond(diagonal))
+    same_sign = (diagonal > 0.0) == (bond > 0.0)
+    if same_sign and n_cells % 2 == 1:
+        return  # |d^N + e^N|: no value is small
+    partner = bond if same_sign else -bond
+    terms = [diagonal ** (n_cells - 1 - j) * partner**j for j in range(n_cells)]
+    log_det = math.log(abs(diagonal - partner)) + math.log(abs(math.fsum(terms)))
+    sigma = _ring(n_cells, diagonal, bond).singular_values()
+    # a few ulps per value, and the rounding of sums of the size of log_det
+    assert abs(np.log(sigma).sum() - log_det) <= 8 * np.finfo(float).eps * (n_cells + abs(log_det))
 
 
 @pytest.mark.skipif(not _ilp64_openblas(), reason="numpy is not built on an ILP64 OpenBLAS")
@@ -643,6 +701,156 @@ def test_cyclic_blocks_take_the_dense_triplets_of_the_transpose(monkeypatch):
         np.testing.assert_array_equal(fast, dense)
     assert len(solved) == 1
     np.testing.assert_array_equal(solved[0], block.dense().T)
+
+
+@pytest.mark.skipif(not _ilp64_openblas(), reason="numpy is not built on an ILP64 OpenBLAS")
+def test_bisection_kernels_resolve_on_ilp64_openblas():
+    assert models._STEBZ is not None and models._STEIN is not None
+
+
+needs_bisection = pytest.mark.skipif(models._STEBZ is None or models._STEIN is None,
+                                     reason="this numpy exports no dstebz or dstein")
+
+
+def _projector_distance(a, b):
+    return np.abs(a @ a.T - b @ b.T).max(initial=0.0)
+
+
+@st.composite
+def open_blocks(draw):
+    """Open blocks of 40 to 160 cells: random entries, or the ssh and wd walls."""
+    n_cells = draw(st.integers(40, 160))
+    kind = draw(st.sampled_from(["random", "ssh", "wd"]))
+    if kind == "random":
+        entries = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+        diagonal = draw(st.lists(entries, min_size=n_cells, max_size=n_cells))
+        return Bidiagonal(diagonal, draw(st.lists(entries, min_size=n_cells - 1, max_size=n_cells - 1)), OBC)
+    eta = draw(st.floats(0.05, 0.75)) * draw(st.sampled_from([-1.0, 1.0]))
+    build = build_ssh_wall if kind == "ssh" else build_wd_wall
+    return build(DomainWallProfile(-eta, eta), n_cells).block
+
+
+@needs_bisection
+@settings(max_examples=150, deadline=None)
+@given(block=open_blocks(), data=st.data())
+def test_bisection_triplets_match_the_dense_svd(block, data):
+    # a window that ends in a gap of at least 1e-3 of the norm, so that its
+    # subspaces are well determined, holding k values, few enough to bisect
+    n = len(block.diagonal)
+    sigma = block.singular_values()
+    k = data.draw(st.integers(1, n // models.BISECTION_CELLS_PER_VALUE))
+    gap = sigma[n - k - 1] - sigma[n - k]
+    assume(gap > 1e-3 * sigma[0])
+    below = sigma[n - k] + 0.5 * gap
+    left, values, right = block.triplets(below)
+    np.testing.assert_array_equal(values, sigma[n - k:])
+    bisected = block._bisection_vectors(below, values)
+    assert bisected is not None
+    np.testing.assert_array_equal(left, bisected[0])
+    np.testing.assert_array_equal(right, bisected[1])
+    dense_right, dense_sigma, dense_left_t = np.linalg.svd(block.dense().T)
+    assert np.count_nonzero(dense_sigma < below) == k
+    assert _projector_distance(left, dense_left_t[n - k:].T) <= 1e-12
+    assert _projector_distance(right, dense_right[:, n - k:]) <= 1e-12
+    for vectors in (left, right):
+        assert np.abs(vectors.T @ vectors - np.eye(k)).max() <= 1e-12
+    assert np.abs(block.product(right) - left * values).max() <= 1e-12 * sigma[0]
+
+
+@needs_bisection
+@pytest.mark.parametrize("n_sites", [74, 200])
+def test_bisection_separates_a_pair_of_values_below_round_off(n_sites):
+    # the wall's one in-window value is 3e-40: its pair +-sigma in the
+    # Golub-Kahan tridiagonal is one double eigenvalue 0 to working precision,
+    # on which inverse iteration at the values themselves returned one vector twice
+    block = build_wd_wall(DomainWallProfile(-0.5, 0.5), n_sites).block
+    sigma = block.singular_values()
+    below = 0.5 * (sigma[-1] + sigma[-2])
+    assert sigma[-1] < 1e-30
+    left, right = block._bisection_vectors(below, sigma[-1:])
+    dense_right, _, dense_left_t = np.linalg.svd(block.dense().T)
+    assert _projector_distance(left, dense_left_t[-1:].T) <= 1e-12
+    assert _projector_distance(right, dense_right[:, -1:]) <= 1e-12
+
+
+def _dbdsdc_triplets(block, below):
+    """triplets(below) as dbdsdc gives them, paired with the dqds values."""
+    right, _, left_t = block._transpose_svd()
+    sigma = block.singular_values()
+    keep = sigma < below
+    return left_t[keep].T, sigma[keep], right[:, keep]
+
+
+def _assert_same_triplets(got, expected):
+    for fast, slow in zip(got, expected):
+        np.testing.assert_array_equal(fast, slow)
+
+
+@needs_bisection
+@pytest.mark.parametrize("fault", ["no dstebz", "no dstein", "count", "dstebz info", "dstein info",
+                                   "residual"])
+def test_failed_bisection_falls_back_to_dbdsdc(fault, monkeypatch):
+    block = build_ssh_wall(DomainWallProfile(0.3, -0.3), 200).block
+    below = 0.5 * math.sin(0.6)
+    expected = _dbdsdc_triplets(block, below)
+    stebz, stein, runs = models._STEBZ, models._STEIN, []
+
+    def faulty_stebz(range_, order, n, vl, vu, il, iu, abstol, d, e, found, splits, w, *rest):
+        runs.append("dstebz")
+        stebz(range_, order, n, vl, vu, il, iu, abstol, d, e, found, splits, w, *rest)
+        if fault == "count":
+            found.value += 1
+        elif fault == "dstebz info":
+            rest[-3].value = 1
+
+    def faulty_stein(*args):
+        runs.append("dstein")
+        stein(*args)
+        if fault == "dstein info":
+            args[-1].value = 1
+        else:  # vectors that solve nothing
+            args[7][:] = np.linalg.qr(np.random.default_rng(0).normal(size=args[7].shape))[0]
+
+    monkeypatch.setattr(models, "_STEBZ", None if fault == "no dstebz" else faulty_stebz)
+    monkeypatch.setattr(models, "_STEIN", None if fault == "no dstein" else faulty_stein)
+    _assert_same_triplets(block.triplets(below), expected)
+    assert runs == {"no dstebz": [], "no dstein": [], "count": ["dstebz"],
+                    "dstebz info": ["dstebz"], "dstein info": ["dstebz", "dstein"],
+                    "residual": ["dstebz", "dstein"]}[fault]
+
+
+@pytest.mark.parametrize("below", [np.inf, "past the cut-over"])
+def test_wide_windows_stay_on_dbdsdc(below, monkeypatch):
+    block = build_wd_wall(DomainWallProfile(0.3, -0.3), 80).block
+    sigma = block.singular_values()
+    if below == "past the cut-over":
+        k = 80 // models.BISECTION_CELLS_PER_VALUE + 1
+        below = 0.5 * (sigma[80 - k] + sigma[80 - k - 1])
+    expected = _dbdsdc_triplets(block, below)
+    monkeypatch.setattr(models, "_STEBZ", lambda *args: pytest.fail("dstebz ran"))
+    monkeypatch.setattr(models, "_STEIN", lambda *args: pytest.fail("dstein ran"))
+    _assert_same_triplets(block.triplets(below), expected)
+
+
+def test_empty_windows_need_no_vector_solve(monkeypatch):
+    block = build_ssh(SSHParams(u=0.4, v=1.0, n_cells=12, bc=OBC)).block
+    for name in ("_BDSDC", "_STEBZ", "_STEIN"):
+        monkeypatch.setattr(models, name, lambda *args: pytest.fail("a vector solve ran"))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("an SVD ran"))
+    left, values, right = block.triplets(0.5)
+    assert left.shape == right.shape == (12, 0) and values.shape == (0,)
+
+
+def test_block_products_match_the_dense_block():
+    rng = np.random.default_rng(3)
+    columns = rng.normal(size=(7, 3))
+    for bc in (OBC, PBC):
+        block = Bidiagonal(rng.normal(size=7), rng.normal(size=bond_count(7, bc)), bc)
+        np.testing.assert_allclose(block.product(columns), block.dense() @ columns, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(block.product(columns, transpose=True), block.dense().T @ columns,
+                                   rtol=0, atol=1e-15)
+    ring = Bidiagonal([0.25], [-1.5], PBC)  # the 1-cell ring's bond lands on the diagonal
+    np.testing.assert_array_equal(ring.product(np.ones((1, 2))), [[-1.25, -1.25]])
 
 
 @pytest.mark.parametrize("n_cells", [8, 50, 200])

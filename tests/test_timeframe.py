@@ -1,6 +1,7 @@
 """The chiral-timeframe quasienergy, mode and phase-count solvers against the dense oracle."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -203,10 +204,13 @@ def _sector_coupling(drive):
 def svd_calls(monkeypatch):
     """(shape, whether singular vectors were asked for) of the np.linalg.svd
     calls made while the test runs, (shape, "dqds") of the values-only solves
-    that run dqds on an open block's entries, and (shape, "dbdsdc") of the
-    solves with vectors that run divide and conquer on them."""
+    that run dqds on an open block's entries, (shape, "dbdsdc") of the
+    solves with vectors that run divide and conquer on them, and (shape,
+    "dstebz") and (shape, "dstein") of the bisection and inverse iteration
+    on their Golub-Kahan tridiagonal, the block's shape in each."""
     calls = []
     svd, dqds, bdsdc = np.linalg.svd, models._DQDS, models._BDSDC
+    stebz, stein = models._STEBZ, models._STEIN
 
     def counting_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((matrix.shape, compute_uv))
@@ -220,11 +224,19 @@ def svd_calls(monkeypatch):
         calls.append(((n.value,) * 2, "dbdsdc"))
         return bdsdc(uplo, compq, n, *args)
 
+    def counting_stebz(range_, order, n, *args):
+        calls.append(((n.value // 2,) * 2, "dstebz"))
+        return stebz(range_, order, n, *args)
+
+    def counting_stein(n, *args):
+        calls.append(((n.value // 2,) * 2, "dstein"))
+        return stein(n, *args)
+
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    if dqds is not None:
-        monkeypatch.setattr(models, "_DQDS", counting_dqds)
-    if bdsdc is not None:
-        monkeypatch.setattr(models, "_BDSDC", counting_bdsdc)
+    for name, kernel, counting in (("_DQDS", dqds, counting_dqds), ("_BDSDC", bdsdc, counting_bdsdc),
+                                   ("_STEBZ", stebz, counting_stebz), ("_STEIN", stein, counting_stein)):
+        if kernel is not None:
+            monkeypatch.setattr(models, name, counting)
     return calls
 
 
@@ -242,12 +254,36 @@ def vectors_route(bc):
     return "dbdsdc" if bc is OBC and models._BDSDC is not None else True
 
 
-def with_vectors(size, bc):
+def bisects(size, k):
+    """Whether Bidiagonal.triplets takes the k in-window vectors of an open
+    size x size block by bisection and inverse iteration."""
+    kernels = models._STEBZ is not None and models._STEIN is not None
+    return kernels and 0 < k <= size // models.BISECTION_CELLS_PER_VALUE
+
+
+def with_vectors(size, bc, k):
     """The svd_calls records of one Bidiagonal.triplets call on a size x size
-    block: its solve with vectors and, on an open block, the values-only solve
-    whose values it keeps."""
+    block with k values in its window.  On an open block: the values-only
+    solve whose values it keeps, then for k > 0 either bisection and inverse
+    iteration, the thin SVDs of the two halves of their 2k vectors and the
+    k x k Rayleigh-Ritz SVD, or the solve with vectors."""
     shape = (size,) * 2
-    return [(shape, vectors_route(bc))] + ([(shape, values_only(bc))] if bc is OBC else [])
+    if bc is not OBC:
+        return [(shape, vectors_route(bc))]
+    if k == 0:
+        return [(shape, values_only(bc))]
+    if bisects(size, k):
+        halves = [((size, 2 * k), True)] * 2
+        return [(shape, values_only(bc)), (shape, "dstebz"), (shape, "dstein"), *halves, ((k, k), True)]
+    return [(shape, values_only(bc)), (shape, vectors_route(bc))]
+
+
+def kept_pairs(drive, window):
+    """How many triplets mode_states(drive, window) keeps of the block behind
+    its 0 modes and of the one behind its pi modes, from the modes it returns:
+    each pair gives two modes of its kind.  On the half-size path both counts
+    are those of the block a, whose pairs give two modes of each kind."""
+    return tuple(len(eps) // 2 for eps, _ in mode_states(drive, window))
 
 
 @pytest.fixture
@@ -286,7 +322,9 @@ def _random_drive(theta0, n_cells, bc, seed=0):
 def test_pi_paired_drives_need_two_half_size_svds(drive, svd_size, svd_calls):
     assert is_pi_paired(drive.params) is (svd_size < drive.params.n_cells)
     fast = quasienergies(drive).values
-    assert svd_calls == [((svd_size,) * 2, values_only(drive.params.bc))] * 2
+    # a 1-cell ring is uniform: the circulant rule solves it with no SVD
+    uniform_ring = drive.params.bc is PBC and svd_size == 1
+    assert svd_calls == ([] if uniform_ring else [((svd_size,) * 2, values_only(drive.params.bc))] * 2)
     assert compare_spectra(fast, dense_quasienergies(dense_matrix(drive)).values) < ORACLE_TOL
 
 
@@ -311,11 +349,13 @@ PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(eta, -eta), n_cells)
 @pytest.mark.parametrize("drive", PAIRED_WALLS, ids=lambda drive: f"{drive.params.n_cells}cells")
 def test_pi_paired_modes_need_one_half_size_svd(drive, svd_calls):
     n_cells = drive.params.n_cells
+    (k, _), (k_uniform, _) = kept_pairs(drive, 0.05), kept_pairs(build_floquet(drive.params), 0.05)
+    svd_calls.clear()
     floquet_bound_states(drive, n_cells, 0.05)
-    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC)
+    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC, k)
     svd_calls.clear()
     find_edge_modes(drive.params)
-    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC)
+    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC, k_uniform)
 
 
 @pytest.mark.parametrize("offset", [1e-9, 0.5 * LINE_ATOL])  # near the line is not on it
@@ -323,25 +363,51 @@ def test_modes_off_the_line_need_two_full_size_svds(offset, svd_calls, entries_c
     wall = PAIRED_WALLS[0]
     drive = UnitaryOperator(dataclasses.replace(wall.params, theta0=PI / 4 + offset), wall.h1_coeffs)
     n_cells = drive.params.n_cells
+    (k_zero, k_pi), uniform = kept_pairs(drive, 0.05), kept_pairs(build_floquet(drive.params), 0.05)
+    svd_calls.clear()
+    entries_calls.clear()
     floquet_bound_states(drive, n_cells, 0.05)
-    assert svd_calls == with_vectors(n_cells, OBC) * 2
+    assert svd_calls == with_vectors(n_cells, OBC, k_zero) + with_vectors(n_cells, OBC, k_pi)
     assert len(entries_calls) == 1  # both kinds from one build of the blocks
     svd_calls.clear()
     find_edge_modes(drive.params)
-    assert svd_calls == with_vectors(n_cells, OBC) * 2
+    assert svd_calls == with_vectors(n_cells, OBC, uniform[0]) + with_vectors(n_cells, OBC, uniform[1])
     assert len(entries_calls) == 2
 
 
 def test_wide_windows_on_the_line_take_the_full_size_blocks(svd_calls, entries_calls):
     # past pi/4 the half-size pairs would reach s = 1, where v2 is lost
     drive = _random_drive(PI / 4, 12, OBC)
+    wider = np.nextafter(PI / 4, PI)
+    (k, _), (k_zero, k_pi) = kept_pairs(drive, PI / 4), kept_pairs(drive, wider)
+    svd_calls.clear()
+    entries_calls.clear()
     mode_states(drive, PI / 4)
-    assert svd_calls == with_vectors(6, OBC)
+    assert svd_calls == with_vectors(6, OBC, k)
     assert len(entries_calls) == 1
     svd_calls.clear()
-    mode_states(drive, np.nextafter(PI / 4, PI))
-    assert svd_calls == with_vectors(12, OBC) * 2
+    mode_states(drive, wider)
+    assert svd_calls == with_vectors(12, OBC, k_zero) + with_vectors(12, OBC, k_pi)
     assert len(entries_calls) == 2
+
+
+@pytest.mark.parametrize("n_cells", [64, 200])
+def test_full_first_step_blocks_bisect_like_the_dense_svd(n_cells, svd_calls):
+    # at theta0 = pi/2 the diagonal of a and the bonds of c^T are cos(pi/2),
+    # 6e-17: LAPACK's dbdsvdx found a spurious zero value of a here
+    a, _, c_t, _ = chiral_entries(build_floquet(DriveParams(PI / 2, 0.3, n_cells, OBC)))
+    below = math.sin(0.5 * DEFAULT_TOL_MODE)
+    for block, k in ((a, 1), (c_t, 0)):
+        svd_calls.clear()
+        left, values, right = block.triplets(below)
+        assert svd_calls == with_vectors(n_cells, OBC, k)
+        assert bisects(n_cells, k) or k == 0
+        dense_right, dense_sigma, dense_left_t = np.linalg.svd(block.dense().T)
+        assert np.count_nonzero(dense_sigma < below) == len(values) == k
+        np.testing.assert_array_equal(values, block.singular_values()[n_cells - k:])
+        kept_left, kept_right = dense_left_t[n_cells - k:].T, dense_right[:, n_cells - k:]
+        assert np.abs(left @ left.T - kept_left @ kept_left.T).max(initial=0.0) <= 1e-12
+        assert np.abs(right @ right.T - kept_right @ kept_right.T).max(initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n_cells, bc", [(12, PBC), (12, OBC), (13, OBC), (2, PBC)])
@@ -502,13 +568,17 @@ def test_operators_are_kept_as_bond_data():
 def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     # an open chain's block is lower bidiagonal; from that form LAPACK's
     # reduction rounds and the small singular values lose their relative
-    # digits.  dqds and dbdsdc must read h^T's own diagonal and superdiagonal.
-    calls, solved, solved_with_vectors = [], [], []
+    # digits.  dqds and dbdsdc must read h^T's own diagonal and superdiagonal,
+    # dstebz and dstein the Golub-Kahan tridiagonal they interleave into.
+    calls, solved, solved_with_vectors, kept = [], [], [], []
     svd, dqds, bdsdc = np.linalg.svd, models._DQDS, models._BDSDC
+    stebz, stein = models._STEBZ, models._STEIN
     singular_values, triplets = Bidiagonal.singular_values, Bidiagonal.triplets
 
     def recording_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
-        calls.append((np.array(matrix), compute_uv))
+        # the thin and Rayleigh-Ritz SVDs of bisection's vectors are not a block's
+        if not compute_uv or np.shape(matrix) == solved_with_vectors[-1].shape:
+            calls.append((np.array(matrix), compute_uv))
         return svd(matrix, full_matrices, compute_uv, **kwargs)
 
     def recording_dqds(n, d, e, work, info):
@@ -528,13 +598,31 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
         calls.append((upper, "dbdsdc"))
         return bdsdc(uplo, compq, n, d, e, *args)
 
+    def check_golub_kahan(n, d, e, route):
+        upper = solved_with_vectors[-1]
+        assert len(d) == len(e) == n.value == 2 * len(upper)
+        np.testing.assert_array_equal(d, 0.0)
+        np.testing.assert_array_equal(e[0::2], np.diag(upper))
+        np.testing.assert_array_equal(e[1:-1:2], np.diag(upper, 1))
+        calls.append((upper, route))
+
+    def recording_stebz(range_, order, n, vl, vu, il, iu, abstol, d, e, *args):
+        check_golub_kahan(n, d, e, "dstebz")
+        return stebz(range_, order, n, vl, vu, il, iu, abstol, d, e, *args)
+
+    def recording_stein(n, d, e, *args):
+        check_golub_kahan(n, d, e, "dstein")
+        return stein(n, d, e, *args)
+
     def recording_singular_values(block):
         solved.append(block.dense().T)
         return singular_values(block)
 
     def recording_triplets(block, below):
         solved_with_vectors.append(block.dense().T)
-        return triplets(block, below)
+        found = triplets(block, below)
+        kept.append(len(found[1]))
+        return found
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(Bidiagonal, "singular_values", recording_singular_values)
@@ -543,6 +631,9 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
         monkeypatch.setattr(models, "_DQDS", recording_dqds)
     if bdsdc is not None:
         monkeypatch.setattr(models, "_BDSDC", recording_bdsdc)
+    if stebz is not None and stein is not None:
+        monkeypatch.setattr(models, "_STEBZ", recording_stebz)
+        monkeypatch.setattr(models, "_STEIN", recording_stein)
     drives = [
         _random_drive(PI / 4, 12, OBC),
         _random_drive(PI / 4, 13, OBC),
@@ -567,11 +658,16 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     routes = [route for _, route in calls]
     # one half-size SVD per mode solve on the line, two full-size ones off it
     vector_solves = 3 + 2 * 2 + 2 + 2 + len(chains)
-    assert routes.count(vectors_route(OBC)) == vector_solves == len(solved_with_vectors)
+    assert vector_solves == len(solved_with_vectors) == len(kept)
+    # a window with no value in it needs no vectors; the rest take one solve
+    # with vectors, or bisection and inverse iteration
+    assert routes.count("dstebz") == routes.count("dstein")
+    with_values = sum(k > 0 for k in kept)
+    assert routes.count(vectors_route(OBC)) + routes.count("dstein") == with_values
     # each open block's triplets keep the values of its values-only solve
     assert routes.count(values_only(OBC)) == 2 * len(drives) + len(chains) + vector_solves
     assert routes.count(values_only(OBC)) == len(solved)
-    assert len(routes) == len(solved) + vector_solves
+    assert len(routes) == len(solved) + with_values + routes.count("dstebz")
     for block, _ in calls:
         assert block.shape[0] > 1 and np.count_nonzero(np.diag(block, 1))
         np.testing.assert_array_equal(block, np.triu(np.tril(block, 1)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -311,6 +313,18 @@ def test_fitted_wd_wall_length_matches_closed_form():
     state = numeric_bound_state(op, 100, energy_window=0.5 * abs(m), components_per_site=2)
     np.testing.assert_allclose(state.xi_right, XI_CLOSED_FORM, rtol=0.05)
     np.testing.assert_allclose(state.xi_left, XI_CLOSED_FORM, rtol=0.05)
+
+
+@pytest.mark.parametrize("eta", [0.1, -0.1, 0.3, -0.3, 0.5])
+def test_wd_wall_lengths_equal_the_closed_form(eta):
+    # as domainwall --model wd fits them: inverse iteration resolves the deep
+    # tail to relative accuracy, where dbdsdc's vectors carried about 1e-16
+    # absolute error and the fitted lengths missed by up to 1.6e-7
+    profile = wall(-eta, eta)
+    state = numeric_bound_state(build_wd_wall(profile, 200), profile.wall_site(200),
+                                0.5 * abs(math.sin(2.0 * eta)), components_per_site=2)
+    closed_form = analytic_wd_zero_mode(abs(eta), (-10, 10)).xi_right
+    np.testing.assert_allclose([state.xi_left, state.xi_right], closed_form, rtol=1e-9)
 
 
 @pytest.mark.parametrize("wd", [False, True])
