@@ -39,7 +39,7 @@ from .floquet import (
     classify_phase,
     quasienergies,
 )
-from .models import BoundaryCondition, DriveParams
+from .models import MAX_DENSE_BYTES, BoundaryCondition, DriveParams
 from .scaling import (
     MapTarget,
     ScalingConfig,
@@ -58,9 +58,6 @@ from .walls import (
 )
 
 PHASE_GRID_MARGIN = 0.05
-# Runs whose arrays are estimated above this (2 GiB) are refused before
-# anything is allocated.
-MAX_DENSE_BYTES = 2**31
 # Bytes a phase-diagram row holds until the output is written: the
 # tracemalloc peak per row over a 300 x 300 grid, in CSV and JSON alike.
 PHASE_ROW_BYTES = 340
@@ -183,25 +180,22 @@ def write_output(
         _atomic_write(path, _json_text(payload) + "\n")
 
 
-def dense_bytes(command: str, cells: int) -> int:
+def dense_bytes(cells: int) -> int:
     """Estimated peak bytes of the arrays of one subcommand at N = cells.
 
     It is the tracemalloc peak of one run, measured at N = 8000 with one BLAS
-    thread.  Spectra, maps, sweeps and phase counts (spectrum, map, scaling,
-    phase-diagram) hold no N x N array, only O(N) values, rows and text: at
-    most 950 bytes per cell (map, CSV), charged 1000 N.  domainwall holds the
-    singular vectors of one real N x N block and dbdsdc's workspace of three
-    more, 43.2 N^2, charged 44 N^2, whenever its window holds too many values
-    for bisection (Bidiagonal.triplets).
+    thread.  No subcommand holds an N x N array, only O(N) values, rows and
+    text: at most 950 bytes per cell (map, CSV), charged 1000 N.  A solve that
+    would form N x N arrays checks its own size (models.Bidiagonal._dense_svd).
     """
-    return 44 * cells**2 if command == "domainwall" else 1000 * cells
+    return 1000 * cells
 
 
 def _check_dense_bytes(args) -> None:
     """Refuse a run whose arrays, with a phase diagram's grid^2 rows, would
     pass MAX_DENSE_BYTES."""
     cells = max(parse_sizes(args.sizes), default=0) if args.command == "scaling" else args.cells
-    needed = dense_bytes(args.command, cells)
+    needed = dense_bytes(cells)
     if needed > MAX_DENSE_BYTES:
         raise ValidationError(
             f"{args.command} at N = {cells} needs about {needed / 2**30:.1f} GiB of "

@@ -8,9 +8,9 @@ the spectrum is +-svd(h), the eigenpairs in an energy window come from the
 singular triplets inside it, and no N x N array is kept: open chains take their
 values from dqds on h's entries in O(N^2), and the few vectors of a narrow
 window from bisection and inverse iteration on the same entries in O(N k),
-uniform rings their values from the circulant rule in O(N), and only wide
-windows (divide and conquer on the entries) and non-uniform rings (dense SVDs
-of h^T) form N x N arrays.
+uniform rings their values from the circulant rule in O(N).  Only wide windows,
+non-uniform rings and the fallbacks form N x N arrays, in the one dense SVD of
+h^T, which refuses a block whose arrays would pass MAX_DENSE_BYTES.
 Momentum-space dispersions are provided only as analytic oracles and are never
 used to assemble matrices.
 """
@@ -28,6 +28,9 @@ import numpy as np
 from .errors import ValidationError
 
 _RANGE_SLACK = 1e-12
+# Runs whose arrays are estimated above this (2 GiB) are refused before
+# anything is allocated.
+MAX_DENSE_BYTES = 2**31
 
 # Columns: the a and b orbital of one cell on its two rows.  The dimerized
 # chains put A and B on their own sites; the Wilson-Dirac spinor uses the
@@ -126,12 +129,8 @@ _INT = ctypes.POINTER(ctypes.c_int64)
 _INTS = np.ctypeslib.ndpointer(np.int64, ndim=1, flags=("C", "W"))
 _VECTOR = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C", "W"))
 _MATRIX = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("F", "W"))
-# gesdd's steps after its reduction: dlasq1(n, d, e, work, info) and dbdsdc(uplo, compq,
-# n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info, and uplo's and compq's lengths)
+# gesdd's values-only step after its reduction: dlasq1(n, d, e, work, info)
 _DQDS = _lapack("dlasq1", _INT, _VECTOR, _VECTOR, _VECTOR, _INT)
-_BDSDC = _lapack("dbdsdc", ctypes.c_char_p, ctypes.c_char_p, _INT, _VECTOR, _VECTOR, _MATRIX,
-                 _INT, _MATRIX, _INT, _VECTOR, _INTS, _VECTOR, _INTS, _INT,
-                 ctypes.c_size_t, ctypes.c_size_t)
 # Bisection and inverse iteration on a symmetric tridiagonal: dstebz(range, order, n, vl,
 # vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit, work, iwork, info, and range's
 # and order's lengths) and dstein(n, d, e, m, w, iblock, isplit, z, ldz, work, iwork,
@@ -143,10 +142,11 @@ _STEBZ = _lapack("dstebz", ctypes.c_char_p, ctypes.c_char_p, _INT, _DOUBLE, _DOU
 _STEIN = _lapack("dstein", _INT, _VECTOR, _VECTOR, _INT, _VECTOR, _INTS, _INTS, _MATRIX, _INT,
                  _VECTOR, _INTS, _INTS, _INT)
 # Bisection takes an open block's in-window triplets while it holds at most one
-# in-window value per this many cells; past that, dbdsdc's one O(N^2) solve costs
-# less.  Measured on random open blocks with one BLAS thread, bisection costs about
-# 0.15 + 0.0023 N ms per value and dbdsdc 0.43, 3.2, 33 and 144 ms at N = 50, 200,
-# 800 and 1600: they break even near k = N / 40.
+# in-window value per this many cells; past that, they come from the dense SVD.
+# Measured on random open blocks with one BLAS thread, bisection of k values
+# costs as much as the dense SVD near k = N / 20 at N = 100, N / 13 at N = 200,
+# N / 10 at N = 400 and N / 6 at N = 800, so every window sent to bisection is
+# one it solves faster.
 BISECTION_CELLS_PER_VALUE = 40
 
 
@@ -161,14 +161,12 @@ class Bidiagonal:
     Every SVD reads h^T, upper bidiagonal on an open chain: its values are
     dqds on diagonal and bonds (LAPACK dlasq1: Fernando and Parlett, Numer.
     Math. 67, 191 (1994)) and its vectors bisection and inverse iteration on
-    them in a narrow window (_bisection_vectors), else divide and conquer
-    (LAPACK dbdsdc: Gu and Eisenstat, SIAM J. Matrix Anal. Appl. 16, 79
-    (1995)), else np.linalg.svd(h^T), which reduces that form without
-    rounding (Demmel and Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990))
-    and runs the same steps.  A ring with one diagonal entry and one bond
-    takes its values from the circulant rule.  Small values keep the
-    relative digits that h can lose.  product() applies h or h^T from the
-    entries.
+    them in a narrow window (_bisection_vectors), else _dense_svd(), which
+    reduces that form without rounding (Demmel and Kahan, SIAM J. Sci. Stat.
+    Comput. 11, 873 (1990)) and runs the same steps.  A ring with one diagonal
+    entry and one bond takes its values from the circulant rule.  Small
+    values keep the relative digits that h can lose.  product() applies h or
+    h^T from the entries.
     """
 
     diagonal: np.ndarray
@@ -208,7 +206,7 @@ class Bidiagonal:
     def singular_values(self) -> np.ndarray:
         """Singular values of h, descending: the program's one values-only SVD,
         dqds on the entries (_on_entries) unless it is missing or fails, the
-        circulant rule on a uniform ring, else the dense SVD."""
+        circulant rule on a uniform ring, else _dense_svd()."""
         if _DQDS is not None and self._on_entries():
             n = len(self.diagonal)
             sigma, info = self.diagonal.copy(), ctypes.c_int64()
@@ -218,7 +216,7 @@ class Bidiagonal:
         if (self.bc is BoundaryCondition.PERIODIC and (self.diagonal == self.diagonal[0]).all()
                 and (self.bonds == self.bonds[0]).all()):
             return self._circulant_values()
-        return np.linalg.svd(self.dense().T, compute_uv=False)
+        return self._dense_svd(compute_uv=False)
 
     def _circulant_values(self) -> np.ndarray:
         """Singular values of a ring with one diagonal entry d and one bond e,
@@ -239,9 +237,9 @@ class Bidiagonal:
         Open blocks take the values of singular_values() and pair vectors with
         them by index: by bisection (_bisection_vectors) while the k values
         below `below` number at most one per BISECTION_CELLS_PER_VALUE cells,
-        else from dbdsdc."""
+        else from _dense_svd(), which also gives a ring all three."""
         if self.bc is not BoundaryCondition.OPEN:
-            right, sigma, left_t = self._transpose_svd()
+            right, sigma, left_t = self._dense_svd()
             keep = sigma < below
             return left_t[keep].T, sigma[keep], right[:, keep]
         sigma = self.singular_values()
@@ -251,7 +249,7 @@ class Bidiagonal:
             vectors = self._bisection_vectors(below, kept)
             if vectors is not None:
                 return vectors[0], kept, vectors[1]
-        right, _, left_t = self._transpose_svd()
+        right, _, left_t = self._dense_svd()
         return left_t[first:].T, kept, right[:, first:]
 
     def _bisection_vectors(
@@ -308,19 +306,19 @@ class Bidiagonal:
                        np.abs(self.product(left, transpose=True) - right * values).max())
         return (left, right) if residual <= tolerance else None
 
-    def _transpose_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """np.linalg.svd(h^T), bit for bit: divide and conquer (LAPACK dbdsdc),
-        the step gesdd runs after its reduction, on the entries (_on_entries)."""
-        if _BDSDC is not None and self._on_entries():
-            n = len(self.diagonal)
-            size, sigma, info = ctypes.c_int64(n), self.diagonal.copy(), ctypes.c_int64()
-            right, left_t = np.empty((n, n), order="F"), np.empty((n, n), order="F")
-            _BDSDC(b"U", b"I", size, sigma, np.append(self.bonds, 0.0), right, size, left_t, size,
-                   np.empty(1), np.empty(1, np.int64), np.empty(3 * n * n + 4 * n),
-                   np.empty(8 * n, np.int64), info, 1, 1)
-            if info.value == 0:
-                return right, sigma, left_t
-        return np.linalg.svd(self.dense().T)
+    def _dense_svd(self, compute_uv: bool = True):
+        """np.linalg.svd(h^T, compute_uv): the program's one solve that forms
+        N x N arrays.  It refuses, before allocating, a block whose arrays would
+        pass MAX_DENSE_BYTES: 64 N^2 bytes with vectors and 16 N^2 without, the
+        growth of peak RSS measured at N = 1000 to 4000 with one BLAS thread."""
+        n = len(self.diagonal)
+        needed = (64 if compute_uv else 16) * n**2
+        if needed > MAX_DENSE_BYTES:
+            raise ValidationError(
+                f"a dense SVD at N = {n} needs about {needed / 2**30:.1f} GiB of arrays, "
+                f"above the {MAX_DENSE_BYTES / 2**30:.0f} GiB limit"
+            )
+        return np.linalg.svd(self.dense().T, compute_uv=compute_uv)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-The full-size sweeps in criterion 6 dominate the runtime (about 1.5 minutes).
+The full-size sweeps in criterion 6 dominate the runtime (about 2 seconds).
 """
 
 import time

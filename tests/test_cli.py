@@ -397,18 +397,21 @@ def test_domainwall_zero_detuning_exits_2(tmp_path, capsys, model):
 # ---------------------------------------------------------------- oversized inputs
 
 
-def test_estimate_admits_the_usual_sizes_and_grows_linearly_but_for_walls():
-    # no N x N array on the paths of spectra, maps, sweeps and phase counts:
-    # one linear estimate for all four
-    for command in ("spectrum", "map", "scaling", "phase-diagram"):
-        assert dense_bytes(command, 10**4) < MAX_DENSE_BYTES
-        assert dense_bytes(command, 2 * 10**4) == 2 * dense_bytes(command, 10**4)
-        assert dense_bytes(command, 4000) == dense_bytes("spectrum", 4000)
-        assert dense_bytes(command, 10**7) > MAX_DENSE_BYTES
-    # domainwall falls back to dbdsdc's N x N vectors past the bisection cut-over
-    assert dense_bytes("domainwall", 1000) < MAX_DENSE_BYTES
-    assert dense_bytes("domainwall", 2000) == 4 * dense_bytes("domainwall", 1000)
-    assert dense_bytes("domainwall", 6986) < MAX_DENSE_BYTES < dense_bytes("domainwall", 6987)
+def test_estimate_is_one_linear_rule_for_every_subcommand():
+    # no N x N array on any subcommand's path: 1000 bytes a cell (scaling's
+    # largest size is refused in test_oversized_runs_exit_2_before_allocating)
+    assert dense_bytes(10**4) == 1000 * 10**4 < MAX_DENSE_BYTES
+    assert dense_bytes(2 * 10**4) == 2 * dense_bytes(10**4)
+    assert dense_bytes(2147483) <= MAX_DENSE_BYTES < dense_bytes(2147484)
+    for argv in (["spectrum", "--theta0", "0.3", "--theta1", "0.7"],
+                 ["map", "--eta", "0.3", "--target", "ssh"],
+                 ["phase-diagram", "--grid", "4"],
+                 ["domainwall", "--eta", "0.3", "--model", "wd"]):
+        args = cli.build_parser().parse_args(argv + ["--cells", "2000000", "--out", "x.csv"])
+        cli._check_dense_bytes(args)
+        args.cells = 2200000
+        with pytest.raises(ValidationError, match=f"{argv[0]} at N = 2200000 needs about 2.0 GiB"):
+            cli._check_dense_bytes(args)
 
 
 def test_open_and_periodic_spectra_past_the_old_quadratic_cap_are_admitted():
@@ -417,6 +420,15 @@ def test_open_and_periodic_spectra_past_the_old_quadratic_cap_are_admitted():
             ["spectrum", "--theta0", "0.3", "--theta1", "0.7", "--cells", "9000", "--bc", bc,
              "--out", "x.csv"])
         cli._check_dense_bytes(args)
+
+
+@pytest.mark.parametrize("model", ["floquet", "ssh", "wd"])
+def test_walls_of_8000_cells_are_solved_without_dense_arrays(tmp_path, model):
+    # one value in the window of 8000 cells: bisection, no N x N array
+    out = tmp_path / "wall.csv"
+    assert main(["domainwall", "--eta", "0.3", "--cells", "8000", "--model", model,
+                 "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == (4 if model == "floquet" else 3)
 
 
 def test_phase_diagram_rows_count_in_the_estimate():
@@ -450,7 +462,7 @@ def _refuse_every_run(monkeypatch):
         ["map", "--eta", "0.3", "--cells", "10000000", "--target", "ssh"],
         ["phase-diagram", "--grid", "4", "--cells", "10000000"],
         ["phase-diagram", "--grid", "100000", "--cells", "8"],  # 10^10 rows of 340 bytes
-        ["domainwall", "--eta", "0.3", "--cells", "100000", "--model", "wd"],
+        ["domainwall", "--eta", "0.3", "--cells", "10000000", "--model", "wd"],
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
          "--sizes", "100,200,300,10000000"],
     ],

@@ -614,75 +614,38 @@ def test_uniform_ring_small_values_keep_relative_digits(n_cells, diagonal, data)
     assert abs(np.log(sigma).sum() - log_det) <= 8 * np.finfo(float).eps * (n_cells + abs(log_det))
 
 
-@pytest.mark.skipif(not _ilp64_openblas(), reason="numpy is not built on an ILP64 OpenBLAS")
-def test_bdsdc_kernel_resolves_on_ilp64_openblas():
-    assert models._BDSDC is not None
-
-
-needs_bdsdc = pytest.mark.skipif(models._BDSDC is None, reason="this numpy exports no dbdsdc")
-
-
-@needs_bdsdc
-@settings(max_examples=200, deadline=None)
-@given(
-    n_cells=st.sampled_from([1, 2, 3, 5, 17, 33, 64]),
-    data=st.data(),
-)
-def test_bdsdc_gives_the_dense_svds_vectors_and_values_bit_for_bit(n_cells, data):
-    # gesdd's reduction of an upper-bidiagonal block is the identity (zero
-    # reflectors), after which it runs this same dbdsdc
-    entries = st.one_of(
-        st.just(0.0),
-        st.floats(-4.0, 4.0),
-        st.builds(lambda sign, power: sign * 10.0 ** power, st.sampled_from([-1.0, 1.0]),
-                  st.integers(-150, 0)),
-    )
-    diagonal = data.draw(st.lists(entries, min_size=n_cells, max_size=n_cells))
-    bonds = data.draw(st.lists(entries, min_size=n_cells - 1, max_size=n_cells - 1))
-    block = Bidiagonal(diagonal, bonds, OBC)
-    for fast, dense in zip(block._transpose_svd(), np.linalg.svd(block.dense().T)):
-        np.testing.assert_array_equal(fast, dense)
-
-
 @pytest.mark.parametrize("scale", [0.0, 2.0**-459, np.nextafter(2.0**-459, 0.0), 1e-307, 2.0**459,
                                    np.nextafter(2.0**459, np.inf), 1e300])
 def test_blocks_gesdd_rescales_take_the_dense_svd(scale, monkeypatch):
     # gesdd first scales a block whose largest entry lies outside
-    # [2**-459, 2**459]; dqds and dbdsdc on the raw entries round differently
-    # there, and at 1e-307 dbdsdc drops the bonds as below its underflow threshold
+    # [2**-459, 2**459]; dqds on the raw entries rounds differently there
     block = Bidiagonal(scale * np.array([0.5, 1.0, 0.25]), scale * np.array([0.75, 0.5]), OBC)
-    values, dense = np.linalg.svd(block.dense().T, compute_uv=False), np.linalg.svd(block.dense().T)
+    values = np.linalg.svd(block.dense().T, compute_uv=False)
+    right, _, left_t = np.linalg.svd(block.dense().T)
     if not 2.0**-459 <= scale <= 2.0**459:
         monkeypatch.setattr(models, "_DQDS", lambda *args: pytest.fail("dqds ran"))
-        monkeypatch.setattr(models, "_BDSDC", lambda *args: pytest.fail("dbdsdc ran"))
     np.testing.assert_array_equal(block.singular_values(), values)
-    for fast, gesdd in zip(block._transpose_svd(), dense):
-        np.testing.assert_array_equal(fast, gesdd)
-
-
-@needs_bdsdc
-@pytest.mark.parametrize("below", [np.inf, 0.2])
-def test_triplets_without_bdsdc_match_the_kernels(below, monkeypatch):
-    block = build_ssh_wall(DomainWallProfile(0.3, -0.3), 40).block
-    fast = block.triplets(below)
-    monkeypatch.setattr(models, "_BDSDC", None)
-    for kernel, dense in zip(fast, block.triplets(below)):
-        np.testing.assert_array_equal(kernel, dense)
-
-
-def test_a_failed_bdsdc_run_falls_back_to_the_dense_svd(monkeypatch):
-    block = build_wd_wall(DomainWallProfile(0.3, -0.3), 40).block
-    runs = []
-
-    def failing_bdsdc(uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info, *lengths):
-        runs.append(n.value)
-        d[:] = u[:] = vt[:] = np.nan
-        info.value = 1
-
-    monkeypatch.setattr(models, "_BDSDC", failing_bdsdc)
-    for fast, dense in zip(block._transpose_svd(), np.linalg.svd(block.dense().T)):
+    for fast, dense in zip(block.triplets(np.inf), (left_t.T, values, right)):
         np.testing.assert_array_equal(fast, dense)
-    assert runs == [40]
+
+
+@pytest.mark.parametrize("solve", ["wide window", "ring triplets", "ring values"])
+def test_the_dense_svd_refuses_blocks_past_the_memory_limit(solve, monkeypatch):
+    # 64 N^2 bytes with vectors and 16 N^2 without: admitted at the limit,
+    # refused one byte below it before any N x N array is formed
+    if solve == "wide window":
+        block, charge = build_wd_wall(DomainWallProfile(0.3, -0.3), 80).block, 64
+    else:
+        block = Bidiagonal(np.linspace(0.5, 1.5, 80), np.linspace(1.0, 2.0, 80), PBC)
+        charge = 16 if solve == "ring values" else 64
+    run = Bidiagonal.singular_values if solve == "ring values" else lambda b: b.triplets(np.inf)
+    monkeypatch.setattr(models, "MAX_DENSE_BYTES", charge * 80**2)
+    run(block)
+    monkeypatch.setattr(models, "MAX_DENSE_BYTES", charge * 80**2 - 1)
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("an SVD ran"))
+    monkeypatch.setattr(Bidiagonal, "dense", lambda *args: pytest.fail("h was formed"))
+    with pytest.raises(ValidationError, match="dense SVD at N = 80 needs about"):
+        run(block)
 
 
 def test_cyclic_blocks_take_the_dense_triplets_of_the_transpose(monkeypatch):
@@ -695,7 +658,6 @@ def test_cyclic_blocks_take_the_dense_triplets_of_the_transpose(monkeypatch):
         return svd(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(models, "_BDSDC", lambda *args: pytest.fail("dbdsdc ran on a cyclic block"))
     monkeypatch.setattr(models, "_DQDS", lambda *args: pytest.fail("dqds ran on a cyclic block"))
     for fast, dense in zip(block.triplets(np.inf), (left_t.T, sigma, right)):
         np.testing.assert_array_equal(fast, dense)
@@ -773,9 +735,9 @@ def test_bisection_separates_a_pair_of_values_below_round_off(n_sites):
     assert _projector_distance(right, dense_right[:, -1:]) <= 1e-12
 
 
-def _dbdsdc_triplets(block, below):
-    """triplets(below) as dbdsdc gives them, paired with the dqds values."""
-    right, _, left_t = block._transpose_svd()
+def _dense_triplets(block, below):
+    """triplets(below) as the dense SVD gives them, paired with the dqds values."""
+    right, _, left_t = np.linalg.svd(block.dense().T)
     sigma = block.singular_values()
     keep = sigma < below
     return left_t[keep].T, sigma[keep], right[:, keep]
@@ -789,10 +751,10 @@ def _assert_same_triplets(got, expected):
 @needs_bisection
 @pytest.mark.parametrize("fault", ["no dstebz", "no dstein", "count", "dstebz info", "dstein info",
                                    "residual"])
-def test_failed_bisection_falls_back_to_dbdsdc(fault, monkeypatch):
+def test_failed_bisection_falls_back_to_the_dense_svd(fault, monkeypatch):
     block = build_ssh_wall(DomainWallProfile(0.3, -0.3), 200).block
     below = 0.5 * math.sin(0.6)
-    expected = _dbdsdc_triplets(block, below)
+    expected = _dense_triplets(block, below)
     stebz, stein, runs = models._STEBZ, models._STEIN, []
 
     def faulty_stebz(range_, order, n, vl, vu, il, iu, abstol, d, e, found, splits, w, *rest):
@@ -820,13 +782,13 @@ def test_failed_bisection_falls_back_to_dbdsdc(fault, monkeypatch):
 
 
 @pytest.mark.parametrize("below", [np.inf, "past the cut-over"])
-def test_wide_windows_stay_on_dbdsdc(below, monkeypatch):
+def test_wide_windows_take_the_dense_svd(below, monkeypatch):
     block = build_wd_wall(DomainWallProfile(0.3, -0.3), 80).block
     sigma = block.singular_values()
     if below == "past the cut-over":
         k = 80 // models.BISECTION_CELLS_PER_VALUE + 1
         below = 0.5 * (sigma[80 - k] + sigma[80 - k - 1])
-    expected = _dbdsdc_triplets(block, below)
+    expected = _dense_triplets(block, below)
     monkeypatch.setattr(models, "_STEBZ", lambda *args: pytest.fail("dstebz ran"))
     monkeypatch.setattr(models, "_STEIN", lambda *args: pytest.fail("dstein ran"))
     _assert_same_triplets(block.triplets(below), expected)
@@ -834,7 +796,7 @@ def test_wide_windows_stay_on_dbdsdc(below, monkeypatch):
 
 def test_empty_windows_need_no_vector_solve(monkeypatch):
     block = build_ssh(SSHParams(u=0.4, v=1.0, n_cells=12, bc=OBC)).block
-    for name in ("_BDSDC", "_STEBZ", "_STEIN"):
+    for name in ("_STEBZ", "_STEIN"):
         monkeypatch.setattr(models, name, lambda *args: pytest.fail("a vector solve ran"))
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("an SVD ran"))
     left, values, right = block.triplets(0.5)

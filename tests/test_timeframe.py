@@ -204,12 +204,11 @@ def _sector_coupling(drive):
 def svd_calls(monkeypatch):
     """(shape, whether singular vectors were asked for) of the np.linalg.svd
     calls made while the test runs, (shape, "dqds") of the values-only solves
-    that run dqds on an open block's entries, (shape, "dbdsdc") of the
-    solves with vectors that run divide and conquer on them, and (shape,
-    "dstebz") and (shape, "dstein") of the bisection and inverse iteration
-    on their Golub-Kahan tridiagonal, the block's shape in each."""
+    that run dqds on an open block's entries, and (shape, "dstebz") and
+    (shape, "dstein") of the bisection and inverse iteration on their
+    Golub-Kahan tridiagonal, the block's shape in each."""
     calls = []
-    svd, dqds, bdsdc = np.linalg.svd, models._DQDS, models._BDSDC
+    svd, dqds = np.linalg.svd, models._DQDS
     stebz, stein = models._STEBZ, models._STEIN
 
     def counting_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
@@ -220,10 +219,6 @@ def svd_calls(monkeypatch):
         calls.append(((n.value,) * 2, "dqds"))
         return dqds(n, *args)
 
-    def counting_bdsdc(uplo, compq, n, *args):
-        calls.append(((n.value,) * 2, "dbdsdc"))
-        return bdsdc(uplo, compq, n, *args)
-
     def counting_stebz(range_, order, n, *args):
         calls.append(((n.value // 2,) * 2, "dstebz"))
         return stebz(range_, order, n, *args)
@@ -233,8 +228,8 @@ def svd_calls(monkeypatch):
         return stein(n, *args)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for name, kernel, counting in (("_DQDS", dqds, counting_dqds), ("_BDSDC", bdsdc, counting_bdsdc),
-                                   ("_STEBZ", stebz, counting_stebz), ("_STEIN", stein, counting_stein)):
+    for name, kernel, counting in (("_DQDS", dqds, counting_dqds), ("_STEBZ", stebz, counting_stebz),
+                                   ("_STEIN", stein, counting_stein)):
         if kernel is not None:
             monkeypatch.setattr(models, name, counting)
     return calls
@@ -245,13 +240,6 @@ def values_only(bc):
     condition: dqds where the kernel resolves and the block is open, else
     np.linalg.svd without vectors."""
     return "dqds" if bc is OBC and models._DQDS is not None else False
-
-
-def vectors_route(bc):
-    """How svd_calls marks the solve with vectors of a block with this boundary
-    condition: dbdsdc where the kernel resolves and the block is open, else
-    np.linalg.svd with vectors."""
-    return "dbdsdc" if bc is OBC and models._BDSDC is not None else True
 
 
 def bisects(size, k):
@@ -266,16 +254,17 @@ def with_vectors(size, bc, k):
     block with k values in its window.  On an open block: the values-only
     solve whose values it keeps, then for k > 0 either bisection and inverse
     iteration, the thin SVDs of the two halves of their 2k vectors and the
-    k x k Rayleigh-Ritz SVD, or the solve with vectors."""
+    k x k Rayleigh-Ritz SVD, or the dense SVD with vectors, which is all a
+    ring takes."""
     shape = (size,) * 2
     if bc is not OBC:
-        return [(shape, vectors_route(bc))]
+        return [(shape, True)]
     if k == 0:
         return [(shape, values_only(bc))]
     if bisects(size, k):
         halves = [((size, 2 * k), True)] * 2
         return [(shape, values_only(bc)), (shape, "dstebz"), (shape, "dstein"), *halves, ((k, k), True)]
-    return [(shape, values_only(bc)), (shape, vectors_route(bc))]
+    return [(shape, values_only(bc)), (shape, True)]
 
 
 def kept_pairs(drive, window):
@@ -568,10 +557,11 @@ def test_operators_are_kept_as_bond_data():
 def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     # an open chain's block is lower bidiagonal; from that form LAPACK's
     # reduction rounds and the small singular values lose their relative
-    # digits.  dqds and dbdsdc must read h^T's own diagonal and superdiagonal,
-    # dstebz and dstein the Golub-Kahan tridiagonal they interleave into.
+    # digits.  dqds and the dense SVD must read h^T's own diagonal and
+    # superdiagonal, dstebz and dstein the Golub-Kahan tridiagonal they
+    # interleave into.
     calls, solved, solved_with_vectors, kept = [], [], [], []
-    svd, dqds, bdsdc = np.linalg.svd, models._DQDS, models._BDSDC
+    svd, dqds = np.linalg.svd, models._DQDS
     stebz, stein = models._STEBZ, models._STEIN
     singular_values, triplets = Bidiagonal.singular_values, Bidiagonal.triplets
 
@@ -588,15 +578,6 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
         np.testing.assert_array_equal(e[:-1], np.diag(upper, 1))
         calls.append((upper, "dqds"))
         return dqds(n, d, e, work, info)
-
-    def recording_bdsdc(uplo, compq, n, d, e, *args):
-        upper = solved_with_vectors[-1]
-        assert (uplo, compq) == (b"U", b"I")
-        assert len(d) == len(e) == n.value == len(upper)
-        np.testing.assert_array_equal(d, np.diag(upper))
-        np.testing.assert_array_equal(e[:-1], np.diag(upper, 1))
-        calls.append((upper, "dbdsdc"))
-        return bdsdc(uplo, compq, n, d, e, *args)
 
     def check_golub_kahan(n, d, e, route):
         upper = solved_with_vectors[-1]
@@ -629,8 +610,6 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     monkeypatch.setattr(Bidiagonal, "triplets", recording_triplets)
     if dqds is not None:
         monkeypatch.setattr(models, "_DQDS", recording_dqds)
-    if bdsdc is not None:
-        monkeypatch.setattr(models, "_BDSDC", recording_bdsdc)
     if stebz is not None and stein is not None:
         monkeypatch.setattr(models, "_STEBZ", recording_stebz)
         monkeypatch.setattr(models, "_STEIN", recording_stein)
@@ -663,7 +642,7 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     # with vectors, or bisection and inverse iteration
     assert routes.count("dstebz") == routes.count("dstein")
     with_values = sum(k > 0 for k in kept)
-    assert routes.count(vectors_route(OBC)) + routes.count("dstein") == with_values
+    assert routes.count(True) + routes.count("dstein") == with_values
     # each open block's triplets keep the values of its values-only solve
     assert routes.count(values_only(OBC)) == 2 * len(drives) + len(chains) + vector_solves
     assert routes.count(values_only(OBC)) == len(solved)

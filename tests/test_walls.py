@@ -318,8 +318,8 @@ def test_fitted_wd_wall_length_matches_closed_form():
 @pytest.mark.parametrize("eta", [0.1, -0.1, 0.3, -0.3, 0.5])
 def test_wd_wall_lengths_equal_the_closed_form(eta):
     # as domainwall --model wd fits them: inverse iteration resolves the deep
-    # tail to relative accuracy, where dbdsdc's vectors carried about 1e-16
-    # absolute error and the fitted lengths missed by up to 1.6e-7
+    # tail to relative accuracy, where the dense SVD's vectors carry about
+    # 1e-16 absolute error and the fitted lengths missed by up to 1.6e-7
     profile = wall(-eta, eta)
     state = numeric_bound_state(build_wd_wall(profile, 200), profile.wall_site(200),
                                 0.5 * abs(math.sin(2.0 * eta)), components_per_site=2)
