@@ -200,11 +200,12 @@ def _drive_phases(u: UnitaryOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chiral_entries(
-    half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition
-) -> tuple[Bidiagonal, Bidiagonal, Bidiagonal, Bidiagonal]:
+    half0: np.ndarray, half1: np.ndarray, bc: BoundaryCondition, partners: bool = True
+) -> tuple[Bidiagonal, ...]:
     """The chiral blocks a, b, c^T and d^T, as Bidiagonal values, of a
     two-step drive with first-step half-phase half0[j] on cell j and
-    second-step half-phase half1[i] on bond i of h1_bond_cells.
+    second-step half-phase half1[i] on bond i of h1_bond_cells; without
+    partners only a and c^T, the two the spectrum reads.
 
     They are the real blocks of the half-period factor
     G = exp(-i theta1 H1 / 2) exp(-i theta0 H0 / 2) in the real orthogonal
@@ -225,10 +226,14 @@ def _chiral_entries(
     cos0, sin0 = np.cos(half0), np.sin(half0)
     cos_a, cos_b = np.ones(n), np.ones(n)
     cos_a[a_cell] = cos_b[b_cell] = np.cos(half1)
+    a = Bidiagonal(cos0 * cos_a, -sin0[b_cell] * sin_phi, bc)
+    c_t = Bidiagonal(sin0 * cos_b, cos0[a_cell] * sin_phi, bc)
+    if not partners:
+        return a, c_t
     return (
-        Bidiagonal(cos0 * cos_a, -sin0[b_cell] * sin_phi, bc),
+        a,
         Bidiagonal(sin0 * cos_a, cos0[b_cell] * sin_phi, bc),
-        Bidiagonal(sin0 * cos_b, cos0[a_cell] * sin_phi, bc),
+        c_t,
         Bidiagonal(cos0 * cos_b, -sin0[a_cell] * sin_phi, bc),
     )
 
@@ -300,7 +305,7 @@ def _squared_drive_quasienergies(u: UnitaryOperator) -> np.ndarray:
     of a's singular values.
     """
     half0, half1, padded = _squared_drive(u)
-    a, _, c_t, _ = _chiral_entries(half0, half1, u.params.bc)
+    a, c_t = _chiral_entries(half0, half1, u.params.bc, partners=False)
     half = 0.5 * timeframe_quasienergies(c_t, a)
     eps = fold_quasienergy(np.concatenate([half, half + np.pi]))
     if padded:
@@ -316,7 +321,7 @@ def quasienergies(u: UnitaryOperator) -> QuasienergySpectrum:
     restricts to."""
     if is_pi_paired(u.params):
         return QuasienergySpectrum(np.sort(_squared_drive_quasienergies(u)))
-    a, _, c_t, _ = _chiral_entries(*_drive_phases(u), u.params.bc)
+    a, c_t = _chiral_entries(*_drive_phases(u), u.params.bc, partners=False)
     eps = timeframe_quasienergies(a, c_t)
     return QuasienergySpectrum(np.sort(fold_quasienergy(eps)))
 

@@ -1,15 +1,18 @@
 """Finite-size sweeps of the spectral-difference metric and power-law fits.
 
-For each chain size N the open (or domain-wall) driven chain is diagonalized,
-the mapped static model is built with the matching boundary configuration on
-its reduced lattice, and the doubled static poles are compared against the
-quasienergies in the sorted-list metric.  Periodic chains reproduce the
+For each chain size N the quasienergies of the open (or domain-wall) driven
+chain are solved by dqds on its chiral blocks, the mapped static model is built
+with the matching boundary configuration on its reduced lattice, and the
+doubled static poles are matched to the quasienergies around the circle from
+the widest empty arc (compare_spectra).  Periodic chains reproduce the
 spectrum exactly; open boundaries leave a mismatch that shrinks like 1/N.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +23,13 @@ from .doubling import compare_spectra, double_poles, static_spectrum
 from .floquet import QUARTER_PI, analytic_pbc_spectrum, build_floquet, quasienergies
 from .models import BoundaryCondition, DriveParams
 from .walls import DomainWallProfile, build_floquet_wall, build_ssh_wall
+
+# run_scaling starts a helper thread only when the lighter lane holds at least
+# this much work, in cells^2 (the sum of N^2 of its sizes).  Measured on 2 cores
+# with one BLAS thread, sizes m, 2m, .., 5m (lighter lane 26 m^2) break even
+# between m = 40 and m = 48 (about 42000 to 60000) in both configs, and are 10%
+# faster with the thread at m = 52, 15% at m = 56 and 32% at m = 100.
+THREAD_LANE_WORK = 60_000
 
 
 class ScalingConfig(enum.Enum):
@@ -96,7 +106,9 @@ def mapped_static_spectrum(
 
 
 def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells: int) -> float:
-    """Sorted-list spectral difference at one size N (open chains)."""
+    """Largest wrap-aware difference at one size N between the driven chain's
+    quasienergies and the doubled poles of its mapped static chain, matched
+    from the widest empty arc (compare_spectra)."""
     _check_wall_target(config, target)
     if config is ScalingConfig.OBC:
         params = DriveParams(
@@ -110,12 +122,69 @@ def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells
     return compare_spectra(floquet_spec.values, poles.values)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _work(lane: Sequence[int]) -> int:
+    """The dqds cost of a lane's solves, sum of N^2 in cells^2."""
+    return sum(n * n for n in lane)
+
+
+def _lanes(sizes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The sizes split into a heavier and a lighter lane with about equal work
+    (_work): largest first, each to the lighter lane.  Both in size order."""
+    heavy, light = [], []
+    for n in sorted(sizes, reverse=True):
+        light.append(n)
+        if _work(light) > _work(heavy):
+            heavy, light = light, heavy
+    return heavy[::-1], light[::-1]
+
+
+def _run_lane(config, eta, target, lane: Sequence[int], results: dict) -> None:
+    """Store scaling_metric at each size of the lane, in size order, in
+    results[size]; a size that raises stores its error and ends the lane."""
+    for n in lane:
+        try:
+            results[n] = scaling_metric(config, eta, target, n)
+        except Exception as exc:
+            results[n] = exc
+            return
+
+
 def run_scaling(
     config: ScalingConfig, eta: float, target: MapTarget, sizes: Sequence[int]
 ) -> ScalingRun:
-    """Evaluate the spectral-difference metric over a list of sizes (in size order)."""
+    """Evaluate the spectral-difference metric over a list of sizes (in size order).
+
+    Most of the time goes to the dqds solves, which release the GIL.  So when
+    the process may use more than one CPU and the lighter of two lanes of
+    about equal work (_lanes) holds at least THREAD_LANE_WORK, a helper thread
+    runs that lane while the caller runs the other; otherwise every size runs
+    here.  Each size is solved alone, so the metrics do not depend on the
+    split.  Each lane ends at its first error, so the error of the smallest
+    size that raises comes out, as it does when every size runs here.
+    """
     sizes = _validate_sizes(sizes)
-    metrics = tuple(scaling_metric(config, eta, target, n) for n in sizes)
+    results: dict = {}
+    heavy, light = _lanes(sizes)
+    if _work(light) >= THREAD_LANE_WORK and _usable_cpus() > 1:
+        helper = threading.Thread(target=_run_lane, args=(config, eta, target, light, results))
+        helper.start()
+        try:
+            _run_lane(config, eta, target, heavy, results)
+        finally:
+            helper.join()
+    else:
+        _run_lane(config, eta, target, sizes, results)
+    for n in sizes:
+        if isinstance(results[n], Exception):
+            raise results[n]
+    metrics = tuple(results[n] for n in sizes)
     return ScalingRun(sizes=sizes, metric_values=metrics, config=config, eta=eta, target=target)
 
 

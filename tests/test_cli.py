@@ -398,8 +398,8 @@ def test_domainwall_zero_detuning_exits_2(tmp_path, capsys, model):
 
 
 def test_estimate_is_one_linear_rule_for_every_subcommand():
-    # no N x N array on any subcommand's path: 1000 bytes a cell (scaling's
-    # largest size is refused in test_oversized_runs_exit_2_before_allocating)
+    # no N x N array on any subcommand's path: 1000 bytes a cell (scaling is
+    # charged its two largest sizes in test_scaling_is_charged_two_sizes)
     assert dense_bytes(10**4) == 1000 * 10**4 < MAX_DENSE_BYTES
     assert dense_bytes(2 * 10**4) == 2 * dense_bytes(10**4)
     assert dense_bytes(2147483) <= MAX_DENSE_BYTES < dense_bytes(2147484)
@@ -412,6 +412,17 @@ def test_estimate_is_one_linear_rule_for_every_subcommand():
         args.cells = 2200000
         with pytest.raises(ValidationError, match=f"{argv[0]} at N = 2200000 needs about 2.0 GiB"):
             cli._check_dense_bytes(args)
+
+
+def test_scaling_is_charged_two_sizes():
+    # a helper thread may solve one size while the caller solves another
+    args = cli.build_parser().parse_args(
+        ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
+         "--sizes", "100,200,1000000,1100000", "--out", "x.csv"])
+    cli._check_dense_bytes(args)
+    args.sizes = "100,200,1000000,1200000"  # each size alone is below 2 GiB
+    with pytest.raises(ValidationError, match="scaling at N = 1000000 and 1200000 needs about 2.0 GiB"):
+        cli._check_dense_bytes(args)
 
 
 def test_open_and_periodic_spectra_past_the_old_quadratic_cap_are_admitted():
@@ -465,6 +476,9 @@ def _refuse_every_run(monkeypatch):
         ["domainwall", "--eta", "0.3", "--cells", "10000000", "--model", "wd"],
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
          "--sizes", "100,200,300,10000000"],
+        # the two largest sizes are charged together: 2.2 GB
+        ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
+         "--sizes", "100,200,1100000,1100004"],
     ],
 )
 def test_oversized_runs_exit_2_before_allocating(tmp_path, capsys, monkeypatch, argv):

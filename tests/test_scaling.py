@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from floqlat import (
     run_scaling,
     scaling_metric,
 )
+from floqlat import scaling
 
 PI = np.pi
 
@@ -150,3 +154,83 @@ def test_open_targets_share_one_block(eta, n_cells):
     m, r = solve_wd_params(eta)
     chain = build_wd(WDParams(m=m, r=r, n_sites=n_cells // 2, bc=BoundaryCondition.OPEN))
     assert np.abs(chain.eigenvalues() - ssh).max() <= 1e-14
+
+
+# ---------------------------------------------------------------- lanes
+
+ABOVE = (100, 200, 300, 400, 500)  # lanes (200, 300, 400) and (100, 500): 260000 cells^2
+BELOW = (40, 80, 120, 160, 200)  # lanes (80, 120, 160) and (40, 200): 41600 cells^2
+
+
+def test_lanes_split_the_work_largest_first():
+    assert scaling._lanes(ABOVE) == ([200, 300, 400], [100, 500])
+    assert scaling._lanes(BELOW) == ([80, 120, 160], [40, 200])
+    assert scaling._work([40, 200]) < scaling.THREAD_LANE_WORK <= scaling._work([100, 500])
+    assert scaling._lanes((8,)) == ([8], [])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """run_scaling sees two usable CPUs, so the helper thread starts whatever
+    the machine has."""
+    monkeypatch.setattr(scaling, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def metric_threads(monkeypatch):
+    """size -> the thread that ran scaling_metric at it (the metric is N), and
+    under None the threads started."""
+    ran = {None: []}
+
+    def spy(config, eta, target, n):
+        ran[n] = threading.current_thread()
+        return float(n)
+
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: ran[None].append(self) or start(self))
+    monkeypatch.setattr(scaling, "scaling_metric", spy)
+    return ran
+
+
+@pytest.mark.parametrize("config", [ScalingConfig.OBC, ScalingConfig.DOMAIN_WALL])
+@pytest.mark.parametrize("sizes", [ABOVE, BELOW])
+def test_lanes_give_the_sequential_metrics_bit_for_bit(config, sizes, two_cpus):
+    run = run_scaling(config, PI / 8, MapTarget.SSH, sizes)
+    assert run.sizes == sizes
+    assert run.metric_values == tuple(scaling_metric(config, PI / 8, MapTarget.SSH, n) for n in sizes)
+
+
+def test_a_helper_thread_runs_the_lighter_lane(two_cpus, metric_threads):
+    run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
+    assert run.metric_values == tuple(map(float, ABOVE))
+    (helper,) = metric_threads.pop(None)
+    assert {n: t is helper for n, t in metric_threads.items()} == {
+        100: True, 200: False, 300: False, 400: False, 500: True}
+    assert not helper.is_alive()
+
+
+def test_light_sweeps_run_in_place(two_cpus, metric_threads):
+    run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, BELOW)
+    assert metric_threads.pop(None) == []
+    assert set(metric_threads.values()) == {threading.current_thread()}
+
+
+def test_one_usable_cpu_runs_in_place(monkeypatch, metric_threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
+    assert metric_threads.pop(None) == []
+    assert set(metric_threads.values()) == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("failing, raised", [((300, 500), 300), ((100, 400), 100)])
+def test_the_smallest_failing_size_raises_across_lanes(monkeypatch, two_cpus, failing, raised):
+    # 300 and 400 run in the caller's lane, 100 and 500 in the helper's; an
+    # error left unhandled in the helper would be a warning, here an error
+    def metric(config, eta, target, n):
+        if n in failing:
+            raise ValidationError(f"size {n}")
+        return float(n)
+
+    monkeypatch.setattr(scaling, "scaling_metric", metric)
+    with pytest.raises(ValidationError, match=f"^size {raised}$"):
+        run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)

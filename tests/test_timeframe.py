@@ -425,9 +425,19 @@ def test_near_line_drive_read_as_paired_misses_by_more_than_1e_12():
 
 def test_half_size_blocks_are_checked_for_the_cs_identity(monkeypatch):
     entries = floquet._chiral_entries
-    monkeypatch.setattr(floquet, "_chiral_entries", lambda *args: [scaled(m, 1.01) for m in entries(*args)])
+    monkeypatch.setattr(floquet, "_chiral_entries",
+                        lambda *args, **kwargs: [scaled(m, 1.01) for m in entries(*args, **kwargs)])
     with pytest.raises(NumericalError, match="chiral blocks are not a CS pair"):
         quasienergies(_random_drive(PI / 4, 12, OBC))
+
+
+@pytest.mark.parametrize("theta0", [PI / 4, 0.3])
+def test_spectrum_builds_only_the_blocks_it_reads(theta0, monkeypatch):
+    # a and c^T, on the half-size drive or the full one; b and d^T are never built
+    built = []
+    monkeypatch.setattr(floquet, "Bidiagonal", lambda *args: built.append(args) or Bidiagonal(*args))
+    quasienergies(_random_drive(theta0, 12, OBC))
+    assert len(built) == 2
 
 
 @settings(max_examples=100, deadline=None)
