@@ -47,7 +47,6 @@ from .doubling import (
     check_pi_pairing,
     compare_spectra,
     double_poles,
-    doubled_static_poles,
     partition_quasienergies,
     sine_transform,
     solve_ssh_params,

@@ -243,7 +243,7 @@ def cmd_spectrum(args) -> None:
         if params.bc is BoundaryCondition.PERIODIC:
             static = static_spectrum(eta, args.cells)
         else:
-            static = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget(args.map), args.cells)
+            static = mapped_static_spectrum(ScalingConfig.OBC, eta, args.cells)
         poles = double_poles(static)
         header.append("mapped_pole")
         columns.append(poles.values)
@@ -352,12 +352,10 @@ def cmd_domainwall(args) -> None:
 
 
 def cmd_scaling(args) -> None:
-    config = ScalingConfig.OBC if args.config == "obc" else ScalingConfig.DOMAIN_WALL
-    target = MapTarget.SSH if args.target == "ssh" else MapTarget.WD
     sizes = parse_sizes(args.sizes)
     if len(sizes) < 4:
         raise ValidationError(f"scaling needs at least 4 sizes for the fit, got {len(sizes)}")
-    run = run_scaling(config, args.eta, target, sizes)
+    run = run_scaling(ScalingConfig(args.config), args.eta, MapTarget(args.target), sizes)
     fit = fit_power_law(run)
     meta = {
         "command": "scaling",

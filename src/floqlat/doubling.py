@@ -146,13 +146,6 @@ def compare_spectra(a, b) -> float:
     return min(sorted_match, float(wrap_distance(from_cut(av), from_cut(bv)).max()))
 
 
-def doubled_static_poles(eta: float, floquet_cells: int, target: str) -> QuasienergySpectrum:
-    """Doubled poles of the mapped periodic static model ("ssh" or "wd")."""
-    if target not in ("ssh", "wd"):
-        raise ValidationError(f"unknown mapping target {target!r}")
-    return double_poles(static_spectrum(eta, floquet_cells))
-
-
 class PiPairingCheck(NamedTuple):
     paired: bool
     max_mismatch: float

@@ -6,6 +6,8 @@ with the matching boundary configuration on its reduced lattice, and the
 doubled static poles are matched to the quasienergies around the circle from
 the widest empty arc (compare_spectra).  Periodic chains reproduce the
 spectrum exactly; open boundaries leave a mismatch that shrinks like 1/N.
+The dimerized (ssh) and Wilson-Dirac (wd) targets share their static spectra,
+so the target (MapTarget) only labels a run: no solve takes it.
 """
 
 from __future__ import annotations
@@ -53,10 +55,7 @@ class ScalingRun:
     def __post_init__(self):
         if len(self.sizes) != len(self.metric_values):
             raise ValidationError("sizes and metric values must have equal length")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValidationError("sizes must be strictly increasing")
-        if any(n % 4 != 0 for n in self.sizes):
-            raise ValidationError(f"all sizes must be multiples of 4, got {self.sizes}")
+        _validate_sizes(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,10 @@ class PowerLawFit:
 
 
 def _validate_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """The sizes as ints: integers (numpy integers too, not bools), multiples
+    of 4 and >= 8, strictly increasing."""
+    if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in sizes):
+        raise ValidationError(f"sizes must be integers, got {tuple(sizes)!r}")
     sizes = tuple(int(n) for n in sizes)
     if any(n % 4 != 0 or n < 8 for n in sizes):
         raise ValidationError(f"sizes must be multiples of 4 (and >= 8), got {sizes}")
@@ -83,33 +86,28 @@ def _check_wall_target(config: ScalingConfig, target: MapTarget) -> None:
         raise ValidationError("the domain-wall comparison is defined for the ssh target")
 
 
-def mapped_static_spectrum(
-    config: ScalingConfig, eta: float, target: MapTarget, n_cells: int
-) -> np.ndarray:
+def mapped_static_spectrum(config: ScalingConfig, eta: float, n_cells: int) -> np.ndarray:
     """Sorted energies of the open static model mapped from an N-cell driven chain.
 
-    The target only names the mapped chain: with open ends both targets share
-    one hopping block.  The open Wilson-Dirac chain on N/2 sites has m + r = v
-    on the diagonal and -r = -u on the bonds, the open dimerized chain on N/2
-    cells up to the bond signs, which leave the singular values unchanged.  So
-    the config picks only the profile of the dimerized chain: uniform at eta
-    for OBC, the mass wall from -eta to eta for DOMAIN_WALL (ssh target only).
-    The static wall is built in its in-band orientation (weak wall bond,
-    topological side on the right): it is the mirror image of the driven wall,
-    so the sorted spectra still correspond, and all energies stay inside
-    [-1, 1] where the pole doubling is real.
+    Both targets share one hopping block with open ends: the open Wilson-Dirac
+    chain on N/2 sites has m + r = v on the diagonal and -r = -u on the bonds,
+    the open dimerized chain on N/2 cells the same up to the bond signs, which
+    leave the singular values unchanged.  So only the config picks the profile
+    of the dimerized chain: uniform at eta for OBC, the mass wall from -eta to
+    eta for DOMAIN_WALL.  The static wall is built in its in-band orientation
+    (weak wall bond, topological side on the right): it is the mirror image of
+    the driven wall, so the sorted spectra still correspond, and all energies
+    stay inside [-1, 1] where the pole doubling is real.
     """
-    _check_wall_target(config, target)
     eta_left = eta if config is ScalingConfig.OBC else -eta
     profile = DomainWallProfile(eta_left=eta_left, eta_right=eta)
     return build_ssh_wall(profile, n_cells // 2).eigenvalues()
 
 
-def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells: int) -> float:
+def scaling_metric(config: ScalingConfig, eta: float, n_cells: int) -> float:
     """Largest wrap-aware difference at one size N between the driven chain's
     quasienergies and the doubled poles of its mapped static chain, matched
     from the widest empty arc (compare_spectra)."""
-    _check_wall_target(config, target)
     if config is ScalingConfig.OBC:
         params = DriveParams(
             theta0=QUARTER_PI, theta1=QUARTER_PI + eta, n_cells=n_cells, bc=BoundaryCondition.OPEN
@@ -118,7 +116,7 @@ def scaling_metric(config: ScalingConfig, eta: float, target: MapTarget, n_cells
     else:
         profile = DomainWallProfile(eta_left=eta, eta_right=-eta)
         floquet_spec = quasienergies(build_floquet_wall(profile, n_cells))
-    poles = double_poles(mapped_static_spectrum(config, eta, target, n_cells))
+    poles = double_poles(mapped_static_spectrum(config, eta, n_cells))
     return compare_spectra(floquet_spec.values, poles.values)
 
 
@@ -145,12 +143,12 @@ def _lanes(sizes: Sequence[int]) -> tuple[list[int], list[int]]:
     return heavy[::-1], light[::-1]
 
 
-def _run_lane(config, eta, target, lane: Sequence[int], results: dict) -> None:
+def _run_lane(config, eta, lane: Sequence[int], results: dict) -> None:
     """Store scaling_metric at each size of the lane, in size order, in
     results[size]; a size that raises stores its error and ends the lane."""
     for n in lane:
         try:
-            results[n] = scaling_metric(config, eta, target, n)
+            results[n] = scaling_metric(config, eta, n)
         except Exception as exc:
             results[n] = exc
             return
@@ -161,6 +159,9 @@ def run_scaling(
 ) -> ScalingRun:
     """Evaluate the spectral-difference metric over a list of sizes (in size order).
 
+    The target labels the run; a domain-wall sweep is refused for any target
+    but ssh before any size is solved.
+
     Most of the time goes to the dqds solves, which release the GIL.  So when
     the process may use more than one CPU and the lighter of two lanes of
     about equal work (_lanes) holds at least THREAD_LANE_WORK, a helper thread
@@ -169,18 +170,19 @@ def run_scaling(
     split.  Each lane ends at its first error, so the error of the smallest
     size that raises comes out, as it does when every size runs here.
     """
+    _check_wall_target(config, target)
     sizes = _validate_sizes(sizes)
     results: dict = {}
     heavy, light = _lanes(sizes)
     if _work(light) >= THREAD_LANE_WORK and _usable_cpus() > 1:
-        helper = threading.Thread(target=_run_lane, args=(config, eta, target, light, results))
+        helper = threading.Thread(target=_run_lane, args=(config, eta, light, results))
         helper.start()
         try:
-            _run_lane(config, eta, target, heavy, results)
+            _run_lane(config, eta, heavy, results)
         finally:
             helper.join()
     else:
-        _run_lane(config, eta, target, sizes, results)
+        _run_lane(config, eta, sizes, results)
     for n in sizes:
         if isinstance(results[n], Exception):
             raise results[n]
@@ -188,16 +190,14 @@ def run_scaling(
     return ScalingRun(sizes=sizes, metric_values=metrics, config=config, eta=eta, target=target)
 
 
-def pbc_control(eta: float, target: MapTarget, sizes: Sequence[int]) -> np.ndarray:
+def pbc_control(eta: float, sizes: Sequence[int]) -> np.ndarray:
     """Round-trip metric of the periodic pipeline at each size; exact up to roundoff.
 
     The periodic quasienergies come from the dispersion (numerically validated
     against diagonalization elsewhere), so the control isolates the partition,
     sine transform, pole doubling, and comparison stages.  Both targets share
-    the periodic static spectrum, so target only names the mapped chain.
+    the periodic static spectrum (static_spectrum).
     """
-    if not isinstance(target, MapTarget):
-        raise ValidationError(f"target must be a MapTarget, got {target!r}")
     sizes = _validate_sizes(sizes)
     metrics = []
     for n in sizes:

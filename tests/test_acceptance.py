@@ -28,7 +28,7 @@ from floqlat import (
     check_pi_pairing,
     classify_phase,
     compare_spectra,
-    doubled_static_poles,
+    double_poles,
     find_edge_modes,
     fit_power_law,
     numeric_bound_state,
@@ -37,6 +37,7 @@ from floqlat import (
     run_scaling,
     solve_ssh_params,
     solve_wd_params,
+    static_spectrum,
     wall_decay_factors,
 )
 from floqlat import build_h0, build_h1
@@ -70,11 +71,10 @@ def test_criterion_1_round_trip_spectral_identity():
             for n_cells in (8, 16, 64):
                 params = DriveParams(PI / 4, PI / 4 + eta, n_cells, PBC)
                 full = quasienergies(build_floquet(params)).values
-                for target in ("ssh", "wd"):
-                    poles = doubled_static_poles(eta, n_cells, target)
-                    metric = compare_spectra(full, poles.values)
-                    worst = max(worst, metric)
-                    assert metric < 1e-10
+                poles = double_poles(static_spectrum(eta, n_cells))
+                metric = compare_spectra(full, poles.values)
+                worst = max(worst, metric)
+                assert metric < 1e-10
     assert t.elapsed < 1.0
     _report(1, t.elapsed, f"round-trip identity, worst metric {worst:.2e}")
 
@@ -248,8 +248,7 @@ def test_criterion_8_property_battery():
 
         # periodic scaling control at every sweep size
         sizes = range(100, 1000, 100)
-        for target in (MapTarget.SSH, MapTarget.WD):
-            control = pbc_control(PI / 8, target, sizes)
-            assert control.max() < 1e-10
+        control = pbc_control(PI / 8, sizes)
+        assert control.max() < 1e-10
     assert t.elapsed < 60.0
     _report(8, t.elapsed, "invariant battery green (symmetries, reciprocity, PBC control)")

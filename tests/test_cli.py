@@ -618,9 +618,9 @@ def test_replaced_out_file_keeps_its_mode(tmp_path):
 def test_runtime_needs_only_numpy(tmp_path):
     script = (
         "import sys\n"
-        "from floqlat import MapTarget, ScalingConfig, scaling_metric\n"
+        "from floqlat import ScalingConfig, scaling_metric\n"
         "from floqlat.cli import main\n"
-        "scaling_metric(ScalingConfig.OBC, 0.3, MapTarget.SSH, 40)\n"
+        "scaling_metric(ScalingConfig.OBC, 0.3, 40)\n"
         "assert main(['domainwall', '--eta', '0.3', '--cells', '40', '--model', 'ssh',\n"
         "             '--out', sys.argv[1]]) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"

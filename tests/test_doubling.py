@@ -16,7 +16,6 @@ from floqlat import (
     build_wd,
     compare_spectra,
     double_poles,
-    doubled_static_poles,
     fold_quasienergy,
     partition_quasienergies,
     quasienergies,
@@ -158,8 +157,6 @@ def test_static_spectrum_requires_multiple_of_four():
         static_spectrum(0.1, 6)
     with pytest.raises(ValidationError, match="n_cells must be a positive multiple of 4"):
         static_spectrum(0.1, 10)
-    with pytest.raises(ValidationError, match="unknown mapping target 'bogus'"):
-        doubled_static_poles(0.1, 8, "bogus")
 
 
 def test_reduced_lattice_sizes():

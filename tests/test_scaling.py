@@ -87,18 +87,28 @@ def test_run_validates_sizes():
         run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, [10, 20, 30, 40])
     with pytest.raises(ValidationError):
         run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, [16, 16, 32, 48])
+    # a float or bool size is refused, not truncated to an int
+    with pytest.raises(ValidationError, match="sizes must be integers"):
+        run_scaling(ScalingConfig.OBC, 0.3, MapTarget.SSH, [40.9, 80, 120, 160])
+    for sizes in ([8, np.float64(16.5), 24], [8, 12, True]):
+        with pytest.raises(ValidationError, match="sizes must be integers"):
+            pbc_control(0.3, sizes)
+    assert pbc_control(0.3, np.arange(8, 24, 4)).max() < 1e-10
     for sizes, metrics, message in (
         ((16, 32, 48), (0.1, 0.05), "sizes and metric values must have equal length"),
         ((32, 16, 48), (0.1, 0.05, 0.03), "sizes must be strictly increasing"),
-        ((16, 30, 48), (0.1, 0.05, 0.03), "all sizes must be multiples of 4"),
+        ((16, 30, 48), (0.1, 0.05, 0.03), r"sizes must be multiples of 4 \(and >= 8\)"),
+        ((16.0, 32, 48), (0.1, 0.05, 0.03), "sizes must be integers"),
     ):
         with pytest.raises(ValidationError, match=message):
             synthetic_run(sizes, metrics)
 
 
-def test_wall_sweep_is_ssh_only():
-    with pytest.raises(ValidationError):
-        run_scaling(ScalingConfig.DOMAIN_WALL, PI / 8, MapTarget.WD, [16, 32, 48, 64])
+def test_wall_sweep_is_ssh_only(two_cpus, metric_threads):
+    # refused before any size is solved or the helper thread starts
+    with pytest.raises(ValidationError, match="defined for the ssh target"):
+        run_scaling(ScalingConfig.DOMAIN_WALL, PI / 8, MapTarget.WD, ABOVE)
+    assert metric_threads == {None: []}
 
 
 @pytest.mark.parametrize("eta", [PI / 8, -PI / 8])
@@ -117,16 +127,10 @@ def test_wall_metric_is_positive_and_shrinks():
     assert metrics[-1] < metrics[0]
 
 
-@pytest.mark.parametrize("target", [MapTarget.SSH, MapTarget.WD])
-def test_periodic_control_is_exact(target):
-    metrics = pbc_control(PI / 8, target, [16, 32, 64])
+@pytest.mark.parametrize("eta", [PI / 8, -PI / 8])
+def test_periodic_control_is_exact(eta):
+    metrics = pbc_control(eta, [16, 32, 64])
     assert metrics.max() < 1e-10
-
-
-@pytest.mark.parametrize("target", ["bogus", "ssh", None])
-def test_periodic_control_rejects_a_non_target(target):
-    with pytest.raises(ValidationError):
-        pbc_control(0.1, target, [8, 12, 16, 20])
 
 
 def test_doubling_halves_the_metric():
@@ -140,20 +144,19 @@ def test_open_chain_pi_pair_straddling_the_fold():
     # outside the fold tolerance, while both doubled poles fold to -pi.
     # Matched from the widest empty arc the metric is the true 1/N mismatch
     # (matching in ascending order would give 0.644).
-    metric = scaling_metric(ScalingConfig.OBC, 0.32, MapTarget.SSH, 40)
+    metric = scaling_metric(ScalingConfig.OBC, 0.32, 40)
     np.testing.assert_allclose(metric, 0.030374382813, atol=1e-9)
 
 
 @pytest.mark.parametrize("eta", [0.1, PI / 8, 0.5, -0.3])
 @pytest.mark.parametrize("n_cells", [8, 100, 900])
 def test_open_targets_share_one_block(eta, n_cells):
-    ssh = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget.SSH, n_cells)
-    wd = mapped_static_spectrum(ScalingConfig.OBC, eta, MapTarget.WD, n_cells)
-    assert np.abs(ssh - wd).max() <= 1e-14
-    # the Wilson-Dirac chain built from its own couplings has the same spectrum
+    # the mapped block is built as the dimerized chain; the Wilson-Dirac chain
+    # built from its own couplings has the same spectrum
+    mapped = mapped_static_spectrum(ScalingConfig.OBC, eta, n_cells)
     m, r = solve_wd_params(eta)
     chain = build_wd(WDParams(m=m, r=r, n_sites=n_cells // 2, bc=BoundaryCondition.OPEN))
-    assert np.abs(chain.eigenvalues() - ssh).max() <= 1e-14
+    assert np.abs(chain.eigenvalues() - mapped).max() <= 1e-14
 
 
 # ---------------------------------------------------------------- lanes
@@ -182,7 +185,7 @@ def metric_threads(monkeypatch):
     under None the threads started."""
     ran = {None: []}
 
-    def spy(config, eta, target, n):
+    def spy(config, eta, n):
         ran[n] = threading.current_thread()
         return float(n)
 
@@ -197,7 +200,7 @@ def metric_threads(monkeypatch):
 def test_lanes_give_the_sequential_metrics_bit_for_bit(config, sizes, two_cpus):
     run = run_scaling(config, PI / 8, MapTarget.SSH, sizes)
     assert run.sizes == sizes
-    assert run.metric_values == tuple(scaling_metric(config, PI / 8, MapTarget.SSH, n) for n in sizes)
+    assert run.metric_values == tuple(scaling_metric(config, PI / 8, n) for n in sizes)
 
 
 def test_a_helper_thread_runs_the_lighter_lane(two_cpus, metric_threads):
@@ -226,7 +229,7 @@ def test_one_usable_cpu_runs_in_place(monkeypatch, metric_threads):
 def test_the_smallest_failing_size_raises_across_lanes(monkeypatch, two_cpus, failing, raised):
     # 300 and 400 run in the caller's lane, 100 and 500 in the helper's; an
     # error left unhandled in the helper would be a warning, here an error
-    def metric(config, eta, target, n):
+    def metric(config, eta, n):
         if n in failing:
             raise ValidationError(f"size {n}")
         return float(n)
