@@ -78,7 +78,9 @@ def _validate_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _check_wall_target(config: ScalingConfig, target: MapTarget) -> None:
+def _check_target(config: ScalingConfig, target: MapTarget) -> None:
+    if not isinstance(target, MapTarget):
+        raise ValidationError(f"target must be a MapTarget, got {target!r}")
     if config is ScalingConfig.DOMAIN_WALL and target is not MapTarget.SSH:
         # The Wilson-Dirac wall hosts states slightly outside |E| = 1, so its
         # doubled poles are not real; the wall comparison pairs the driven wall
@@ -159,8 +161,9 @@ def run_scaling(
 ) -> ScalingRun:
     """Evaluate the spectral-difference metric over a list of sizes (in size order).
 
-    The target labels the run; a domain-wall sweep is refused for any target
-    but ssh before any size is solved.
+    The target labels the run; a target that is not a MapTarget, or a
+    domain-wall sweep for any target but ssh, is refused before any size is
+    solved.
 
     Most of the time goes to the dqds solves, which release the GIL.  So when
     the process may use more than one CPU and the lighter of two lanes of
@@ -170,7 +173,7 @@ def run_scaling(
     split.  Each lane ends at its first error, so the error of the smallest
     size that raises comes out, as it does when every size runs here.
     """
-    _check_wall_target(config, target)
+    _check_target(config, target)
     sizes = _validate_sizes(sizes)
     results: dict = {}
     heavy, light = _lanes(sizes)

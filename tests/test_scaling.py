@@ -111,6 +111,14 @@ def test_wall_sweep_is_ssh_only(two_cpus, metric_threads):
     assert metric_threads == {None: []}
 
 
+@pytest.mark.parametrize("target", ["bogus", "ssh", None])
+def test_run_rejects_a_non_target(target, two_cpus, metric_threads):
+    # the target only labels the run, but the label must be a MapTarget
+    with pytest.raises(ValidationError, match="target must be a MapTarget"):
+        run_scaling(ScalingConfig.OBC, PI / 8, target, ABOVE)
+    assert metric_threads == {None: []}
+
+
 @pytest.mark.parametrize("eta", [PI / 8, -PI / 8])
 @pytest.mark.parametrize("target", [MapTarget.SSH, MapTarget.WD])
 def test_open_chain_metric_is_positive_and_shrinks(target, eta):
