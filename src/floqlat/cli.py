@@ -77,9 +77,12 @@ def parse_angle(text: str) -> float:
             raise ValidationError(f"zero denominator in angle literal {text!r}")
         return sign * coeff * math.pi / denom
     try:
-        return float(s)
+        value = float(s)
     except ValueError:
         raise ValidationError(f"cannot parse angle {text!r} (use radians or e.g. 'pi/8')")
+    if math.isinf(value):  # nan is left to each command's range check
+        raise ValidationError(f"angle {text!r} is infinite")
+    return value
 
 
 def parse_sizes(text: str) -> tuple[int, ...]:
@@ -92,14 +95,8 @@ def parse_sizes(text: str) -> tuple[int, ...]:
 _fmt = "{:.11e}".format  # one float in scientific notation, 12 significant digits
 
 
-def _meta_line(meta: dict) -> str:
-    parts = [f"floqlat={__version__}"]
-    for key, value in meta.items():
-        if isinstance(value, float):
-            parts.append(f"{key}={_fmt(value)}")
-        else:
-            parts.append(f"{key}={value}")
-    return "# " + " ".join(parts)
+def _comment_line(fields: dict) -> str:
+    return "# " + " ".join(f"{key}={_cell(value)}" for key, value in fields.items())
 
 
 def _check_out(path: str) -> None:
@@ -167,10 +164,10 @@ def write_output(
     footer: dict | None = None,
 ) -> None:
     if fmt == "csv":
-        lines = [_meta_line(meta), ",".join(header)]
+        lines = [_comment_line({"floqlat": __version__, **meta}), ",".join(header)]
         lines.extend(",".join(map(_cell, row)) for row in rows)
         if footer:
-            lines.append("# " + " ".join(f"{k}={_cell(v)}" for k, v in footer.items()))
+            lines.append(_comment_line(footer))
         _atomic_write(path, "\n".join(lines) + "\n")
     else:
         columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
@@ -423,13 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def _join_negative_angles(argv: list[str]) -> list[str]:
-    """Join an angle option to a following negative pi fraction ('--eta -pi/8' ->
-    '--eta=-pi/8'): argparse would take the value for an option flag."""
+    """Join an angle option to a following negative pi fraction or float ('--eta
+    -2e-1' -> '--eta=-2e-1'): argparse would take the value for an option flag."""
     joined: list[str] = []
     for token in argv:
-        if (joined and joined[-1] in ("--theta0", "--theta1", "--eta")
-                and token.startswith("-") and _ANGLE_RE.match(token.lower())):
+        if (joined and joined[-1] in ("--theta0", "--theta1", "--eta") and token.startswith("-")
+                and (_ANGLE_RE.match(token.lower()) or _is_number(token))):
             joined[-1] += "=" + token
         else:
             joined.append(token)

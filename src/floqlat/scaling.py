@@ -26,12 +26,12 @@ from .floquet import QUARTER_PI, analytic_pbc_spectrum, build_floquet, quasiener
 from .models import BoundaryCondition, DriveParams
 from .walls import DomainWallProfile, build_floquet_wall, build_ssh_wall
 
-# run_scaling starts a helper thread only when the lighter lane holds at least
-# this much work, in cells^2 (the sum of N^2 of its sizes).  Measured on 2 cores
-# with one BLAS thread, sizes m, 2m, .., 5m (lighter lane 26 m^2) break even
-# between m = 40 and m = 48 (about 42000 to 60000) in both configs, and are 10%
-# faster with the thread at m = 52, 15% at m = 56 and 32% at m = 100.
-THREAD_LANE_WORK = 60_000
+# run_scaling starts a helper thread only when the sizes after the largest hold
+# at least this much work, in cells^2 (the sum of their N^2).  Measured on 2
+# cores with one BLAS thread, sizes m, 2m, .., 5m (30 m^2 after the largest)
+# break even at m = 40 (48000) in both configs, and are about 12% faster with
+# the thread at m = 48 (69120), 15% at m = 52 and 35% at m = 100.
+THREAD_WORK = 60_000
 
 
 class ScalingConfig(enum.Enum):
@@ -78,7 +78,7 @@ def _validate_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _check_target(config: ScalingConfig, target: MapTarget) -> None:
+def _check_target(config: ScalingConfig, eta: float, target: MapTarget) -> None:
     if not isinstance(target, MapTarget):
         raise ValidationError(f"target must be a MapTarget, got {target!r}")
     if config is ScalingConfig.DOMAIN_WALL and target is not MapTarget.SSH:
@@ -86,6 +86,9 @@ def _check_target(config: ScalingConfig, target: MapTarget) -> None:
         # doubled poles are not real; the wall comparison pairs the driven wall
         # with the dimerized-chain mass wall.
         raise ValidationError("the domain-wall comparison is defined for the ssh target")
+    if config is ScalingConfig.DOMAIN_WALL and eta < 0:
+        # The static wall's bound state then lies outside |E| <= 1 from N ~ 100.
+        raise ValidationError(f"the domain-wall comparison needs a non-negative eta, got {eta:g}")
 
 
 def mapped_static_spectrum(config: ScalingConfig, eta: float, n_cells: int) -> np.ndarray:
@@ -98,8 +101,8 @@ def mapped_static_spectrum(config: ScalingConfig, eta: float, n_cells: int) -> n
     of the dimerized chain: uniform at eta for OBC, the mass wall from -eta to
     eta for DOMAIN_WALL.  The static wall is built in its in-band orientation
     (weak wall bond, topological side on the right): it is the mirror image of
-    the driven wall, so the sorted spectra still correspond, and all energies
-    stay inside [-1, 1] where the pole doubling is real.
+    the driven wall, so the sorted spectra still correspond, and for eta >= 0
+    all energies stay inside [-1, 1] where the pole doubling is real.
     """
     eta_left = eta if config is ScalingConfig.OBC else -eta
     profile = DomainWallProfile(eta_left=eta_left, eta_right=eta)
@@ -129,31 +132,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _work(lane: Sequence[int]) -> int:
-    """The dqds cost of a lane's solves, sum of N^2 in cells^2."""
-    return sum(n * n for n in lane)
-
-
-def _lanes(sizes: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The sizes split into a heavier and a lighter lane with about equal work
-    (_work): largest first, each to the lighter lane.  Both in size order."""
-    heavy, light = [], []
-    for n in sorted(sizes, reverse=True):
-        light.append(n)
-        if _work(light) > _work(heavy):
-            heavy, light = light, heavy
-    return heavy[::-1], light[::-1]
-
-
-def _run_lane(config, eta, lane: Sequence[int], results: dict) -> None:
-    """Store scaling_metric at each size of the lane, in size order, in
-    results[size]; a size that raises stores its error and ends the lane."""
-    for n in lane:
+def _solve_sizes(config, eta, todo: list[int], results: dict) -> None:
+    """Pop sizes from todo (ascending, so largest first) until it is empty;
+    store scaling_metric at each, or the error it raised, in results[size]."""
+    while True:
+        try:
+            n = todo.pop()
+        except IndexError:
+            return
         try:
             results[n] = scaling_metric(config, eta, n)
         except Exception as exc:
             results[n] = exc
-            return
 
 
 def run_scaling(
@@ -161,31 +151,33 @@ def run_scaling(
 ) -> ScalingRun:
     """Evaluate the spectral-difference metric over a list of sizes (in size order).
 
-    The target labels the run; a target that is not a MapTarget, or a
-    domain-wall sweep for any target but ssh, is refused before any size is
-    solved.
+    The target labels the run; a target that is not a MapTarget, a domain-wall
+    sweep for any target but ssh, or one at eta < 0, is refused before any
+    size is solved.
 
     Most of the time goes to the dqds solves, which release the GIL.  So when
-    the process may use more than one CPU and the lighter of two lanes of
-    about equal work (_lanes) holds at least THREAD_LANE_WORK, a helper thread
-    runs that lane while the caller runs the other; otherwise every size runs
-    here.  Each size is solved alone, so the metrics do not depend on the
-    split.  Each lane ends at its first error, so the error of the smallest
-    size that raises comes out, as it does when every size runs here.
+    the process may use more than one CPU and the sizes after the largest hold
+    at least THREAD_WORK, a helper thread and the caller both pop sizes from
+    one shared list, largest first, until it is empty; otherwise every size
+    runs here.  Each size is solved alone, so the metrics do not depend on
+    which thread solved it.  Every size is solved even after one fails; then
+    the error of the smallest size that raised comes out, as in a loop over
+    the sizes in order.
     """
-    _check_target(config, target)
+    _check_target(config, eta, target)
     sizes = _validate_sizes(sizes)
     results: dict = {}
-    heavy, light = _lanes(sizes)
-    if _work(light) >= THREAD_LANE_WORK and _usable_cpus() > 1:
-        helper = threading.Thread(target=_run_lane, args=(config, eta, light, results))
+    todo = list(sizes)
+    if sum(n * n for n in sizes[:-1]) >= THREAD_WORK and _usable_cpus() > 1:
+        helper = threading.Thread(target=_solve_sizes, args=(config, eta, todo, results))
         helper.start()
         try:
-            _run_lane(config, eta, heavy, results)
+            _solve_sizes(config, eta, todo, results)
         finally:
+            todo.clear()  # after an interrupt here, the helper ends with its current size
             helper.join()
     else:
-        _run_lane(config, eta, sizes, results)
+        _solve_sizes(config, eta, todo, results)
     for n in sizes:
         if isinstance(results[n], Exception):
             raise results[n]

@@ -52,6 +52,9 @@ def test_parse_angle_rejects_junk():
         parse_angle("two pies")
     with pytest.raises(ValidationError, match="zero denominator in angle literal 'pi/0'"):
         parse_angle("pi/0")
+    for text in ("inf", "-inf", "1e999"):
+        with pytest.raises(ValidationError, match=f"angle '{text}' is infinite"):
+            parse_angle(text)
 
 
 def test_parse_sizes():
@@ -92,6 +95,22 @@ def test_negative_pi_fraction_may_follow_its_option(tmp_path, argv):
     assert main(argv + ["--eta=-pi/8", "--out", str(joined)]) == 0
     assert main(argv + ["--eta", "-pi/8", "--out", str(separate)]) == 0
     assert separate.read_bytes() == joined.read_bytes()
+
+
+def test_negative_exponent_angle_may_follow_its_option(tmp_path):
+    # argparse reads -0.2 as a number but -2e-1 as an option flag
+    argv = ["domainwall", "--cells", "200", "--model", "ssh", "--eta"]
+    exponent, decimal = tmp_path / "exponent.csv", tmp_path / "decimal.csv"
+    assert main(argv + ["-2e-1", "--out", str(exponent)]) == 0
+    assert main(argv + ["-0.2", "--out", str(decimal)]) == 0
+    assert exponent.read_bytes() == decimal.read_bytes()
+
+
+def test_separate_negative_infinity_exits_2(tmp_path, capsys):
+    code = main(["domainwall", "--eta", "-inf", "--cells", "40", "--model", "ssh",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "angle '-inf' is infinite" in capsys.readouterr().err
 
 
 def test_console_script_reads_a_separate_negative_angle(tmp_path, monkeypatch):
@@ -415,7 +434,7 @@ def test_estimate_is_one_linear_rule_for_every_subcommand():
 
 
 def test_scaling_is_charged_two_sizes():
-    # a helper thread may solve one size while the caller solves another
+    # the caller and a helper thread may each hold one size of the sweep
     args = cli.build_parser().parse_args(
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
          "--sizes", "100,200,1000000,1100000", "--out", "x.csv"])

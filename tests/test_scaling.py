@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 
 import numpy as np
@@ -111,6 +112,20 @@ def test_wall_sweep_is_ssh_only(two_cpus, metric_threads):
     assert metric_threads == {None: []}
 
 
+@pytest.mark.parametrize("eta", [-0.01, -0.3])
+def test_wall_sweep_refuses_a_negative_eta(eta, two_cpus, metric_threads):
+    # refused before any size is solved: the static wall's bound state would
+    # lie outside |E| <= 1, where the doubled poles are real
+    with pytest.raises(ValidationError, match=f"needs a non-negative eta, got {eta:g}$"):
+        run_scaling(ScalingConfig.DOMAIN_WALL, eta, MapTarget.SSH, ABOVE)
+    assert metric_threads == {None: []}
+
+
+def test_wall_sweep_admits_eta_zero():
+    run = run_scaling(ScalingConfig.DOMAIN_WALL, 0.0, MapTarget.SSH, (8, 12, 16, 20))
+    assert len(run.metric_values) == 4
+
+
 @pytest.mark.parametrize("target", ["bogus", "ssh", None])
 def test_run_rejects_a_non_target(target, two_cpus, metric_threads):
     # the target only labels the run, but the label must be a MapTarget
@@ -167,17 +182,10 @@ def test_open_targets_share_one_block(eta, n_cells):
     assert np.abs(chain.eigenvalues() - mapped).max() <= 1e-14
 
 
-# ---------------------------------------------------------------- lanes
+# ---------------------------------------------------------------- helper thread
 
-ABOVE = (100, 200, 300, 400, 500)  # lanes (200, 300, 400) and (100, 500): 260000 cells^2
-BELOW = (40, 80, 120, 160, 200)  # lanes (80, 120, 160) and (40, 200): 41600 cells^2
-
-
-def test_lanes_split_the_work_largest_first():
-    assert scaling._lanes(ABOVE) == ([200, 300, 400], [100, 500])
-    assert scaling._lanes(BELOW) == ([80, 120, 160], [40, 200])
-    assert scaling._work([40, 200]) < scaling.THREAD_LANE_WORK <= scaling._work([100, 500])
-    assert scaling._lanes((8,)) == ([8], [])
+ABOVE = (100, 200, 300, 400, 500)  # 300000 cells^2 after the largest: threaded
+BELOW = (40, 80, 120, 160, 200)  # 48000 cells^2 after the largest: in place
 
 
 @pytest.fixture
@@ -194,6 +202,7 @@ def metric_threads(monkeypatch):
     ran = {None: []}
 
     def spy(config, eta, n):
+        assert n not in ran, f"size {n} ran twice"
         ran[n] = threading.current_thread()
         return float(n)
 
@@ -205,19 +214,102 @@ def metric_threads(monkeypatch):
 
 @pytest.mark.parametrize("config", [ScalingConfig.OBC, ScalingConfig.DOMAIN_WALL])
 @pytest.mark.parametrize("sizes", [ABOVE, BELOW])
-def test_lanes_give_the_sequential_metrics_bit_for_bit(config, sizes, two_cpus):
+def test_threaded_sweeps_give_the_sequential_metrics_bit_for_bit(config, sizes, two_cpus):
     run = run_scaling(config, PI / 8, MapTarget.SSH, sizes)
     assert run.sizes == sizes
     assert run.metric_values == tuple(scaling_metric(config, PI / 8, n) for n in sizes)
 
 
-def test_a_helper_thread_runs_the_lighter_lane(two_cpus, metric_threads):
+def test_each_thread_takes_its_sizes_largest_first(two_cpus, metric_threads):
+    # the spy refuses a size that runs twice
     run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
     assert run.metric_values == tuple(map(float, ABOVE))
     (helper,) = metric_threads.pop(None)
-    assert {n: t is helper for n, t in metric_threads.items()} == {
-        100: True, 200: False, 300: False, 400: False, 500: True}
+    assert sorted(metric_threads) == list(ABOVE)
+    for thread in (helper, threading.current_thread()):
+        taken = [n for n, t in metric_threads.items() if t is thread]
+        assert taken == sorted(taken, reverse=True)
     assert not helper.is_alive()
+
+
+@pytest.fixture
+def stalled_helper(monkeypatch, metric_threads):
+    """metric_threads, where the caller solves once the helper holds a size
+    and the helper's solve lasts until the caller joins it."""
+    taken, joined = threading.Event(), threading.Event()
+    join = threading.Thread.join
+    monkeypatch.setattr(threading.Thread, "join", lambda self, *a, **k: joined.set() or join(self, *a, **k))
+    spy, caller = scaling.scaling_metric, threading.current_thread()
+
+    def stalled(config, eta, n):
+        if threading.current_thread() is caller:
+            assert taken.wait(timeout=30)
+        else:
+            taken.set()
+            assert joined.wait(timeout=30)
+        return spy(config, eta, n)
+
+    monkeypatch.setattr(scaling, "scaling_metric", stalled)
+    return metric_threads
+
+
+def test_a_stalled_helper_holds_one_size(two_cpus, stalled_helper):
+    # by the join the caller must have taken every other size from the list
+    run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
+    assert run.metric_values == tuple(map(float, ABOVE))
+    (helper,) = stalled_helper.pop(None)
+    assert sorted(stalled_helper) == list(ABOVE)
+    assert sum(t is helper for t in stalled_helper.values()) == 1
+
+
+def test_an_interrupt_leaves_the_helper_its_one_size(monkeypatch, two_cpus, stalled_helper):
+    # the caller is interrupted at its first size; the helper ends with the
+    # size it holds instead of solving the rest of the list
+    stalled, caller = scaling.scaling_metric, threading.current_thread()
+
+    def interrupted(config, eta, n):
+        value = stalled(config, eta, n)
+        if threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        return value
+
+    monkeypatch.setattr(scaling, "scaling_metric", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
+    (helper,) = stalled_helper.pop(None)
+    assert sorted(t is helper for t in stalled_helper.values()) == [False, True]
+
+
+def test_concurrent_sweeps_solve_each_size_once(monkeypatch, two_cpus):
+    # three sweeps at once, six threads on two CPUs, switching every
+    # microsecond: a size popped twice or lost would show in the calls
+    sizes, etas = tuple(range(8, 808, 4)), (0.1, 0.2, 0.3)
+    calls, runs = [], {}
+    monkeypatch.setattr(scaling, "scaling_metric", lambda config, eta, n: calls.append((eta, n)) or eta + n)
+
+    def sweep(eta):
+        runs[eta] = run_scaling(ScalingConfig.OBC, eta, MapTarget.SSH, sizes)
+
+    threads = [threading.Thread(target=sweep, args=(eta,)) for eta in etas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for eta in etas:
+        assert sorted(n for e, n in calls if e == eta) == list(sizes)
+        assert runs[eta].metric_values == tuple(eta + n for n in sizes)
+
+
+def test_the_sizes_after_the_largest_start_the_helper(two_cpus, metric_threads):
+    # 69120 cells^2 after the largest; split into lanes, the lighter held 59904
+    run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, (48, 96, 144, 192, 240))
+    assert len(metric_threads.pop(None)) == 1
 
 
 def test_light_sweeps_run_in_place(two_cpus, metric_threads):
@@ -234,10 +326,13 @@ def test_one_usable_cpu_runs_in_place(monkeypatch, metric_threads):
 
 
 @pytest.mark.parametrize("failing, raised", [((300, 500), 300), ((100, 400), 100)])
-def test_the_smallest_failing_size_raises_across_lanes(monkeypatch, two_cpus, failing, raised):
-    # 300 and 400 run in the caller's lane, 100 and 500 in the helper's; an
+def test_the_smallest_failing_size_raises_across_threads(monkeypatch, two_cpus, failing, raised):
+    # every size is solved although some fail, whichever thread takes it; an
     # error left unhandled in the helper would be a warning, here an error
+    ran = []
+
     def metric(config, eta, n):
+        ran.append(n)
         if n in failing:
             raise ValidationError(f"size {n}")
         return float(n)
@@ -245,3 +340,4 @@ def test_the_smallest_failing_size_raises_across_lanes(monkeypatch, two_cpus, fa
     monkeypatch.setattr(scaling, "scaling_metric", metric)
     with pytest.raises(ValidationError, match=f"^size {raised}$"):
         run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
+    assert sorted(ran) == list(ABOVE)
