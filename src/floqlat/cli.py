@@ -183,9 +183,9 @@ def dense_bytes(cells: int) -> int:
     It is the tracemalloc peak of one run, measured at N = 8000 with one BLAS
     thread.  No subcommand holds an N x N array, only O(N) values, rows and
     text: at most 950 bytes per cell (map, CSV), charged 1000 N.  A scaling run
-    may solve two sizes at once (scaling.run_scaling), so it is charged the sum
-    at its two largest sizes.  A solve that would form N x N arrays checks its
-    own size (models.Bidiagonal._dense_svd).
+    solves its sizes one at a time (scaling.run_scaling), so it is charged its
+    largest size.  A solve that would form N x N arrays checks its own size
+    (models.Bidiagonal._dense_svd).
     """
     return 1000 * cells
 
@@ -193,11 +193,11 @@ def dense_bytes(cells: int) -> int:
 def _check_dense_bytes(args) -> None:
     """Refuse a run whose arrays, with a phase diagram's grid^2 rows, would
     pass MAX_DENSE_BYTES."""
-    cells = sorted(parse_sizes(args.sizes))[-2:] if args.command == "scaling" else [args.cells]
-    needed = sum(map(dense_bytes, cells))
+    cells = max(parse_sizes(args.sizes), default=0) if args.command == "scaling" else args.cells
+    needed = dense_bytes(cells)
     if needed > MAX_DENSE_BYTES:
         raise ValidationError(
-            f"{args.command} at N = {' and '.join(map(str, cells))} needs about "
+            f"{args.command} at N = {cells} needs about "
             f"{needed / 2**30:.1f} GiB of arrays, above the {MAX_DENSE_BYTES / 2**30:.0f} GiB limit"
         )
     if args.command == "phase-diagram":

@@ -5,14 +5,16 @@ spatial lattice spacing is 1.  Chains are indexed in physical order, sites
 0 .. 2N-1, with sublattice A on even and B on odd sites.  Every built chain is
 chiral and is kept as its real hopping block h, a Bidiagonal of O(N) entries:
 the spectrum is +-svd(h), the eigenpairs in an energy window come from the
-singular triplets inside it, and no N x N array is kept: open chains take their
-values from dqds on h's entries in O(N^2), and the few vectors of a narrow
-window from bisection and inverse iteration on the same entries in O(N k),
-uniform rings their values from the circulant rule in O(N).  Only wide windows,
-non-uniform rings and the fallbacks form N x N arrays, in the one dense SVD of
-h^T, which refuses a block whose arrays would pass MAX_DENSE_BYTES.
-Momentum-space dispersions are provided only as analytic oracles and are never
-used to assemble matrices.
+singular triplets inside it, and no N x N array is kept.  An open chain of
+BAND_MIN_CELLS cells or more whose cells all lie on one band, up to a wall
+and a few entries, takes its values from the band's secular equation in O(N)
+(floqlat.band); other open chains from dqds on h's entries in O(N^2);
+uniform rings from the circulant rule in O(N).  The few vectors of a narrow
+window come from bisection and inverse iteration on the entries in O(N k).
+Only wide windows, non-uniform rings and the fallbacks form N x N arrays, in
+the one dense SVD of h^T, which refuses a block whose arrays would pass
+MAX_DENSE_BYTES.  Momentum-space dispersions are provided only as analytic
+oracles and are never used to assemble matrices.
 """
 
 from __future__ import annotations
@@ -148,6 +150,20 @@ _STEIN = _lapack("dstein", _INT, _VECTOR, _VECTOR, _INT, _VECTOR, _INTS, _INTS, 
 # N / 10 at N = 400 and N / 6 at N = 800, so every window sent to bisection is
 # one it solves faster.
 BISECTION_CELLS_PER_VALUE = 40
+# An open block on one band takes its values from the band's secular equation
+# from this many cells up.  Measured on the sweep's blocks with one BLAS
+# thread, that route costs about 0.13-0.16 ms at any N (0.22-0.29 ms with a
+# wall), dqds about 20 ns N^2: 0.07 ms at N = 50, 0.22 ms at 100 and 1.2 ms
+# at 250.  So below it dqds is the faster of the two.
+BAND_MIN_CELLS = 96
+
+
+def _band_value(gap: float, width: float, half: np.ndarray) -> np.ndarray:
+    """sqrt(p^2 + q^2 + 2 p q cos phi) at half = (pi - phi) / 2 in the hypot
+    form hypot(|p - q|, 2 sqrt(p q) sin(half)), from gap = |p - q| and width
+    = 2 sqrt(p q): the values of the band of the (p, q) cells, which keep
+    their relative digits near its lower edge."""
+    return np.hypot(gap, width * np.sin(half))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,15 +174,16 @@ class Bidiagonal:
     A bond entry is added, so the one bond of a 1-cell ring, which joins B_0
     back to A_0, lands on the diagonal.  Only dense() forms h.
 
-    Every SVD reads h^T, upper bidiagonal on an open chain: its values are
-    dqds on diagonal and bonds (LAPACK dlasq1: Fernando and Parlett, Numer.
-    Math. 67, 191 (1994)) and its vectors bisection and inverse iteration on
-    them in a narrow window (_bisection_vectors), else _dense_svd(), which
-    reduces that form without rounding (Demmel and Kahan, SIAM J. Sci. Stat.
-    Comput. 11, 873 (1990)) and runs the same steps.  A ring with one diagonal
-    entry and one bond takes its values from the circulant rule.  Small
-    values keep the relative digits that h can lose.  product() applies h or
-    h^T from the entries.
+    Every SVD reads h^T, upper bidiagonal on an open chain.  On one band its
+    values solve the band's secular equation (_band_values, O(N)), else they
+    are dqds on diagonal and bonds (LAPACK dlasq1: Fernando and Parlett,
+    Numer. Math. 67, 191 (1994), O(N^2)); its vectors come from bisection and
+    inverse iteration on them in a narrow window (_bisection_vectors), else
+    from _dense_svd(), which reduces that form without rounding (Demmel and
+    Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)) and runs the same
+    steps.  A ring with one diagonal entry and one bond takes its values from
+    the circulant rule.  Small values keep the relative digits that h can
+    lose.  product() applies h or h^T from the entries.
     """
 
     diagonal: np.ndarray
@@ -204,32 +221,57 @@ class Bidiagonal:
         return self.bc is BoundaryCondition.OPEN and 2.0**-459 <= largest <= 2.0**459
 
     def singular_values(self) -> np.ndarray:
-        """Singular values of h, descending: the program's one values-only SVD,
-        dqds on the entries (_on_entries) unless it is missing or fails, the
-        circulant rule on a uniform ring, else _dense_svd()."""
+        """Singular values of h, descending: the program's one values-only SVD.
+        An open block on one band of at least BAND_MIN_CELLS cells takes them
+        from its secular equation in O(N) (_band_values), another open one
+        from dqds on the entries (_on_entries) in O(N^2), a uniform ring from
+        the circulant rule in O(N); where a rule does not apply or a kernel is
+        missing or fails, the next one runs, and last _dense_svd()."""
+        if self.bc is BoundaryCondition.OPEN and len(self.diagonal) >= BAND_MIN_CELLS:
+            sigma = self._band_values()
+            if sigma is not None:
+                return sigma
         if _DQDS is not None and self._on_entries():
-            n = len(self.diagonal)
-            sigma, info = self.diagonal.copy(), ctypes.c_int64()
-            _DQDS(ctypes.c_int64(n), sigma, np.append(self.bonds, 0.0), np.empty(4 * n), info)
-            if info.value == 0:
+            sigma = self._dqds_values()
+            if sigma is not None:
                 return sigma
         if (self.bc is BoundaryCondition.PERIODIC and (self.diagonal == self.diagonal[0]).all()
                 and (self.bonds == self.bonds[0]).all()):
             return self._circulant_values()
         return self._dense_svd(compute_uv=False)
 
+    def _band_values(self) -> np.ndarray | None:
+        """The values of an open block on one band (band._BandChain) in O(N),
+        or None.  The block qualifies where (|d_j|, |e_j|) of every cell is
+        (p, q) or (q, p) for one p, q > 0, the cells switch between the two at
+        most once, and at most two single entries, all nonzero, lie off the
+        band; an entry within band._SAME of p or q counts as it.  It gives
+        None where its entries away from both ends form two clusters, where
+        two values or more lie off the band, and where a self-check fails:
+        then dqds runs."""
+        from .band import band_values  # compiled only once a block needs it
+
+        return band_values(self.diagonal, self.bonds)
+
+    def _dqds_values(self) -> np.ndarray | None:
+        """dqds (LAPACK dlasq1) on an open block's entries, or None where it fails."""
+        n = len(self.diagonal)
+        sigma, info = self.diagonal.copy(), ctypes.c_int64()
+        _DQDS(ctypes.c_int64(n), sigma, np.append(self.bonds, 0.0), np.empty(4 * n), info)
+        return sigma if info.value == 0 else None
+
     def _circulant_values(self) -> np.ndarray:
         """Singular values of a ring with one diagonal entry d and one bond e,
         descending.  h = d + e S with S the cyclic shift is circulant, so its
-        values are |d + e w^j|, w = exp(2 pi i / N): the hypotenuse of |d| - |e|
-        and 2 sqrt|de| sin(pi j / N) when de <= 0, or cos(pi j / N) when de > 0.
-        Each sine is taken of an angle in [0, pi/2], so small values keep their
+        values are |d + e w^j|, w = exp(2 pi i / N): _band_value of |d| and |e|
+        at the half-angle pi j / N when de <= 0, or pi/2 - pi j / N when
+        de > 0, each taken in [0, pi/2] so that small values keep their
         relative digits."""
         n, d, e = len(self.diagonal), float(self.diagonal[0]), float(self.bonds[0])
         j = np.arange(n)
         quarter_turns = np.abs(n - 2 * j) if (d > 0) == (e > 0) else 2 * np.minimum(j, n - j)
-        scale = 2.0 * math.sqrt(abs(d)) * math.sqrt(abs(e))
-        return -np.sort(-np.hypot(abs(d) - abs(e), scale * np.sin(0.5 * np.pi * quarter_turns / n)))
+        width = 2.0 * math.sqrt(abs(d)) * math.sqrt(abs(e))
+        return -np.sort(-_band_value(abs(d) - abs(e), width, 0.5 * np.pi * quarter_turns / n))
 
     def triplets(self, below: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """h's left vectors, singular values and right vectors (as columns) of

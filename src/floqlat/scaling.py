@@ -1,20 +1,20 @@
 """Finite-size sweeps of the spectral-difference metric and power-law fits.
 
 For each chain size N the quasienergies of the open (or domain-wall) driven
-chain are solved by dqds on its chiral blocks, the mapped static model is built
-with the matching boundary configuration on its reduced lattice, and the
-doubled static poles are matched to the quasienergies around the circle from
-the widest empty arc (compare_spectra).  Periodic chains reproduce the
-spectrum exactly; open boundaries leave a mismatch that shrinks like 1/N.
-The dimerized (ssh) and Wilson-Dirac (wd) targets share their static spectra,
-so the target (MapTarget) only labels a run: no solve takes it.
+chain are solved from its chiral blocks, each on one band, by their secular
+equation in O(N) (Bidiagonal.singular_values); the mapped static model, whose
+block lies on one band too, is built with the matching boundary configuration
+on its reduced lattice, and the doubled static poles are matched to the
+quasienergies around the circle from the widest empty arc (compare_spectra).
+Periodic chains reproduce the spectrum exactly; open boundaries leave a
+mismatch that shrinks like 1/N.  The dimerized (ssh) and Wilson-Dirac (wd)
+targets share their static spectra, so the target (MapTarget) only labels a
+run: no solve takes it.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,14 +25,6 @@ from .doubling import compare_spectra, double_poles, static_spectrum
 from .floquet import QUARTER_PI, analytic_pbc_spectrum, build_floquet, quasienergies
 from .models import BoundaryCondition, DriveParams
 from .walls import DomainWallProfile, build_floquet_wall, build_ssh_wall
-
-# run_scaling starts a helper thread only when the sizes after the largest hold
-# at least this much work, in cells^2 (the sum of their N^2).  Measured on 2
-# cores with one BLAS thread, sizes m, 2m, .., 5m (30 m^2 after the largest)
-# break even at m = 40 (48000) in both configs, and are about 12% faster with
-# the thread at m = 48 (69120), 15% at m = 52 and 35% at m = 100.
-THREAD_WORK = 60_000
-
 
 class ScalingConfig(enum.Enum):
     OBC = "obc"
@@ -125,63 +117,20 @@ def scaling_metric(config: ScalingConfig, eta: float, n_cells: int) -> float:
     return compare_spectra(floquet_spec.values, poles.values)
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _solve_sizes(config, eta, todo: list[int], results: dict) -> None:
-    """Pop sizes from todo (ascending, so largest first) until it is empty;
-    store scaling_metric at each, or the error it raised, in results[size]."""
-    while True:
-        try:
-            n = todo.pop()
-        except IndexError:
-            return
-        try:
-            results[n] = scaling_metric(config, eta, n)
-        except Exception as exc:
-            results[n] = exc
-
-
 def run_scaling(
     config: ScalingConfig, eta: float, target: MapTarget, sizes: Sequence[int]
 ) -> ScalingRun:
-    """Evaluate the spectral-difference metric over a list of sizes (in size order).
+    """Evaluate the spectral-difference metric over a list of sizes, one
+    after the other in size order; the first size that fails, the smallest,
+    raises, and the sizes after it are not solved.
 
     The target labels the run; a target that is not a MapTarget, a domain-wall
     sweep for any target but ssh, or one at eta < 0, is refused before any
     size is solved.
-
-    Most of the time goes to the dqds solves, which release the GIL.  So when
-    the process may use more than one CPU and the sizes after the largest hold
-    at least THREAD_WORK, a helper thread and the caller both pop sizes from
-    one shared list, largest first, until it is empty; otherwise every size
-    runs here.  Each size is solved alone, so the metrics do not depend on
-    which thread solved it.  Every size is solved even after one fails; then
-    the error of the smallest size that raised comes out, as in a loop over
-    the sizes in order.
     """
     _check_target(config, eta, target)
     sizes = _validate_sizes(sizes)
-    results: dict = {}
-    todo = list(sizes)
-    if sum(n * n for n in sizes[:-1]) >= THREAD_WORK and _usable_cpus() > 1:
-        helper = threading.Thread(target=_solve_sizes, args=(config, eta, todo, results))
-        helper.start()
-        try:
-            _solve_sizes(config, eta, todo, results)
-        finally:
-            todo.clear()  # after an interrupt here, the helper ends with its current size
-            helper.join()
-    else:
-        _solve_sizes(config, eta, todo, results)
-    for n in sizes:
-        if isinstance(results[n], Exception):
-            raise results[n]
-    metrics = tuple(results[n] for n in sizes)
+    metrics = tuple(scaling_metric(config, eta, n) for n in sizes)
     return ScalingRun(sizes=sizes, metric_values=metrics, config=config, eta=eta, target=target)
 
 

@@ -234,9 +234,12 @@ def _select_bound_state(
     wall is fitted, and its energy is the value it takes by localized_modes'
     rule, whatever the eigenbasis and its phases.
     """
-    if values.size == 0:
-        raise ValidationError(f"no eigenstate within {energy_window} of the mode energy")
     n_sites = states.shape[0] // components_per_site
+    if values.size == 0:
+        raise ValidationError(
+            f"no eigenstate within {energy_window} of the mode energy on the chain of {n_sites} "
+            "sites: the wall mode may be longer than the chain"
+        )
     taken, localized = localized_modes(values, states, components_per_site)
     weights = np.abs(localized) ** 2
     weights = weights.reshape(n_sites, components_per_site, -1).sum(axis=1)

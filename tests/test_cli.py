@@ -403,6 +403,17 @@ def test_domainwall_floquet_without_midgap_state_exits_2(tmp_path, capsys, cells
     assert not out.exists()
 
 
+def test_a_wall_mode_longer_than_the_chain_is_refused_by_name(tmp_path, capsys):
+    # at eta = -1e-3 the mode decays over ~1/|eta| cells, past 400 of them
+    out = tmp_path / "x.csv"
+    code = main(["domainwall", "--model", "ssh", "--eta=-1e-3", "--cells", "400", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: no eigenstate within 0.0009999993333334666 of the mode energy on the chain "
+        "of 800 sites: the wall mode may be longer than the chain\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["floquet", "ssh", "wd"])
 def test_domainwall_zero_detuning_exits_2(tmp_path, capsys, model):
     out = tmp_path / "x.csv"
@@ -418,7 +429,7 @@ def test_domainwall_zero_detuning_exits_2(tmp_path, capsys, model):
 
 def test_estimate_is_one_linear_rule_for_every_subcommand():
     # no N x N array on any subcommand's path: 1000 bytes a cell (scaling is
-    # charged its two largest sizes in test_scaling_is_charged_two_sizes)
+    # charged its largest size in test_scaling_is_charged_its_largest_size)
     assert dense_bytes(10**4) == 1000 * 10**4 < MAX_DENSE_BYTES
     assert dense_bytes(2 * 10**4) == 2 * dense_bytes(10**4)
     assert dense_bytes(2147483) <= MAX_DENSE_BYTES < dense_bytes(2147484)
@@ -433,14 +444,14 @@ def test_estimate_is_one_linear_rule_for_every_subcommand():
             cli._check_dense_bytes(args)
 
 
-def test_scaling_is_charged_two_sizes():
-    # the caller and a helper thread may each hold one size of the sweep
+def test_scaling_is_charged_its_largest_size():
+    # the sizes are solved one at a time, so only the largest is held
     args = cli.build_parser().parse_args(
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
-         "--sizes", "100,200,1000000,1100000", "--out", "x.csv"])
+         "--sizes", "100,200,1000000,2000000", "--out", "x.csv"])
     cli._check_dense_bytes(args)
-    args.sizes = "100,200,1000000,1200000"  # each size alone is below 2 GiB
-    with pytest.raises(ValidationError, match="scaling at N = 1000000 and 1200000 needs about 2.0 GiB"):
+    args.sizes = "100,200,1000000,2200000"
+    with pytest.raises(ValidationError, match="scaling at N = 2200000 needs about 2.0 GiB"):
         cli._check_dense_bytes(args)
 
 
@@ -495,9 +506,9 @@ def _refuse_every_run(monkeypatch):
         ["domainwall", "--eta", "0.3", "--cells", "10000000", "--model", "wd"],
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
          "--sizes", "100,200,300,10000000"],
-        # the two largest sizes are charged together: 2.2 GB
+        # the largest size is charged: 2.2 GB
         ["scaling", "--config", "obc", "--eta", "0.3", "--target", "ssh",
-         "--sizes", "100,200,1100000,1100004"],
+         "--sizes", "100,200,1100000,2200000"],
     ],
 )
 def test_oversized_runs_exit_2_before_allocating(tmp_path, capsys, monkeypatch, argv):

@@ -29,7 +29,7 @@ from floqlat import (
     wd_dispersion,
     wd_momentum_grid,
 )
-from floqlat import models
+from floqlat import band, models
 from floqlat.floquet import localizing_rotation
 from floqlat.models import Bidiagonal, bond_count
 from floqlat.walls import h1_step_profile
@@ -501,10 +501,12 @@ def test_dqds_kernel_resolves_on_ilp64_openblas():
 needs_dqds = pytest.mark.skipif(models._DQDS is None, reason="this numpy exports no dlasq1")
 
 
-def _solve_without_dqds(block: Bidiagonal) -> np.ndarray:
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(models, "_DQDS", None)
-        return block.singular_values()
+def _dqds_or_dense(block: Bidiagonal) -> np.ndarray:
+    """The values dqds gives an open block on its entries, or where it does
+    not apply or fails, the dense SVD's: singular_values() without its band
+    route, which takes some of these blocks."""
+    sigma = block._dqds_values() if block._on_entries() else None
+    return block._dense_svd(compute_uv=False) if sigma is None else sigma
 
 
 @needs_dqds
@@ -523,7 +525,7 @@ def test_dqds_gives_the_dense_svds_values_bit_for_bit(n_cells, data):
     diagonal = data.draw(st.lists(entries, min_size=n_cells, max_size=n_cells))
     bonds = data.draw(st.lists(entries, min_size=n_cells - 1, max_size=n_cells - 1))
     block = Bidiagonal(diagonal, bonds, OBC)
-    np.testing.assert_array_equal(block.singular_values(), _solve_without_dqds(block))
+    np.testing.assert_array_equal(_dqds_or_dense(block), block._dense_svd(compute_uv=False))
 
 
 def test_a_failed_dqds_run_falls_back_to_the_dense_svd(monkeypatch):
@@ -540,6 +542,94 @@ def test_a_failed_dqds_run_falls_back_to_the_dense_svd(monkeypatch):
         block.singular_values(), np.linalg.svd(block.dense().T, compute_uv=False)
     )
     assert runs == [40]
+
+
+def _band_cells(eta: float, n_cells: int, wall: int | None, equal: bool):
+    """Entries of an open block of (v, u) cells at eta, (u, v) from cell
+    `wall` on; with `equal` both are sqrt(u v), the c^T block of a drive."""
+    u = 0.5 * (1.0 + math.sin(2.0 * eta))
+    v = 1.0 - u
+    if equal:
+        u = v = math.sqrt(u * v)
+    diagonal, bonds = np.full(n_cells, v), np.full(n_cells - 1, u)
+    if wall is not None:
+        diagonal[wall:], bonds[wall:] = u, v
+    return diagonal, bonds, u, v
+
+
+@needs_dqds
+@settings(max_examples=150, deadline=None)
+@given(
+    n_cells=st.integers(8, 600),
+    eta=st.floats(-0.78, 0.78),
+    shape=st.sampled_from(["uniform", "corners", "wall"]),
+    equal=st.booleans(),
+    data=st.data(),
+)
+def test_band_blocks_match_dqds(n_cells, eta, shape, equal, data):
+    # uniform blocks, one or two corners, mirrored walls with up to two
+    # entries off the band, p near q; the route may give way to dqds, but
+    # what it returns must agree with it
+    wall = data.draw(st.integers(1, n_cells - 2)) if shape == "wall" else None
+    diagonal, bonds, u, v = _band_cells(eta, n_cells, wall, equal)
+    entries = np.empty(2 * n_cells - 1)
+    entries[0::2], entries[1::2] = diagonal, bonds
+    off_values = st.sampled_from([math.sqrt(u), math.sqrt(v), math.sqrt(u * v), 2.0 * u, 0.5 * v])
+    places = ([0, len(entries) - 1] if shape == "corners"
+              else [0, 2 * wall - 1, 2 * wall, 2 * wall + 1, len(entries) - 1] if wall else [])
+    for place in data.draw(st.lists(st.sampled_from(places), max_size=2, unique=True)) if places else []:
+        entries[place] = data.draw(off_values)
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(entries), max_size=len(entries)))
+    entries *= signs
+    block = Bidiagonal(entries[0::2], entries[1::2], OBC)
+    sigma, reference = block._band_values(), block._dqds_values()
+    assume(reference is not None)
+    if sigma is not None:
+        assert len(sigma) == n_cells
+        assert np.abs(sigma - reference).max() <= 1e-13
+        small = (reference < 1e-8) & (reference >= np.finfo(float).tiny)
+        assert (np.abs(sigma - reference)[small] <= 1e-12 * reference[small]).all()
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.3, -0.3, 0.6])
+@pytest.mark.parametrize("n_cells", [8, 51, 250])
+def test_sweep_shaped_blocks_take_the_band_route(eta, n_cells):
+    # uniform cells, a corner sqrt(v) first, the mirrored wall of (u, v)
+    # then (v, u) cells, and (v, u) then (u, v) cells with the corner and
+    # an entry sqrt(u v) at the wall: the kinds of block of the criterion-6
+    # sweep, whose walls bind one state
+    diagonal, bonds, u, v = _band_cells(eta, n_cells, None, False)
+    blocks = [Bidiagonal(diagonal, bonds, OBC)]
+    diagonal[0] = math.sqrt(v)
+    blocks.append(Bidiagonal(diagonal, bonds, OBC))
+    blocks.append(Bidiagonal(*_band_cells(-abs(eta), n_cells, n_cells // 2, False)[:2], OBC))
+    diagonal, bonds, u, v = _band_cells(abs(eta), n_cells, n_cells // 2, False)
+    diagonal[0], diagonal[n_cells // 2] = math.sqrt(v), math.sqrt(u * v)
+    blocks.append(Bidiagonal(diagonal, bonds, OBC))
+    for block in blocks:
+        sigma = block._band_values()
+        assert sigma is not None
+        assert np.abs(sigma - block._dense_svd(compute_uv=False)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat"])
+def test_a_lost_or_repeated_root_falls_back_to_dqds(monkeypatch, fault):
+    # the band route must find N distinct values whose squares sum to |h|_F^2
+    block = build_ssh(SSHParams(u=0.7, v=0.3, n_cells=models.BAND_MIN_CELLS + 24, bc=OBC)).block
+    n_cells = len(block.diagonal)
+    assert block._band_values() is not None
+    band_value = band._band_value
+
+    def faulty(p, q, half):
+        values = band_value(p, q, half)
+        return np.delete(values, 7) if fault == "drop" else np.insert(values[:-1], 7, values[7])
+
+    runs, dqds = [], models._DQDS
+    monkeypatch.setattr(band, "_band_value", faulty)
+    monkeypatch.setattr(models, "_DQDS", lambda n, *args: runs.append(n.value) or dqds(n, *args))
+    assert block._band_values() is None
+    np.testing.assert_array_equal(block.singular_values(), block._dqds_values())
+    assert runs == [n_cells, n_cells]
 
 
 def test_uniform_rings_take_the_circulant_rule(monkeypatch):

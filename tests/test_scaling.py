@@ -1,6 +1,3 @@
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -22,7 +19,7 @@ from floqlat import (
     run_scaling,
     scaling_metric,
 )
-from floqlat import scaling
+from floqlat import models, scaling
 
 PI = np.pi
 
@@ -105,20 +102,20 @@ def test_run_validates_sizes():
             synthetic_run(sizes, metrics)
 
 
-def test_wall_sweep_is_ssh_only(two_cpus, metric_threads):
-    # refused before any size is solved or the helper thread starts
+def test_wall_sweep_is_ssh_only(metric_calls):
+    # refused before any size is solved
     with pytest.raises(ValidationError, match="defined for the ssh target"):
-        run_scaling(ScalingConfig.DOMAIN_WALL, PI / 8, MapTarget.WD, ABOVE)
-    assert metric_threads == {None: []}
+        run_scaling(ScalingConfig.DOMAIN_WALL, PI / 8, MapTarget.WD, SIZES)
+    assert metric_calls == []
 
 
 @pytest.mark.parametrize("eta", [-0.01, -0.3])
-def test_wall_sweep_refuses_a_negative_eta(eta, two_cpus, metric_threads):
+def test_wall_sweep_refuses_a_negative_eta(eta, metric_calls):
     # refused before any size is solved: the static wall's bound state would
     # lie outside |E| <= 1, where the doubled poles are real
     with pytest.raises(ValidationError, match=f"needs a non-negative eta, got {eta:g}$"):
-        run_scaling(ScalingConfig.DOMAIN_WALL, eta, MapTarget.SSH, ABOVE)
-    assert metric_threads == {None: []}
+        run_scaling(ScalingConfig.DOMAIN_WALL, eta, MapTarget.SSH, SIZES)
+    assert metric_calls == []
 
 
 def test_wall_sweep_admits_eta_zero():
@@ -127,11 +124,11 @@ def test_wall_sweep_admits_eta_zero():
 
 
 @pytest.mark.parametrize("target", ["bogus", "ssh", None])
-def test_run_rejects_a_non_target(target, two_cpus, metric_threads):
+def test_run_rejects_a_non_target(target, metric_calls):
     # the target only labels the run, but the label must be a MapTarget
     with pytest.raises(ValidationError, match="target must be a MapTarget"):
-        run_scaling(ScalingConfig.OBC, PI / 8, target, ABOVE)
-    assert metric_threads == {None: []}
+        run_scaling(ScalingConfig.OBC, PI / 8, target, SIZES)
+    assert metric_calls == []
 
 
 @pytest.mark.parametrize("eta", [PI / 8, -PI / 8])
@@ -182,153 +179,33 @@ def test_open_targets_share_one_block(eta, n_cells):
     assert np.abs(chain.eigenvalues() - mapped).max() <= 1e-14
 
 
-# ---------------------------------------------------------------- helper thread
+# ---------------------------------------------------------------- one size at a time
 
-ABOVE = (100, 200, 300, 400, 500)  # 300000 cells^2 after the largest: threaded
-BELOW = (40, 80, 120, 160, 200)  # 48000 cells^2 after the largest: in place
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """run_scaling sees two usable CPUs, so the helper thread starts whatever
-    the machine has."""
-    monkeypatch.setattr(scaling, "_usable_cpus", lambda: 2)
+SIZES = (100, 200, 300, 400, 500)
 
 
 @pytest.fixture
-def metric_threads(monkeypatch):
-    """size -> the thread that ran scaling_metric at it (the metric is N), and
-    under None the threads started."""
-    ran = {None: []}
+def metric_calls(monkeypatch):
+    """The sizes scaling_metric runs at, in order; the metric is N."""
+    calls = []
 
     def spy(config, eta, n):
-        assert n not in ran, f"size {n} ran twice"
-        ran[n] = threading.current_thread()
+        calls.append(n)
         return float(n)
 
-    start = threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start", lambda self: ran[None].append(self) or start(self))
     monkeypatch.setattr(scaling, "scaling_metric", spy)
-    return ran
+    return calls
 
 
-@pytest.mark.parametrize("config", [ScalingConfig.OBC, ScalingConfig.DOMAIN_WALL])
-@pytest.mark.parametrize("sizes", [ABOVE, BELOW])
-def test_threaded_sweeps_give_the_sequential_metrics_bit_for_bit(config, sizes, two_cpus):
-    run = run_scaling(config, PI / 8, MapTarget.SSH, sizes)
-    assert run.sizes == sizes
-    assert run.metric_values == tuple(scaling_metric(config, PI / 8, n) for n in sizes)
-
-
-def test_each_thread_takes_its_sizes_largest_first(two_cpus, metric_threads):
-    # the spy refuses a size that runs twice
-    run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
-    assert run.metric_values == tuple(map(float, ABOVE))
-    (helper,) = metric_threads.pop(None)
-    assert sorted(metric_threads) == list(ABOVE)
-    for thread in (helper, threading.current_thread()):
-        taken = [n for n, t in metric_threads.items() if t is thread]
-        assert taken == sorted(taken, reverse=True)
-    assert not helper.is_alive()
-
-
-@pytest.fixture
-def stalled_helper(monkeypatch, metric_threads):
-    """metric_threads, where the caller solves once the helper holds a size
-    and the helper's solve lasts until the caller joins it."""
-    taken, joined = threading.Event(), threading.Event()
-    join = threading.Thread.join
-    monkeypatch.setattr(threading.Thread, "join", lambda self, *a, **k: joined.set() or join(self, *a, **k))
-    spy, caller = scaling.scaling_metric, threading.current_thread()
-
-    def stalled(config, eta, n):
-        if threading.current_thread() is caller:
-            assert taken.wait(timeout=30)
-        else:
-            taken.set()
-            assert joined.wait(timeout=30)
-        return spy(config, eta, n)
-
-    monkeypatch.setattr(scaling, "scaling_metric", stalled)
-    return metric_threads
-
-
-def test_a_stalled_helper_holds_one_size(two_cpus, stalled_helper):
-    # by the join the caller must have taken every other size from the list
-    run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
-    assert run.metric_values == tuple(map(float, ABOVE))
-    (helper,) = stalled_helper.pop(None)
-    assert sorted(stalled_helper) == list(ABOVE)
-    assert sum(t is helper for t in stalled_helper.values()) == 1
-
-
-def test_an_interrupt_leaves_the_helper_its_one_size(monkeypatch, two_cpus, stalled_helper):
-    # the caller is interrupted at its first size; the helper ends with the
-    # size it holds instead of solving the rest of the list
-    stalled, caller = scaling.scaling_metric, threading.current_thread()
-
-    def interrupted(config, eta, n):
-        value = stalled(config, eta, n)
-        if threading.current_thread() is caller:
-            raise KeyboardInterrupt
-        return value
-
-    monkeypatch.setattr(scaling, "scaling_metric", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
-    (helper,) = stalled_helper.pop(None)
-    assert sorted(t is helper for t in stalled_helper.values()) == [False, True]
-
-
-def test_concurrent_sweeps_solve_each_size_once(monkeypatch, two_cpus):
-    # three sweeps at once, six threads on two CPUs, switching every
-    # microsecond: a size popped twice or lost would show in the calls
-    sizes, etas = tuple(range(8, 808, 4)), (0.1, 0.2, 0.3)
-    calls, runs = [], {}
-    monkeypatch.setattr(scaling, "scaling_metric", lambda config, eta, n: calls.append((eta, n)) or eta + n)
-
-    def sweep(eta):
-        runs[eta] = run_scaling(ScalingConfig.OBC, eta, MapTarget.SSH, sizes)
-
-    threads = [threading.Thread(target=sweep, args=(eta,)) for eta in etas]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for eta in etas:
-        assert sorted(n for e, n in calls if e == eta) == list(sizes)
-        assert runs[eta].metric_values == tuple(eta + n for n in sizes)
-
-
-def test_the_sizes_after_the_largest_start_the_helper(two_cpus, metric_threads):
-    # 69120 cells^2 after the largest; split into lanes, the lighter held 59904
-    run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, (48, 96, 144, 192, 240))
-    assert len(metric_threads.pop(None)) == 1
-
-
-def test_light_sweeps_run_in_place(two_cpus, metric_threads):
-    run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, BELOW)
-    assert metric_threads.pop(None) == []
-    assert set(metric_threads.values()) == {threading.current_thread()}
-
-
-def test_one_usable_cpu_runs_in_place(monkeypatch, metric_threads):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
-    assert metric_threads.pop(None) == []
-    assert set(metric_threads.values()) == {threading.current_thread()}
+def test_sweeps_solve_their_sizes_in_order(metric_calls):
+    run = run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, SIZES)
+    assert metric_calls == list(SIZES)
+    assert run.metric_values == tuple(map(float, SIZES))
 
 
 @pytest.mark.parametrize("failing, raised", [((300, 500), 300), ((100, 400), 100)])
-def test_the_smallest_failing_size_raises_across_threads(monkeypatch, two_cpus, failing, raised):
-    # every size is solved although some fail, whichever thread takes it; an
-    # error left unhandled in the helper would be a warning, here an error
+def test_the_smallest_failing_size_raises(monkeypatch, failing, raised):
+    # the sizes after the first that fails are not solved
     ran = []
 
     def metric(config, eta, n):
@@ -339,5 +216,27 @@ def test_the_smallest_failing_size_raises_across_threads(monkeypatch, two_cpus, 
 
     monkeypatch.setattr(scaling, "scaling_metric", metric)
     with pytest.raises(ValidationError, match=f"^size {raised}$"):
-        run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, ABOVE)
-    assert sorted(ran) == list(ABOVE)
+        run_scaling(ScalingConfig.OBC, PI / 8, MapTarget.SSH, SIZES)
+    assert ran == [n for n in SIZES if n <= raised]
+
+
+@pytest.mark.parametrize("config", [ScalingConfig.OBC, ScalingConfig.DOMAIN_WALL])
+@pytest.mark.parametrize("eta", [0.25, PI / 8, 0.5])
+def test_sweeps_take_every_block_from_its_band(monkeypatch, config, eta):
+    # every block of the criterion-6 sweep lies on one band: from N = 200, past
+    # BAND_MIN_CELLS cells per block, no dqds and no dense SVD, and the
+    # metrics of the dqds solves to 1e-12
+    sizes = (200, 300, 400, 500)
+    assert sizes[0] // 2 >= models.BAND_MIN_CELLS
+    dqds, svd = models._DQDS, np.linalg.svd
+    if dqds is None:
+        pytest.skip("this numpy exports no dlasq1")
+    run = run_scaling(config, eta, MapTarget.SSH, sizes)
+    monkeypatch.setattr(models, "_DQDS", lambda *args: pytest.fail("dqds ran"))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("np.linalg.svd ran"))
+    assert run_scaling(config, eta, MapTarget.SSH, sizes).metric_values == run.metric_values
+    monkeypatch.setattr(models, "_DQDS", dqds)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(models.Bidiagonal, "_band_values", lambda block: None)
+    reference = run_scaling(config, eta, MapTarget.SSH, sizes).metric_values
+    assert max(abs(a - b) for a, b in zip(run.metric_values, reference)) <= 1e-12

@@ -203,13 +203,21 @@ def _sector_coupling(drive):
 @pytest.fixture
 def svd_calls(monkeypatch):
     """(shape, whether singular vectors were asked for) of the np.linalg.svd
-    calls made while the test runs, (shape, "dqds") of the values-only solves
-    that run dqds on an open block's entries, and (shape, "dstebz") and
-    (shape, "dstein") of the bisection and inverse iteration on their
-    Golub-Kahan tridiagonal, the block's shape in each."""
+    calls made while the test runs, (shape, "band") of the values-only solves
+    that take an open block on one band from its secular equation, (shape,
+    "dqds") of those that run dqds on an open block's entries, and (shape,
+    "dstebz") and (shape, "dstein") of the bisection and inverse iteration
+    on their Golub-Kahan tridiagonal, the block's shape in each."""
     calls = []
     svd, dqds = np.linalg.svd, models._DQDS
     stebz, stein = models._STEBZ, models._STEIN
+    band = Bidiagonal._band_values
+
+    def counting_band(block):
+        sigma = band(block)
+        if sigma is not None:
+            calls.append(((len(sigma),) * 2, "band"))
+        return sigma
 
     def counting_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((matrix.shape, compute_uv))
@@ -228,6 +236,7 @@ def svd_calls(monkeypatch):
         return stein(n, *args)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(Bidiagonal, "_band_values", counting_band)
     for name, kernel, counting in (("_DQDS", dqds, counting_dqds), ("_STEBZ", stebz, counting_stebz),
                                    ("_STEIN", stein, counting_stein)):
         if kernel is not None:
@@ -235,11 +244,29 @@ def svd_calls(monkeypatch):
     return calls
 
 
-def values_only(bc):
-    """How svd_calls marks a values-only solve of a block with this boundary
-    condition: dqds where the kernel resolves and the block is open, else
-    np.linalg.svd without vectors."""
+_BAND_VALUES = Bidiagonal._band_values  # unpatched by svd_calls
+
+
+def values_only(block):
+    """How svd_calls marks the values-only solve of a block, or of a block
+    with this boundary condition that lies on no band: the band route for an
+    open block on one band of BAND_MIN_CELLS cells or more, dqds where the
+    kernel resolves and the block is open, else np.linalg.svd without
+    vectors."""
+    bc = block if isinstance(block, BoundaryCondition) else block.bc
+    if (bc is OBC and not isinstance(block, BoundaryCondition)
+            and len(block.diagonal) >= models.BAND_MIN_CELLS and _BAND_VALUES(block) is not None):
+        return "band"
     return "dqds" if bc is OBC and models._DQDS is not None else False
+
+
+def spectrum_blocks(drive):
+    """The blocks quasienergies(drive) solves, in order: c^T and a of the
+    half-size drive on a pi-paired drive (U^2 swaps them), else a and c^T."""
+    if is_pi_paired(drive.params):
+        half0, half1, _ = floquet._squared_drive(drive)
+        return floquet._chiral_entries(half0, half1, drive.params.bc, partners=False)[::-1]
+    return floquet._chiral_entries(*floquet._drive_phases(drive), drive.params.bc, partners=False)
 
 
 def bisects(size, k):
@@ -249,22 +276,24 @@ def bisects(size, k):
     return kernels and 0 < k <= size // models.BISECTION_CELLS_PER_VALUE
 
 
-def with_vectors(size, bc, k):
+def with_vectors(size, block, k):
     """The svd_calls records of one Bidiagonal.triplets call on a size x size
-    block with k values in its window.  On an open block: the values-only
-    solve whose values it keeps, then for k > 0 either bisection and inverse
+    block (or one with this boundary condition on no band) with k values in
+    its window.  On an open block: the values-only solve whose values it
+    keeps (values_only), then for k > 0 either bisection and inverse
     iteration, the thin SVDs of the two halves of their 2k vectors and the
     k x k Rayleigh-Ritz SVD, or the dense SVD with vectors, which is all a
     ring takes."""
     shape = (size,) * 2
+    bc = block if isinstance(block, BoundaryCondition) else block.bc
     if bc is not OBC:
         return [(shape, True)]
     if k == 0:
-        return [(shape, values_only(bc))]
+        return [(shape, values_only(block))]
     if bisects(size, k):
         halves = [((size, 2 * k), True)] * 2
-        return [(shape, values_only(bc)), (shape, "dstebz"), (shape, "dstein"), *halves, ((k, k), True)]
-    return [(shape, values_only(bc)), (shape, True)]
+        return [(shape, values_only(block)), (shape, "dstebz"), (shape, "dstein"), *halves, ((k, k), True)]
+    return [(shape, values_only(block)), (shape, True)]
 
 
 def kept_pairs(drive, window):
@@ -313,7 +342,8 @@ def test_pi_paired_drives_need_two_half_size_svds(drive, svd_size, svd_calls):
     fast = quasienergies(drive).values
     # a 1-cell ring is uniform: the circulant rule solves it with no SVD
     uniform_ring = drive.params.bc is PBC and svd_size == 1
-    assert svd_calls == ([] if uniform_ring else [((svd_size,) * 2, values_only(drive.params.bc))] * 2)
+    solves = [((svd_size,) * 2, values_only(block)) for block in spectrum_blocks(drive)]
+    assert svd_calls == ([] if uniform_ring else solves)
     assert compare_spectra(fast, dense_quasienergies(dense_matrix(drive)).values) < ORACLE_TOL
 
 
@@ -328,7 +358,8 @@ def test_pi_paired_drives_need_two_half_size_svds(drive, svd_size, svd_calls):
 )
 def test_phase_counts_need_singular_values_only(params, svd_size, svd_calls):
     classify_phase(params)
-    assert svd_calls == [((svd_size,) * 2, values_only(OBC))] * 2
+    drive = build_floquet(dataclasses.replace(params, bc=OBC))
+    assert svd_calls == [((svd_size,) * 2, values_only(block)) for block in spectrum_blocks(drive)]
 
 
 PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(eta, -eta), n_cells)
@@ -339,12 +370,14 @@ PAIRED_WALLS = [build_floquet_wall(DomainWallProfile(eta, -eta), n_cells)
 def test_pi_paired_modes_need_one_half_size_svd(drive, svd_calls):
     n_cells = drive.params.n_cells
     (k, _), (k_uniform, _) = kept_pairs(drive, 0.05), kept_pairs(build_floquet(drive.params), 0.05)
+    # the triplets of the half-size drive's block a
+    (_, a), (_, a_uniform) = spectrum_blocks(drive), spectrum_blocks(build_floquet(drive.params))
     svd_calls.clear()
     floquet_bound_states(drive, n_cells, 0.05)
-    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC, k)
+    assert svd_calls == with_vectors((n_cells + 1) // 2, a, k)
     svd_calls.clear()
     find_edge_modes(drive.params)
-    assert svd_calls == with_vectors((n_cells + 1) // 2, OBC, k_uniform)
+    assert svd_calls == with_vectors((n_cells + 1) // 2, a_uniform, k_uniform)
 
 
 @pytest.mark.parametrize("offset", [1e-9, 0.5 * LINE_ATOL])  # near the line is not on it
@@ -574,6 +607,7 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     svd, dqds = np.linalg.svd, models._DQDS
     stebz, stein = models._STEBZ, models._STEIN
     singular_values, triplets = Bidiagonal.singular_values, Bidiagonal.triplets
+    band = Bidiagonal._band_values
 
     def recording_svd(matrix, full_matrices=True, compute_uv=True, **kwargs):
         # the thin and Rayleigh-Ritz SVDs of bisection's vectors are not a block's
@@ -609,6 +643,13 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
         solved.append(block.dense().T)
         return singular_values(block)
 
+    def recording_band(block):
+        # the band route reads |d_j| and |e_j|, which h and h^T share
+        sigma = band(block)
+        if sigma is not None:
+            calls.append((solved[-1], "band"))
+        return sigma
+
     def recording_triplets(block, below):
         solved_with_vectors.append(block.dense().T)
         found = triplets(block, below)
@@ -618,6 +659,7 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(Bidiagonal, "singular_values", recording_singular_values)
     monkeypatch.setattr(Bidiagonal, "triplets", recording_triplets)
+    monkeypatch.setattr(Bidiagonal, "_band_values", recording_band)
     if dqds is not None:
         monkeypatch.setattr(models, "_DQDS", recording_dqds)
     if stebz is not None and stein is not None:
@@ -654,8 +696,9 @@ def test_every_svd_takes_an_upper_bidiagonal_block(monkeypatch):
     with_values = sum(k > 0 for k in kept)
     assert routes.count(True) + routes.count("dstein") == with_values
     # each open block's triplets keep the values of its values-only solve
-    assert routes.count(values_only(OBC)) == 2 * len(drives) + len(chains) + vector_solves
-    assert routes.count(values_only(OBC)) == len(solved)
+    values_only_solves = routes.count(values_only(OBC)) + routes.count("band")
+    assert values_only_solves == 2 * len(drives) + len(chains) + vector_solves
+    assert values_only_solves == len(solved)
     assert len(routes) == len(solved) + with_values + routes.count("dstebz")
     for block, _ in calls:
         assert block.shape[0] > 1 and np.count_nonzero(np.diag(block, 1))
