@@ -13,6 +13,7 @@ import functools
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .models import _band_value
 
@@ -80,29 +81,28 @@ def _band_chain(diagonal: np.ndarray, bonds: np.ndarray):
     return None
 
 
-def _poly_add(a: list, b: list) -> list:
-    """a + b, polynomials as coefficient lists from the constant up."""
-    return [x + y for x, y in zip(a + [0.0] * (len(b) - len(a)), b + [0.0] * (len(a) - len(b)))]
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0.0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_deriv(a: list) -> list:
-    return [i * x for i, x in enumerate(a)][1:] or [0.0]
-
-
 def _poly_at(a: list, t: np.ndarray):
-    """a at t by Horner's rule; a constant stays a float."""
+    """a (floats from the constant up) at t by Horner's rule; a constant stays a float."""
     out = a[-1]
     for x in a[-2::-1]:
         out = out * t + x
     return out
+
+
+def _with_deriv(a: np.ndarray) -> tuple:
+    """A polynomial and its derivative, as coefficient lists for _poly_at."""
+    return a.tolist(), P.polyder(a).tolist()
+
+
+def _complex(parts: tuple, t: np.ndarray, sin: np.ndarray):
+    """R(t) + i sin(psi) I(t) and its derivative in psi, as real parts, from
+    parts = ((R, R'), (I, I')) (_with_deriv); an I' of zero adds nothing."""
+    (re, dre), (im, dim) = parts
+    im_t = _poly_at(im, t)
+    dim_t = (1.0 - t) * im_t
+    if any(dim):
+        dim_t = dim_t + (t * (2.0 - t)) * _poly_at(dim, t)
+    return _poly_at(re, t), sin * im_t, sin * _poly_at(dre, t), dim_t
 
 
 class _BandChain:
@@ -143,13 +143,15 @@ class _BandChain:
 
     def __init__(self, chain, p, q, on_p, on_q, off, switch, shift):
         self.p, self.q, self.n, self.shift = p, q, (len(chain) + 1) // 2, shift
-        self.chain, self.on_p, self.on_q, self.off = chain, on_p, on_q, off
+        self.chain, self.off = chain, off
         sites = len(chain) + 1
-        # site k sits between bonds k - 1 and k; bond j is entry j - 1, and
-        # the bonds 0 and 2N past the ends are free (x_0 = x_(2N+1) = 0):
-        # the partners of the end entries, where those are on the band
-        self.first = q if on_p[0] else p
-        self.last = q if on_p[-1] else p
+        # site k sits between bonds k - 1 and k, and bond j is entry j of the
+        # chain padded with the free bonds 0 and 2N past the ends (x_0 =
+        # x_(2N+1) = 0): the partners of the end entries, where those are on the band
+        first, last = q if on_p[0] else p, q if on_p[-1] else p
+        self.bond = np.concatenate([[first], chain, [last]])
+        self.bond_p = np.concatenate([[first == p], on_p, [last == p]])
+        self.bond_q = np.concatenate([[first == q], on_q, [last == q]])
         clusters = []
         for k in sorted({k for j in off for k in (j + 1, j + 2)} | {j + 2 for j in switch}):
             if clusters and clusters[-1][1] == k - 1:
@@ -167,34 +169,18 @@ class _BandChain:
         self.ends = _band_ends(p, q, tuple(self._bonds(0, left + 1)) if left else (),
                                tuple(self._bonds(right - 1, sites + 1)[::-1]) if right <= sites else (),
                                tuple(self._bonds(a, c + 1)))
-        count = np.cumsum(on_p)
-
-        def p_bonds(lo, hi):
-            """How many of bonds lo .. hi - 1 are p."""
-            first, last = max(lo, 1) - 1, min(hi, sites) - 1   # their entries
-            inside = int(count[last - 1]) - (int(count[first - 1]) if first > 0 else 0) if last > first else 0
-            return inside + (lo <= 0 < hi and self.first == p) + (lo <= sites < hi and self.last == p)
-
         # each run as its whole quarter turns and the factors of a_p and psi
         # (_BandEnds.basis): n_p A_p + n_q A_q = whole - (n_p - n_q) a_p - n_q psi
         self.turns = (0, 2) if p > q else (2, 0) if p < q else (1, 1)
         self.runs = []
         for lo, hi in ((left, a), (c + 1, right)):
-            n_p = p_bonds(lo, hi)
+            n_p = int(np.count_nonzero(self.bond_p[lo:hi]))
             n_q = hi - lo - n_p
             self.runs.append((n_p * self.turns[0] + n_q * self.turns[1], n_p - n_q, n_q))
 
     def _bonds(self, lo: int, hi: int) -> list:
         """The bonds lo .. hi - 1, p or q where they are on the band."""
-        out = []
-        for j in range(lo, hi):
-            if j == 0:
-                out.append(self.first)
-            elif j == len(self.chain) + 1:
-                out.append(self.last)
-            else:
-                out.append(self.p if self.on_p[j - 1] else self.q if self.on_q[j - 1] else float(self.chain[j - 1]))
-        return out
+        return [self.p if self.bond_p[j] else self.q if self.bond_q[j] else float(self.bond[j]) for j in range(lo, hi)]
 
     def _families(self, psi: np.ndarray, lift: np.ndarray | None):
         """X as (quarter turns, remainder), Z (None without a wall), their
@@ -309,7 +295,7 @@ class _BandChain:
             return None
         if off_band:
             # log |det h|: the diagonal's entries on p and on q, and those off it
-            on_p, on_q = np.count_nonzero(self.on_p[0::2]), np.count_nonzero(self.on_q[0::2] & ~self.on_p[0::2])
+            on_p, on_q = np.count_nonzero(self.bond_p[1::2]), np.count_nonzero(self.bond_q[1::2] & ~self.bond_p[1::2])
             log_det = math.fsum([on_p * math.log(self.p), on_q * math.log(self.q)]
                                 + [math.log(self.chain[j]) for j in self.off if j % 2 == 0])
             out = math.exp(log_det - math.fsum(np.log(sigma).tolist()))
@@ -352,20 +338,18 @@ class _BandEnds:
 
     def _cluster(self, bonds: list) -> tuple:
         """The phase at the last site of a free end's cluster of k sites,
-        theta = atan2(Y(t), sin(psi) Q(t)), as Y, Y', Q, Q' and the pairs of
-        polynomials whose product is negative at each node: from x_0 = 0 and
-        x_1 = 1, with lam cos A_b and lam sin A_b on the last bond b."""
-        prev, cur, nodes = [0.0], [1.0], []
+        theta = atan2(Y(t), sin(psi) X(t)), as the pair (Y, X) of _complex and
+        the pairs of polynomials whose product is negative at each node: from
+        x_0 = 0 and x_1 = 1, with lam cos A_b and lam sin A_b on the last bond b."""
+        prev, cur, nodes = np.zeros(1), np.ones(1), []
         for j in range(1, len(bonds)):
-            grown = _poly_mul(cur, self.lam2) if j % 2 == 0 else cur
-            prev, cur = cur, [x / bonds[j] for x in _poly_add(grown, [-bonds[j - 1] * x for x in prev])]
+            grown = P.polymul(cur, self.lam2) if j % 2 == 0 else cur
+            prev, cur = cur, P.polysub(grown, bonds[j - 1] * prev) / bonds[j]
             if j < len(bonds) - 1 and len(cur) > 1:
-                nodes.append((prev, cur))
+                nodes.append((prev.tolist(), cur.tolist()))
         b, o = bonds[-1], self._partner(bonds[-1])
-        y = _poly_add(_poly_mul(prev, [b - o, o]),
-                      [-x for x in (_poly_mul(cur, self.lam2) if (len(bonds) - 1) % 2 else cur)])
-        x = [o * c for c in prev]
-        return y, _poly_deriv(y), x, _poly_deriv(x) if len(x) > 1 else None, nodes
+        y = P.polysub(P.polymul(prev, [b - o, o]), P.polymul(cur, self.lam2) if (len(bonds) - 1) % 2 else cur)
+        return (_with_deriv(y), _with_deriv(o * prev)), nodes
 
     def _wall(self, wall: list) -> tuple:
         """alpha and beta of the wall as pairs (R, I) of polynomials in t, for
@@ -374,24 +358,22 @@ class _BandEnds:
         z_c - z_(c+1) e^(-i A_c) on bond c, each times a positive power of
         lam."""
         def times(u, v):
-            return (_poly_add(_poly_mul(u[0], v[0]), [-x for x in _poly_mul([0.0, 2.0, -1.0], _poly_mul(u[1], v[1]))]),
-                    _poly_add(_poly_mul(u[0], v[1]), _poly_mul(u[1], v[0])))
+            return (P.polysub(P.polymul(u[0], v[0]), P.polymul([0.0, 2.0, -1.0], P.polymul(u[1], v[1]))),
+                    P.polyadd(P.polymul(u[0], v[1]), P.polymul(u[1], v[0])))
 
         def bloch(b):
             o = self._partner(b)
-            return [b - o, o], [o]
+            return np.array([b - o, o]), np.array([o])
 
-        prev, cur = ([1.0], [0.0]), bloch(wall[0])
+        prev, cur = (np.ones(1), np.zeros(1)), bloch(wall[0])
         for j in range(1, len(wall)):
-            grown = cur if j % 2 else tuple(_poly_mul(part, self.lam2) for part in cur)
-            prev, cur = cur, tuple([x / wall[j] for x in _poly_add(g, [-wall[j - 1] * y for y in before])]
-                                   for g, before in zip(grown, prev))
+            grown = cur if j % 2 else tuple(P.polymul(part, self.lam2) for part in cur)
+            prev, cur = cur, tuple(P.polysub(g, wall[j - 1] * before) / wall[j] for g, before in zip(grown, prev))
         if (len(wall) - 1) % 2 == 0:
-            prev = tuple(_poly_mul(part, self.lam2) for part in prev)
+            prev = tuple(P.polymul(part, self.lam2) for part in prev)
         turn = bloch(wall[-1])
-        back = (turn[0], [-x for x in turn[1]])
-        return tuple(tuple((_poly_add(a, [-x for x in b]), _poly_deriv(_poly_add(a, [-x for x in b])))
-                           for a, b in zip(prev, times(cur, bond))) for bond in (turn, back))
+        return tuple(tuple(_with_deriv(P.polysub(a, b)) for a, b in zip(prev, times(cur, bond)))
+                     for bond in (turn, (turn[0], -turn[1])))
 
     def basis(self, psi: np.ndarray):
         """t, sin(psi), a_p and da_p/dpsi = dA_p/dphi (A_q = phi - A_p)."""
@@ -410,23 +392,10 @@ class _BandEnds:
         of a free end's cluster (_cluster), or -pi/2 at x_0 = 0."""
         if cluster is None:
             return -1.0, 0.0, 0.0
-        y, dy, x, dx, nodes = cluster
-        x_t = _poly_at(x, t)
-        y, x = _poly_at(y, t), sin * x_t
-        dy, dx = sin * _poly_at(dy, t), (1.0 - t) * x_t
-        if cluster[3] is not None:
-            dx = dx + (t * (2.0 - t)) * _poly_at(cluster[3], t)
+        y, x, dy, dx = _complex(cluster[0], t, sin)
         rem = np.arctan2(y, x)
-        count = sum((_poly_at(a, t) * _poly_at(b, t) < 0.0) for a, b in nodes)
+        count = sum((_poly_at(a, t) * _poly_at(b, t) < 0.0) for a, b in cluster[1])
         return 2.0 * (count - np.floor(rem / math.pi + 0.5)), rem, (x * dy - y * dx) / (x * x + y * y)
-
-    @staticmethod
-    def _complex(parts: tuple, t: np.ndarray, sin: np.ndarray):
-        """R(t) + i sin(psi) I(t) and its derivative, as real parts."""
-        (re, dre), (im, dim) = parts
-        im_t = _poly_at(im, t)
-        return (_poly_at(re, t), sin * im_t, sin * _poly_at(dre, t),
-                (1.0 - t) * im_t + (t * (2.0 - t)) * _poly_at(dim, t))
 
     def at(self, psi: np.ndarray, lift: np.ndarray | None):
         """a_p, da_p/dpsi, both ends' phases (_end) and, with a wall, (lift,
@@ -436,8 +405,8 @@ class _BandEnds:
         ends = tuple(self._end(cluster, t, sin) for cluster in self.clusters)
         if len(self.wall) == 1:
             return a, da, ends, None
-        a_re, a_im, da_re, da_im = self._complex(self.alpha, t, sin)
-        b_re, b_im, db_re, db_im = self._complex(self.beta, t, sin)
+        a_re, a_im, da_re, da_im = _complex(self.alpha, t, sin)
+        b_re, b_im, db_re, db_im = _complex(self.beta, t, sin)
         size2 = a_re * a_re + a_im * a_im
         arg = np.arctan2(a_im, a_re)
         if lift is None:
@@ -448,8 +417,6 @@ class _BandEnds:
         return a, da, ends, (lift, arg, np.sqrt(size2), (b_re, b_im),
                              ((a_re * da_re + a_im * da_im) / size2, (a_re * da_im - a_im * da_re) / size2),
                              (db_re, db_im))
-
-
 
 
 def band_values(diagonal: np.ndarray, bonds: np.ndarray) -> np.ndarray | None:

@@ -25,7 +25,7 @@ from .floquet import (
     fold_quasienergy,
     wrap_distance,
 )
-from .models import BoundaryCondition, DriveParams
+from .models import BoundaryCondition, DriveParams, _integer
 
 ASIN_CLAMP = 1e-12
 
@@ -99,6 +99,7 @@ def static_spectrum(eta: float, floquet_cells: int) -> np.ndarray:
     roundoff would be amplified by the asin slope.  Equals dense
     diagonalization of either built chain to better than 1e-10.
     """
+    floquet_cells = _integer("n_cells", floquet_cells)
     if floquet_cells % 4 != 0 or floquet_cells < 4:
         raise ValidationError(f"n_cells must be a positive multiple of 4, got {floquet_cells}")
     return np.sort(np.sin(_central_branches(eta, floquet_cells)))

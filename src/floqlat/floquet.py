@@ -107,6 +107,8 @@ class QuasienergySpectrum:
         v = np.array(self.values, dtype=float)
         if v.ndim != 1:
             raise ValidationError(f"expected a 1D value list, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValidationError("quasienergies must be finite")
         if np.any(np.diff(v) < 0):
             raise ValidationError("quasienergies must be sorted ascending")
         if v.size and (v[0] < -np.pi or v[-1] >= np.pi):

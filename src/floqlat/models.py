@@ -42,13 +42,19 @@ SITE_ORBITALS = np.eye(2, dtype=complex)
 SPINOR_ORBITALS = np.array([[1.0, -1.0j], [1.0, 1.0j]]) / math.sqrt(2.0)
 
 
-def _check_count(owner, name: str, value) -> None:
-    """Require an integer cell or site count >= 2 (numpy integers too) and store it as int."""
+def _integer(name: str, value) -> int:
+    """value as an int, where it is an integer (numpy integers too, bools not)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_count(owner, name: str, value) -> None:
+    """Require an integer cell or site count >= 2 (_integer) and store it as int."""
+    value = _integer(name, value)
     if value < 2:
         raise ValidationError(f"{name} must be >= 2, got {value}")
-    object.__setattr__(owner, name, int(value))
+    object.__setattr__(owner, name, value)
 
 
 class BoundaryCondition(enum.Enum):

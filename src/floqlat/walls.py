@@ -25,6 +25,7 @@ from .models import (
     BoundaryCondition,
     DriveParams,
     HermitianOperator,
+    _integer,
     build_ssh_profile,
     build_wd_profile,
     h1_bond_cells,
@@ -36,13 +37,21 @@ from .doubling import solve_ssh_params, solve_wd_params
 AMP_REL_FLOOR = 1e4 * np.finfo(float).eps
 
 
+def _check_wall_site(wall_position, n_sites: int) -> int:
+    """wall_position as an int, where it is an integer (_integer) inside a chain of n_sites sites."""
+    wall = _integer("wall_position", wall_position)
+    if not 0 < wall < n_sites:
+        raise ValidationError(f"wall_position={wall} outside the chain of {n_sites} sites")
+    return wall
+
+
 @dataclass(frozen=True)
 class DomainWallProfile:
     """Spatial step in eta: eta_left for sites below the wall, eta_right at and above.
 
     The canonical configuration is antisymmetric, eta_right = -eta_left; the
-    wall sits between sites wall_position - 1 and wall_position (chain midpoint
-    when wall_position is None).
+    wall sits between sites wall_position - 1 and wall_position, an integer
+    (chain midpoint when wall_position is None).
     """
 
     eta_left: float
@@ -54,15 +63,11 @@ class DomainWallProfile:
             value = getattr(self, name)
             if not abs(value) <= QUARTER_PI + 1e-12:
                 raise ValidationError(f"{name}={value} outside [-pi/4, pi/4]")
+        if self.wall_position is not None:
+            object.__setattr__(self, "wall_position", _integer("wall_position", self.wall_position))
 
     def wall_site(self, n_sites: int) -> int:
-        if self.wall_position is None:
-            return n_sites // 2
-        if not 0 < self.wall_position < n_sites:
-            raise ValidationError(
-                f"wall_position={self.wall_position} outside the chain of {n_sites} sites"
-            )
-        return self.wall_position
+        return n_sites // 2 if self.wall_position is None else _check_wall_site(self.wall_position, n_sites)
 
 
 @dataclass(frozen=True)
@@ -201,6 +206,7 @@ def fit_localization_length(amplitudes, wall_position: int) -> tuple[float, floa
     """
     amps = np.asarray(amplitudes, dtype=float)
     n = len(amps)
+    wall_position = _check_wall_site(wall_position, n)
     n_edge = math.ceil(0.1 * n)
     amp_floor = AMP_REL_FLOOR * amps.max(initial=0.0)
 
@@ -235,6 +241,7 @@ def _select_bound_state(
     rule, whatever the eigenbasis and its phases.
     """
     n_sites = states.shape[0] // components_per_site
+    wall_position = _check_wall_site(wall_position, n_sites)
     if values.size == 0:
         raise ValidationError(
             f"no eigenstate within {energy_window} of the mode energy on the chain of {n_sites} "

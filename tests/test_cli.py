@@ -646,18 +646,25 @@ def test_replaced_out_file_keeps_its_mode(tmp_path):
 
 
 def test_runtime_needs_only_numpy(tmp_path):
+    # every block here is below BAND_MIN_CELLS, so floqlat.band and the
+    # numpy.polynomial it builds with stay unimported: the import of a fresh
+    # process, and a ring's solve, pay for neither
     script = (
         "import sys\n"
+        "import floqlat\n"
+        "floqlat.quasienergies(floqlat.build_floquet(floqlat.DriveParams(0.3, 0.7, 4)))\n"
         "from floqlat import ScalingConfig, scaling_metric\n"
         "from floqlat.cli import main\n"
         "scaling_metric(ScalingConfig.OBC, 0.3, 40)\n"
         "assert main(['domainwall', '--eta', '0.3', '--cells', '40', '--model', 'ssh',\n"
         "             '--out', sys.argv[1]]) == 0\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "for name in ('floqlat.band', 'numpy.polynomial'):\n"
+        "    assert name not in sys.modules, f'{name} was imported'\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "wall.csv")], env=env,
+    result = subprocess.run([sys.executable, "-B", "-c", script, str(tmp_path / "wall.csv")], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 

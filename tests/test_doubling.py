@@ -205,6 +205,14 @@ def test_double_poles_rejects_out_of_band():
         double_poles(np.array([1.5]))
 
 
+def test_non_finite_quasienergies_are_refused():
+    # NaN passes the sort, range and overshoot checks, which all compare
+    with pytest.raises(ValidationError, match="quasienergies must be finite"):
+        QuasienergySpectrum([np.nan])
+    with pytest.raises(ValidationError, match="quasienergies must be finite"):
+        double_poles(np.array([np.nan, 0.1]))
+
+
 def test_band_edge_detuning_spectrum():
     # at eta = pi/4 every kept quasienergy is +-pi/2 and doubling is degenerate
     kept = partition_quasienergies(line_params(PI / 4, 8))

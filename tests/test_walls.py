@@ -23,6 +23,7 @@ from floqlat import (
     quasienergies,
     solve_ssh_params,
     solve_wd_params,
+    static_spectrum,
     wall_decay_factors,
 )
 import floqlat.models
@@ -111,6 +112,20 @@ def test_wall_profile_rejects_nan_detuning():
         wall(np.nan, 0.1)
     with pytest.raises(ValidationError, match="wall_position=16 outside the chain of 16 sites"):
         wall(-ETA, ETA, position=16).wall_site(16)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: wall(-0.3, 0.3, position=40.5), "wall_position must be an integer, got 40.5"),
+        (lambda: wall(-0.3, 0.3, position=True), "wall_position must be an integer, got True"),
+        (lambda: static_spectrum(0.3, 8.0), "n_cells must be an integer, got 8.0"),
+        (lambda: fit_localization_length(np.ones(10), 20), "wall_position=20 outside the chain of 10 sites"),
+    ],
+)
+def test_wall_positions_and_cell_counts_must_be_integers_in_range(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------- static walls
